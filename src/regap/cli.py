@@ -569,9 +569,9 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
     n = inst.shape[0] * inst.shape[1]
     noise_level = inst.kl_noise_level()
     extras: dict = {"kl_noise_level": noise_level}
+    setC = SupportNonnegSet(inst.forced_zero, n, kind=COMPLEX)
 
     if cfg.algorithm == "exact_ap":
-        setC = SupportNonnegSet(inst.forced_zero, n, kind=COMPLEX)
         setM = FourierMagnitudeSet(inst.observed.ravel(), inst.shape)
         rng = _philox(np.random.SeedSequence(entry.seed).spawn(2)[1])
         start_img = np.zeros(inst.shape)
@@ -582,6 +582,7 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
         extras.update({
             "epsilon": None,
             "residual_data": setM.membership_residual(trace.final_even),
+            "aligned_error": aligned_error(recon, inst.object_image),
         })
     else:
         epsilon = (entry.epsilon if entry.epsilon is not None
@@ -594,17 +595,17 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
         extras.update({
             "epsilon": epsilon,
             "restarts": result.restarts,
+            # computed by reconstruct for this very reconstruction
+            "aligned_error": result.aligned_error,
             "residual_data": max(ball.residual(trace.final_even) - epsilon, 0.0),
             "interior": (interiority_check(ball, trace.final_even)
                          if epsilon > 0 else False),
         })
-        setC = SupportNonnegSet(inst.forced_zero, n, kind=COMPLEX)
 
     extras.update({
         "c_bar": None,
         "predicted_rate": None,
         "residual_constraint": setC.membership_residual(trace.final_even),
-        "aligned_error": aligned_error(recon, inst.object_image),
     })
     export_grid(recon, outdir / "reconstruction")
     export_grid(inst.object_image, outdir / "truth")

@@ -11,7 +11,7 @@ approximate projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import xlogy
@@ -40,8 +40,16 @@ class EuclideanKernel:
     name = EUCLIDEAN
 
     def evaluate(self, z, y) -> float:
-        d = _as_array(z) - _as_array(y)
-        return 0.5 * float(d @ d)
+        return self.against(y)(z)
+
+    def against(self, y) -> Callable[[np.ndarray], float]:
+        """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data."""
+        y = _as_array(y)
+
+        def distance(z) -> float:
+            d = _as_array(z) - y
+            return 0.5 * float(d @ d)
+        return distance
 
     def gradient_in_first_arg(self, z, y) -> np.ndarray:
         return _as_array(z) - _as_array(y)
@@ -77,14 +85,28 @@ class KullbackLeiblerKernel:
             raise KernelDomainError(f"negative component in the {slot} argument")
 
     def evaluate(self, z, y) -> float:
-        z = _as_array(z)
+        return self.against(y)(z)
+
+    def against(self, y) -> Callable[[np.ndarray], float]:
+        """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data.
+
+        ``y`` is checked, clipped and logged once; each call checks ``z`` and
+        adds the clipped entries of ``y`` to ``clip_count``, as ``evaluate``
+        does per call.
+        """
         y = _as_array(y)
-        self._check_nonneg(z, "first")
         self._check_nonneg(y, "second")
-        yc = self._clip(y)
-        # z*log(z/y) computed as xlogy(z, z) - z*log(yc): xlogy handles z = 0.
-        val = xlogy(z, z) - z * np.log(yc) + y - z
-        return float(np.sum(val))
+        small = y < CLIP_FLOOR
+        n_small = int(np.count_nonzero(small))
+        log_y = np.log(np.where(small, CLIP_FLOOR, y))
+
+        def divergence(z) -> float:
+            z = _as_array(z)
+            self._check_nonneg(z, "first")
+            self.clip_count += n_small
+            # z*log(z/y) computed as xlogy(z, z) - z*log(yc): xlogy handles z = 0.
+            return float(np.sum(xlogy(z, z) - z * log_y + y - z))
+        return divergence
 
     def gradient_in_first_arg(self, z, y) -> np.ndarray:
         z = _as_array(z)
@@ -128,8 +150,9 @@ class ForwardMap:
     """Differentiable map g from the ambient space into the data space.
 
     ``value`` evaluates g, ``pullback`` applies the Jacobian adjoint
-    Dg(x)^T w in real-storage coordinates.  ``is_affine`` enables the
-    closed-form boundary solve for Euclidean kernels.
+    Dg(x)^T w in real-storage coordinates, and ``segment`` prepares g along
+    a segment for the boundary solve.  ``is_affine`` enables the closed-form
+    boundary solve for Euclidean kernels.
     """
 
     in_dim: int
@@ -142,6 +165,14 @@ class ForwardMap:
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
+        """``t -> g((1 - t) x + t a)``, prepared once per segment.
+
+        This generic version evaluates ``value(lerp(x, a, t))`` and is the
+        reference that overrides must reproduce.
+        """
+        return lambda t: self.value(lerp(x, a, t))
 
     def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
         """Matrix sum_k w_k * Hess(g_k)(x); zero for affine maps."""
@@ -214,6 +245,20 @@ class SquareMap(ForwardMap):
             return 2.0 * x.data * np.repeat(w, 2)
         return 2.0 * x.data * w
 
+    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
+        # lerp's arithmetic on the raw storage, without building a Point
+        self._check(x)
+        self._check(a)
+        xd, ad = x.data, a.data
+        if self.in_kind == COMPLEX:
+            def along(t: float) -> np.ndarray:
+                c = ((1.0 - t) * xd + t * ad).view(np.complex128)
+                return c.real ** 2 + c.imag ** 2
+        else:
+            def along(t: float) -> np.ndarray:
+                return ((1.0 - t) * xd + t * ad) ** 2
+        return along
+
     def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
         diag = 2.0 * (np.repeat(w, 2) if self.in_kind == COMPLEX else w)
@@ -253,6 +298,16 @@ class FourierIntensityMap(ForwardMap):
         w = np.asarray(w, dtype=np.float64).reshape(self.shape)
         grad = np.fft.ifftn(2.0 * w * X, norm="ortho")
         return np.ascontiguousarray(grad.ravel()).view(np.float64).copy()
+
+    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
+        # The DFT is linear: F((1 - t) x + t a) = X + t (A - X), so two
+        # transforms serve the whole segment.
+        X = self._transform(x).ravel()
+        D = self._transform(a).ravel() - X
+
+        def along(t: float) -> np.ndarray:
+            return np.abs(X + t * D) ** 2
+        return along
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +384,12 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     along the segment the first crossing found by the scan is returned, so
     the result is always a member within the membership tolerance, matching
     the slack granted to the anchor itself.
+
+    The scan and bisection test membership through the map's ``segment``
+    and the kernel's prepared divergence ``against``, which skip building
+    and re-validating a point per step.  The returned point is re-checked
+    with ``contains``; should rounding in a fast ``segment`` ever disagree,
+    the search is redone with the generic predicate.
     """
     rx = m.residual(x)
     if rx <= m.epsilon:
@@ -355,8 +416,19 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
                     return float(tau), lerp(x, x0, float(tau))
         # fall through to bisection on degenerate geometry
 
-    def member(t: float) -> bool:
-        return m.residual(lerp(x, x0, t)) <= m.epsilon + MEMBERSHIP_TOL
+    bound = m.epsilon + MEMBERSHIP_TOL
+    along = m.forward.segment(x, x0)
+    divergence = m.kernel.against(m.data)
 
-    tau = first_crossing(member, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter)
-    return float(tau), lerp(x, x0, float(tau))
+    def search(member: Callable[[float], bool]) -> tuple[float, Point]:
+        tau = float(first_crossing(member, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter))
+        return tau, lerp(x, x0, tau)
+
+    def generic(t: float) -> bool:
+        return m.residual(lerp(x, x0, t)) <= bound
+
+    try:
+        tau, point = search(lambda t: divergence(along(t)) <= bound)
+    except ValueError:  # rounding in ``along`` can put the anchor itself outside
+        return search(generic)
+    return (tau, point) if m.contains(point) else search(generic)

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import smooth_instance
 from regap import cli
 from regap.algorithms import StepConditionError
 from regap.cli import (ConfigError, ExperimentConfig, config_from_mapping,
                        main, parse_config_text, parse_scalar, sweep_entries)
+from regap.phase import save_instance
 
 
 def run_cli(*argv):
@@ -478,6 +480,45 @@ def test_custom_run_rejects_corrupt_instance(tmp_path, capsys):
         f"out = {tmp_path / 'z'}\n"))
     assert run_cli("run", "--config", str(cfg)) == 4
     assert "io error" in capsys.readouterr().err
+
+
+def _corrupt_instance_run(tmp_path, corrupt):
+    """Save a small instance, apply ``corrupt(raw, offsets)``, run it as custom."""
+    inst_path = tmp_path / "inst.phz"
+    save_instance(smooth_instance(3, shape=(16, 16)), inst_path)
+    raw = bytearray(inst_path.read_bytes())
+    n = 16 * 16
+    header = 8 + 24
+    offsets = {"noiseless": header + n + 8 * n, "observed": header + n + 16 * n}
+    inst_path.write_bytes(bytes(corrupt(raw, offsets)))
+    cfg = write_config(tmp_path, (
+        "problem = custom\n"
+        "algorithm = regularized_extrapolated\n"
+        f"instance = {inst_path}\n"
+        "epsilon_kappa = 1.0\n"
+        "max_iter = 5\n"
+        f"out = {tmp_path / 'z'}\n"))
+    return run_cli("run", "--config", str(cfg))
+
+
+def _put(raw, offset, value):
+    raw[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+    return raw
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (lambda raw, off: _put(raw, off["observed"] + 8 * 5, math.nan), "observed intensity"),
+    (lambda raw, off: _put(raw, off["noiseless"], -1.0), "noiseless intensity"),
+    (lambda raw, off: _put(raw, off["observed"] + 8 * 7, -0.5), "observed intensity"),
+    (lambda raw, off: raw + b"trailing garbage", "shape"),
+    (lambda raw, off: raw[:-3], "shape"),
+])
+def test_custom_run_rejects_bad_instance_data(tmp_path, capsys, corrupt, field):
+    assert _corrupt_instance_run(tmp_path, corrupt) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "inst.phz" in err and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "z" / "summary.json").exists()
 
 
 def test_usage_errors_exit_two():

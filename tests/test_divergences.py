@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from regap.core import COMPLEX, Point
-from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap,
-                               KernelDomainError, KullbackLeiblerKernel,
+from regap.core import COMPLEX, MEMBERSHIP_TOL, Point, first_crossing, lerp
+from regap.divergences import (EuclideanKernel, FourierIntensityMap, ForwardMap,
+                               IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                                LinearMap, RegularizedSet, SquareMap,
                                bregman_line_boundary, kl_divergence, make_kernel,
                                residual)
-from regap.projectors import AffineSet
+from regap.projectors import AffineSet, FourierMagnitudeSet
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +304,115 @@ def test_boundary_tau_shrinks_with_epsilon(eps_frac, reach):
     tau_small, _ = bregman_line_boundary(ball_small, x, anchor)
     tau_large, _ = bregman_line_boundary(ball_large, x, anchor)
     assert tau_large <= tau_small + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Boundary fast path against the generic scan + bisection
+
+def _reference_boundary(m, x, x0):
+    """The generic predicate: build each segment point and evaluate the residual."""
+    return first_crossing(lambda t: m.residual(lerp(x, x0, t)) <= m.epsilon + MEMBERSHIP_TOL)
+
+
+def _check_fast_boundary(m, x, x0, exact_segment):
+    tau, point = bregman_line_boundary(m, x, x0)
+    assert abs(tau - _reference_boundary(m, x, x0)) <= 1e-10
+    assert m.contains(point)
+
+    along = m.forward.segment(x, x0)
+    clips = lambda: getattr(m.kernel, "clip_count", 0)  # noqa: E731
+    for t in (0.0, tau, 0.5 * tau, 0.37, 1.0):
+        got, ref = along(t), m.forward.value(lerp(x, x0, t))
+        if exact_segment:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        # the prepared divergence is bit-identical and clips as often
+        start = clips()
+        prepared = m.kernel.against(m.data)(ref)
+        mid = clips()
+        assert prepared == m.kernel.evaluate(ref, m.data)
+        assert clips() - mid == mid - start
+
+
+def _outside_ball(forward, data, kernel, x, x0, frac):
+    """Ball whose radius is a fraction of the way from r(x0) to r(x)."""
+    probe = RegularizedSet(forward, data, kernel, 0.0)
+    r_x, r_0 = probe.residual(x), probe.residual(x0)
+    return RegularizedSet(forward, data, kernel, r_0 + frac * (r_x - r_0))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 0.95))
+def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
+    rng = np.random.default_rng(seed)
+    shape = (n1, n2)
+    obj = rng.uniform(0.0, 1.0, shape)
+    data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
+    data[rng.random(data.size) < 0.3] = 0.0  # zeros in the data: KL clips them
+    data[rng.integers(data.size)] = 0.0
+    x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
+    x0 = FourierMagnitudeSet(data, shape).project_one(x)
+    ball = _outside_ball(FourierIntensityMap(shape), data, KullbackLeiblerKernel(), x, x0, frac)
+    assume(not ball.contains(x))
+    _check_fast_boundary(ball, x, x0, exact_segment=False)
+    assert ball.kernel.clip_count > 0
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12), st.sampled_from(["real", COMPLEX]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 0.95))
+def test_square_euclidean_boundary_matches_generic_path(n, kind, seed, frac):
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 2.0, n)
+    data[rng.random(n) < 0.2] = 0.0
+    if kind == COMPLEX:
+        x = Point.from_complex(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        c = x.as_complex()
+        phase = np.where(c == 0, 1.0, c / np.where(c == 0, 1.0, np.abs(c)))
+        x0 = Point.from_complex(np.sqrt(data) * phase)
+    else:
+        x = Point(3.0 * rng.standard_normal(n))
+        x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
+    ball = _outside_ball(SquareMap(n, kind), data, EuclideanKernel(), x, x0, frac)
+    assume(not ball.contains(x))
+    _check_fast_boundary(ball, x, x0, exact_segment=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 0.95))
+def test_linear_kl_boundary_uses_generic_segment(rows, cols, seed, frac):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.1, 1.0, (rows, cols))
+    x0 = Point(rng.uniform(0.5, 1.5, cols))
+    x = Point(x0.data + rng.uniform(0.5, 5.0, cols))
+    forward = LinearMap(A)
+    assert type(forward).segment is ForwardMap.segment
+    ball = _outside_ball(forward, A @ x0.data, KullbackLeiblerKernel(), x, x0, frac)
+    assume(not ball.contains(x))
+    _check_fast_boundary(ball, x, x0, exact_segment=True)
+
+
+class _SkewedSegment(IdentityMap):
+    """Identity map whose prepared segment is off by ``shift`` in ``t``."""
+
+    def __init__(self, n, shift):
+        super().__init__(n)
+        self.shift = shift
+
+    def segment(self, x, a):
+        return lambda t: self.value(lerp(x, a, min(max(t + self.shift, 0.0), 1.0)))
+
+
+@pytest.mark.parametrize("shift", [0.3, -0.5])
+def test_boundary_falls_back_when_the_segment_disagrees(shift):
+    # +0.3 enters the ball too early (the re-check catches it); -0.5 misses
+    # the anchor at t = 1 (the scan refuses).  Both end on the generic answer.
+    ball = RegularizedSet(_SkewedSegment(3, shift), np.ones(3), KullbackLeiblerKernel(), 0.05)
+    x, anchor = Point(np.array([2.0, 3.0, 5.0])), Point(np.ones(3))
+    tau, point = bregman_line_boundary(ball, x, anchor)
+    assert tau == _reference_boundary(ball, x, anchor)
+    assert ball.contains(point)

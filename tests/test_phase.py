@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noiseless_instance, smooth_instance
 from regap.algorithms import InexactAPConfig
@@ -146,6 +148,58 @@ def test_aligned_error_detects_genuine_differences():
     err = aligned_error(other, truth)
     assert err > 0.1
     assert err <= np.linalg.norm(other - truth) / np.linalg.norm(truth) + 1e-12
+
+
+def exhaustive_aligned_error(candidate, truth):
+    """Reference: every circular shift of both orientations, one at a time."""
+    candidate = np.asarray(candidate, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    denom = np.linalg.norm(truth)
+    reflected = np.roll(np.flip(candidate, axis=(0, 1)), shift=(1, 1), axis=(0, 1))
+    best = np.inf
+    for image in (candidate, reflected):
+        for s1 in range(truth.shape[0]):
+            rolled_rows = np.roll(image, s1, axis=0)
+            for s2 in range(truth.shape[1]):
+                err = np.linalg.norm(np.roll(rolled_rows, s2, axis=1) - truth)
+                if err < best:
+                    best = err
+    return float(best / denom)
+
+
+@st.composite
+def alignment_cases(draw):
+    n1, n2 = draw(st.integers(1, 17)), draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pattern = draw(st.sampled_from(["random", "constant", "periodic"]))
+    if pattern == "random":
+        truth = rng.uniform(0.0, 1.0, (n1, n2))
+    elif pattern == "constant":
+        # every shift of both orientations ties
+        truth = np.full((n1, n2), draw(st.floats(0.1, 10.0)))
+    else:
+        # a tile repeated along both axes: several shifts tie exactly
+        tile = rng.uniform(0.0, 1.0, (draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        truth = np.tile(tile, (17, 17))[:n1, :n2]
+    candidate = np.roll(truth, (draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))),
+                        axis=(0, 1))
+    if draw(st.booleans()):
+        candidate = np.roll(np.flip(candidate, axis=(0, 1)), shift=(1, 1), axis=(0, 1))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 1.0]))
+    candidate = candidate + noise * rng.standard_normal((n1, n2))
+    if draw(st.booleans()):
+        candidate = rng.uniform(0.0, 1.0, (n1, n2))  # unrelated image
+    return candidate, truth
+
+
+@settings(max_examples=300)
+@given(alignment_cases())
+def test_aligned_error_matches_exhaustive_search(case):
+    candidate, truth = case
+    fast = aligned_error(candidate, truth)
+    reference = exhaustive_aligned_error(candidate, truth)
+    assert fast == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert fast == reference  # the same norm is taken at the minimizing shift
 
 
 def test_aligned_error_validation():
