@@ -350,7 +350,7 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     def odd_step(even: Point, k: int) -> tuple[Point, float, float, float]:
         res_even = m.residual(even)
         if res_even <= m.epsilon + MEMBERSHIP_TOL:
-            return even, 0.0, 0.0, m.residual(even)
+            return even, 0.0, 0.0, res_even
         anchor = canonical_point(unregularized.project(even))
         boundary = None
         if cfg.lambda_schedule == SURFACE:

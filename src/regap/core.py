@@ -141,6 +141,8 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
     """
     if not candidates:
         raise ValueError("empty candidate set")
+    if len(candidates) == 1:
+        return candidates[0]
     return min(candidates, key=Point.lex_key)
 
 

@@ -61,11 +61,14 @@ class EuclideanKernel:
 class KullbackLeiblerKernel:
     """Kullback-Leibler divergence, the Bregman distance of t*log(t) - t.
 
-    ``evaluate`` accepts nonnegative data in both slots: the ``0*log(0) = 0``
-    convention is applied to the first argument, and zeros in either argument
-    are clipped at ``CLIP_FLOOR`` before any logarithm.  Each clipped entry
-    increments ``clip_count``; stored data is never modified.  Negative
-    entries are a hard domain error.
+    ``evaluate`` accepts nonnegative data in both slots.  The first argument
+    ``z`` follows the ``0*log(0) = 0`` convention: its zeros are neither
+    clipped nor counted.  Entries of the second argument ``y`` below
+    ``CLIP_FLOOR`` are clipped to it before the logarithm, and each clipped
+    entry adds one to ``clip_count`` per evaluation; stored data is never
+    modified.  Negative entries in either argument are a hard domain error.
+    The gradient and Hessian also clip and count zeros of ``z``, where
+    ``log(z)`` and ``1/z`` have no such convention.
     """
 
     name = KULLBACK_LEIBLER
@@ -102,10 +105,18 @@ class KullbackLeiblerKernel:
 
         def divergence(z) -> float:
             z = _as_array(z)
-            self._check_nonneg(z, "first")
+            if (z < 0).any():
+                raise KernelDomainError("negative component in the first argument")
             self.clip_count += n_small
-            # z*log(z/y) computed as xlogy(z, z) - z*log(yc): xlogy handles z = 0.
-            return float(np.sum(xlogy(z, z) - z * log_y + y - z))
+            # z*log(z/y) as z*log(z) - z*log(yc), with 0*log(0) = 0: numpy's
+            # vectorized log on the positive entries (scipy's xlogy would call
+            # the scalar log once per entry).
+            terms = np.log(z, out=np.zeros_like(z), where=z > 0)
+            terms *= z
+            terms -= z * log_y
+            terms += y
+            terms -= z
+            return float(terms.sum())
         return divergence
 
     def gradient_in_first_arg(self, z, y) -> np.ndarray:
@@ -301,12 +312,21 @@ class FourierIntensityMap(ForwardMap):
 
     def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
         # The DFT is linear: F((1 - t) x + t a) = X + t (A - X), so two
-        # transforms serve the whole segment.
+        # transforms serve the whole segment.  The intensity is evaluated as
+        # re^2 + im^2 in real arithmetic, which skips the complex modulus
+        # (a hypot per entry) and is nonnegative by construction.
         X = self._transform(x).ravel()
         D = self._transform(a).ravel() - X
+        xr, xi = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
+        dr, di = np.ascontiguousarray(D.real), np.ascontiguousarray(D.imag)
 
         def along(t: float) -> np.ndarray:
-            return np.abs(X + t * D) ** 2
+            re = xr + t * dr
+            im = xi + t * di
+            re *= re
+            im *= im
+            re += im
+            return re
         return along
 
 
@@ -321,12 +341,22 @@ class RegularizedSet:
     The unregularized set (epsilon = 0) is {x : g(x) = b}.  Whether the
     divergence grows fast enough at infinity for projections to exist is a
     property of (g, d, b) that the caller must ensure; it is not checked.
+
+    ``forward``, ``data`` and ``kernel`` are fixed after construction: the
+    kernel's divergence against ``data`` is prepared once, on first use, and
+    ``residual`` remembers its last ``(point, value)`` pair so that asking
+    again for the identical ``Point`` (whose storage is read-only) costs
+    nothing.
     """
 
     forward: ForwardMap
     data: np.ndarray
     kernel: object
     epsilon: float
+    _divergence: Callable[[np.ndarray], float] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _last_residual: tuple[Point, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -348,8 +378,20 @@ class RegularizedSet:
     def kind(self) -> str:
         return self.forward.in_kind
 
+    @property
+    def divergence(self) -> Callable[[np.ndarray], float]:
+        """The prepared ``z -> d(z, b)``, built on first use."""
+        if self._divergence is None:
+            self._divergence = self.kernel.against(self.data)
+        return self._divergence
+
     def residual(self, x: Point) -> float:
-        return self.kernel.evaluate(self.forward.value(x), self.data)
+        last = self._last_residual
+        if last is not None and last[0] is x:
+            return last[1]
+        value = self.divergence(self.forward.value(x))
+        self._last_residual = (x, value)
+        return value
 
     def residual_gradient(self, x: Point) -> Point:
         w = self.kernel.gradient_in_first_arg(self.forward.value(x), self.data)
@@ -386,10 +428,10 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     the slack granted to the anchor itself.
 
     The scan and bisection test membership through the map's ``segment``
-    and the kernel's prepared divergence ``against``, which skip building
-    and re-validating a point per step.  The returned point is re-checked
-    with ``contains``; should rounding in a fast ``segment`` ever disagree,
-    the search is redone with the generic predicate.
+    and the set's prepared divergence, which skip building and re-validating
+    a point per step.  The returned point is re-checked with ``contains``;
+    should rounding in a fast ``segment`` ever disagree, the search is
+    redone with the generic predicate.
     """
     rx = m.residual(x)
     if rx <= m.epsilon:
@@ -418,7 +460,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
 
     bound = m.epsilon + MEMBERSHIP_TOL
     along = m.forward.segment(x, x0)
-    divergence = m.kernel.against(m.data)
+    divergence = m.divergence
 
     def search(member: Callable[[float], bool]) -> tuple[float, Point]:
         tau = float(first_crossing(member, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter))

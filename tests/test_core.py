@@ -96,6 +96,11 @@ def test_canonical_point_is_lexicographic_min():
         canonical_point([])
 
 
+def test_canonical_point_returns_a_single_candidate_itself():
+    only = Point(np.array([3.0, -1.0]))
+    assert canonical_point([only]) is only
+
+
 # ---------------------------------------------------------------------------
 # first_crossing
 

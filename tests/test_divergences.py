@@ -1,6 +1,7 @@
 """Divergence kernels, forward maps, fattened sets, and boundary search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import xlogy
 
+from regap.algorithms import InexactAPConfig, regularized_extrapolated_ap
 from regap.core import COMPLEX, MEMBERSHIP_TOL, Point, first_crossing, lerp
-from regap.divergences import (EuclideanKernel, FourierIntensityMap, ForwardMap,
+from regap.divergences import (CLIP_FLOOR, EuclideanKernel, FourierIntensityMap, ForwardMap,
                                IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                                LinearMap, RegularizedSet, SquareMap,
                                bregman_line_boundary, kl_divergence, make_kernel,
                                residual)
-from regap.projectors import AffineSet, FourierMagnitudeSet
+from regap.phase import box_support, synthesize
+from regap.projectors import AffineSet, FourierMagnitudeSet, SupportNonnegSet
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,45 @@ def test_guarded_kernel_counts_clipped_zeros():
     assert k.clip_count > 0
     with pytest.raises(KernelDomainError):
         k.evaluate(np.array([-0.5]), np.array([1.0]))
+
+
+def kl_reference(z, y):
+    """Reference guarded KL sum, with scipy's xlogy for 0*log(0) = 0.
+
+    Returns the divergence, the sum of the absolute values of its terms (the
+    scale its rounding error is relative to) and the number of clipped
+    entries of ``y``.
+    """
+    small = y < CLIP_FLOOR
+    log_y = np.log(np.where(small, CLIP_FLOOR, y))
+    terms = (xlogy(z, z), z * log_y, y, z)
+    value = float(np.sum(terms[0] - terms[1] + terms[2] - terms[3]))
+    scale = float(sum(np.sum(np.abs(t)) for t in terms))
+    return value, scale, int(np.count_nonzero(small))
+
+
+_KL_ENTRY = st.one_of(st.just(0.0),
+                      st.floats(5e-324, CLIP_FLOOR, exclude_max=True),
+                      st.floats(CLIP_FLOOR, 1e6))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_KL_ENTRY, _KL_ENTRY), min_size=1, max_size=40))
+def test_kl_divergence_matches_xlogy_reference(pairs):
+    z, y = (np.array(v) for v in zip(*pairs))
+    expected, scale, n_clipped = kl_reference(z, y)
+    k = KullbackLeiblerKernel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prepared = k.against(y)
+        for evaluate in (prepared, lambda v: k.evaluate(v, y)):
+            before = k.clip_count
+            assert abs(evaluate(z) - expected) <= 1e-13 * scale
+            assert k.clip_count - before == n_clipped
+            negative = z.copy()
+            negative[len(negative) // 2] = -1e-3
+            with pytest.raises(KernelDomainError):
+                evaluate(negative)
 
 
 def test_make_kernel_names():
@@ -304,6 +347,79 @@ def test_boundary_tau_shrinks_with_epsilon(eps_frac, reach):
     tau_small, _ = bregman_line_boundary(ball_small, x, anchor)
     tau_large, _ = bregman_line_boundary(ball_large, x, anchor)
     assert tau_large <= tau_small + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Prepared divergence and residual memo
+
+class _CountingFourierMap(FourierIntensityMap):
+    """Fourier intensity map that counts its ``value`` calls."""
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.values = 0
+
+    def value(self, x):
+        self.values += 1
+        return super().value(x)
+
+
+def test_residual_memo_answers_only_the_identical_point():
+    rng = np.random.default_rng(5)
+    shape = (4, 4)
+    data = rng.uniform(0.0, 2.0, 16)
+    m = RegularizedSet(_CountingFourierMap(shape), data, KullbackLeiblerKernel(), 1.0)
+    p = Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    first = m.residual(p)
+    assert m.residual(p) == first
+    assert m.contains(p) == (first <= m.epsilon + MEMBERSHIP_TOL)
+    assert m.forward.values == 1
+    twin = Point(p.data, p.kind)
+    assert m.residual(twin) == first
+    assert m.forward.values == 2
+    assert m.divergence is m.divergence
+    assert first == m.kernel.evaluate(m.forward.value(p), data)
+
+
+def test_surface_cycle_transform_count(monkeypatch):
+    shape = (8, 8)
+    instance = synthesize(shape, box_support(shape, 2), 1e3, seed=3)
+    observed = instance.observed.ravel()
+    m = RegularizedSet(_CountingFourierMap(shape), observed, KullbackLeiblerKernel(),
+                       instance.kl_noise_level())
+    setC = SupportNonnegSet(instance.forced_zero, observed.size, kind=COMPLEX)
+    unreg = FourierMagnitudeSet(observed, shape)
+    start = np.zeros(shape)
+    start[instance.support] = np.random.default_rng(0).uniform(0.0, 1.0, 16)
+    x0 = Point.from_complex(start.ravel().astype(np.complex128))
+
+    ffts = [0]
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+            ffts[0] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def run(cycles):
+        ffts[0] = m.forward.values = 0
+        trace = regularized_extrapolated_ap(
+            setC, m, unreg, x0, InexactAPConfig(max_iterations=cycles, measure_gamma=False))
+        assert trace.reason == "max_iter"
+        assert all(0.0 < r.lam < 1.0 for r in trace.records)  # every odd step hits the boundary
+        return ffts[0], m.forward.values
+
+    (f2, v2), (f3, v3) = run(2), run(3)
+    # One surface cycle, by hand:
+    #   the support projection onto C                    0
+    #   residual(even), the interior test                1 (value)
+    #   the anchor projection onto |F x|^2 = b           2 (fftn + ifftn)
+    #   boundary solve: residual(even) again             0 (memo)
+    #   boundary solve: residual(anchor)                 1 (value)
+    #   boundary solve: segment(even, anchor)            2 (two fftn)
+    #   boundary solve: contains(boundary point)         1 (value)
+    #   residual(odd) for the trace                      0 (memo)
+    assert f3 - f2 == 7
+    assert v3 - v2 == 3
 
 
 # ---------------------------------------------------------------------------
