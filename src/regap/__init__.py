@@ -7,14 +7,14 @@ extrapolated), convergence-rate prediction and measurement, regularity
 constants, and a synthetic phase-retrieval demonstration with a CLI.
 """
 
-from .algorithms import (GammaConditionError, InexactAPConfig, RatePrediction,
-                         RateMeasurementError, StepConditionError,
+from .algorithms import (FixedPointError, GammaConditionError, InexactAPConfig,
+                         RatePrediction, RateMeasurementError, StepConditionError,
                          exact_alternating_projections,
                          inexact_alternating_projections, measure_rate,
                          predict_rate, regularized_extrapolated_ap)
 from .core import (COMPLEX, REAL, TERMINATION_REASONS, DimensionMismatchError,
                    IterationTrace, NormalConeUnavailableError, Point, SetOracle,
-                   TraceRecord, canonical_point, distance, lerp,
+                   SolverError, TraceRecord, canonical_point, distance, lerp,
                    proximal_normal_residual)
 from .divergences import (EuclideanKernel, ForwardMap, FourierIntensityMap,
                           IdentityMap, KernelDomainError, KullbackLeiblerKernel,
@@ -36,13 +36,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSet", "BoxMagnitudeSet", "COMPLEX", "DimensionMismatchError",
-    "EuclideanKernel", "ForwardMap", "FourierIntensityMap", "FourierMagnitudeSet",
+    "EuclideanKernel", "FixedPointError", "ForwardMap", "FourierIntensityMap",
+    "FourierMagnitudeSet",
     "GammaConditionError", "HalfspaceSet", "IdentityMap", "InexactAPConfig",
     "IterationTrace", "KernelDomainError", "KullbackLeiblerKernel", "LinearMap",
     "NewtonConvergenceError", "NormalConeUnavailableError", "PhaseInstance",
     "Point", "RatePrediction", "RateMeasurementError", "REAL",
     "ReconstructionResult", "RegularityEstimate", "RegularizedSet",
-    "RegularizedSetOracle", "SetOracle", "SquareMap", "StepConditionError",
+    "RegularizedSetOracle", "SetOracle", "SolverError", "SquareMap",
+    "StepConditionError",
     "SupportNonnegSet", "TERMINATION_REASONS", "TraceRecord", "aligned_error",
     "box_support", "bregman_line_boundary", "canonical_point", "cbar_sampled",
     "cbar_subspaces",

@@ -1,10 +1,11 @@
 """Alternating-projection loops, rate prediction, and rate measurement.
 
-Three drivers share the same trace format: plain alternating projections
-between two sets, an inexact variant that accepts externally produced odd
-iterates subject to step-monotonicity and normal-alignment checks, and the
-relaxed scheme for divergence balls whose odd step mixes the current iterate
-with a projection onto the unregularized set.
+Three drivers share one cycle loop and one trace format; only the odd step
+differs.  Plain alternating projections project onto the second set; an
+inexact variant accepts externally produced odd iterates subject to
+step-monotonicity and normal-alignment checks; and the relaxed scheme for
+divergence balls mixes the current iterate with a projection onto the
+unregularized set.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     Point,
     RayCone,
     SetOracle,
+    SolverError,
     TraceRecord,
     canonical_point,
     first_crossing,
@@ -39,13 +41,26 @@ CONSTANT_ONE = "constant_one"
 CUSTOM = "custom"
 LAMBDA_SCHEDULES = (SURFACE, CONSTANT_ONE, CUSTOM)
 
+# A gap counts as flat when its relative change over the stall window stays
+# below GAP_STALL_REL_CHANGE, and as bounded away from zero above
+# GAP_STALL_FACTOR times the fixed-point tolerance.
+GAP_STALL_REL_CHANGE = 1e-6
+GAP_STALL_FACTOR = 10.0
 
-class StepConditionError(RuntimeError):
+# An odd step's result: (odd iterate, its residual, gamma, lambda).
+_OddResult = tuple[Point, float, float, float]
+
+
+class StepConditionError(SolverError):
     """No candidate odd iterate satisfied the step-monotonicity condition."""
 
 
-class GammaConditionError(RuntimeError):
+class GammaConditionError(SolverError):
     """Strict verification of the normal-alignment residual failed."""
+
+
+class FixedPointError(SolverError):
+    """A ``fixed_point`` run ended on an iterate outside one of the sets."""
 
 
 class RateMeasurementError(RuntimeError):
@@ -60,20 +75,19 @@ class InexactAPConfig:
     steps.  A run stops with reason ``fixed_point`` once both half-steps of a
     cycle fall below ``fixed_point_tolerance``; with ``stalled_gap`` when the
     even-iterate change falls below that tolerance while the even-odd gap
-    exceeds ``gap_stall_factor`` times it and has been flat (relative change
-    below ``gap_stall_rel_change``) over the last ``gap_stall_window``
-    cycles; with ``tolerance_met`` when ``membership_tolerance`` is set and
-    the even iterate lies in both sets within it; and with ``max_iter``
-    otherwise.  ``strict_gamma`` turns a failed (or unverifiable) alignment
-    check into an error instead of a trace annotation.
+    exceeds ``GAP_STALL_FACTOR`` (10) times it and has been flat (relative
+    change below ``GAP_STALL_REL_CHANGE``, 1e-6) over the last
+    ``gap_stall_window`` cycles; with ``tolerance_met`` when
+    ``membership_tolerance`` is set and the even iterate lies in both sets
+    within it; and with ``max_iter`` otherwise.  ``strict_gamma`` turns a
+    failed (or unverifiable) alignment check into an error instead of a
+    trace annotation.
     """
 
     gamma: float = 0.0
     max_iterations: int = 1000
     fixed_point_tolerance: float = 1e-9
     gap_stall_window: int = 50
-    gap_stall_rel_change: float = 1e-6
-    gap_stall_factor: float = 10.0
     lambda_schedule: str = SURFACE
     lambda_sequence: Sequence[float] | None = None
     membership_tolerance: float | None = None
@@ -89,8 +103,6 @@ class InexactAPConfig:
             raise ValueError("fixed_point_tolerance must be positive")
         if self.gap_stall_window < 1:
             raise ValueError("gap_stall_window must be positive")
-        if self.gap_stall_rel_change <= 0 or self.gap_stall_factor <= 0:
-            raise ValueError("stall thresholds must be positive")
         if self.lambda_schedule not in LAMBDA_SCHEDULES:
             raise ValueError(f"unknown lambda schedule {self.lambda_schedule!r}")
         if self.lambda_schedule == CUSTOM:
@@ -162,35 +174,60 @@ def measure_rate(trace: IterationTrace, tail_fraction: float = 0.5) -> float:
     return float(np.exp(slope))
 
 
-class _StallDetector:
-    def __init__(self, cfg: InexactAPConfig):
-        self.window = cfg.gap_stall_window
-        self.rel_change = cfg.gap_stall_rel_change
-        self.floor = cfg.gap_stall_factor * cfg.fixed_point_tolerance
-        self.even_tol = cfg.fixed_point_tolerance
-        self.gaps: deque[float] = deque(maxlen=cfg.gap_stall_window + 1)
-
-    def update(self, gap: float, even_change: float) -> bool:
-        self.gaps.append(gap)
-        if len(self.gaps) <= self.window:
-            return False
-        rel = abs(gap - self.gaps[0]) / max(abs(gap), 1e-300)
-        return rel < self.rel_change and gap > self.floor and even_change <= self.even_tol
+def _within_step(length: float, step: float) -> bool:
+    return length <= step * (1 + 1e-12) + 1e-15
 
 
-def _terminate(trace: IterationTrace, cfg: InexactAPConfig, setC: SetOracle,
+def _terminate(cfg: InexactAPConfig, setC: SetOracle,
                setM_contains: Callable[[Point, float], bool] | None,
                step: float, gap: float, even: Point, even_change: float,
-               stall: _StallDetector) -> str | None:
+               gaps: deque[float]) -> str | None:
     if max(step, gap) <= cfg.fixed_point_tolerance:
         return FIXED_POINT
     if cfg.membership_tolerance is not None and setM_contains is not None:
         mtol = cfg.membership_tolerance
         if setC.contains(even, mtol) and setM_contains(even, mtol):
             return TOLERANCE_MET
-    if stall.update(gap, even_change):
+    gaps.append(gap)
+    if len(gaps) <= cfg.gap_stall_window:
+        return None
+    rel = abs(gap - gaps[0]) / max(abs(gap), 1e-300)
+    if (rel < GAP_STALL_REL_CHANGE and gap > GAP_STALL_FACTOR * cfg.fixed_point_tolerance
+            and even_change <= cfg.fixed_point_tolerance):
         return STALLED_GAP
     return None
+
+
+def _iterate(setC: SetOracle, even: Point, first: _OddResult,
+             odd_step: Callable[[Point, int, float], _OddResult],
+             m_contains: Callable[[Point, float], bool] | None, cfg: InexactAPConfig,
+             on_fixed_point: Callable[[Point], None] | None = None) -> IterationTrace:
+    """The cycle loop shared by the drivers: project onto C, then take an odd step.
+
+    ``first`` is cycle 0's ``(odd, residual, gamma, lam)`` for the even
+    iterate ``even``; ``odd_step(even, k, step)`` returns the same tuple for
+    cycle ``k``, given the even half-step ``step`` into it.  On a
+    ``fixed_point`` finish ``on_fixed_point(even)`` runs first and may raise.
+    """
+    trace = IterationTrace()
+    odd, res, gamma, lam = first
+    trace.append(TraceRecord(0, even, odd, math.nan, even.distance(odd), res, gamma, lam))
+    gaps: deque[float] = deque(maxlen=cfg.gap_stall_window + 1)
+    for k in range(1, cfg.max_iterations + 1):
+        prev_even = even
+        even = canonical_point(setC.project(odd))
+        step = even.distance(odd)
+        odd, res, gamma, lam = odd_step(even, k, step)
+        gap = even.distance(odd)
+        trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam,
+                                 accepted=_within_step(gap, step)))
+        reason = _terminate(cfg, setC, m_contains, step, gap, even,
+                            even.distance(prev_even), gaps)
+        if reason:
+            if reason == FIXED_POINT and on_fixed_point is not None:
+                on_fixed_point(even)
+            return trace.finish(reason)
+    return trace.finish(MAX_ITER)
 
 
 def exact_alternating_projections(setC: SetOracle, setM: SetOracle, x0: Point,
@@ -201,40 +238,13 @@ def exact_alternating_projections(setC: SetOracle, setM: SetOracle, x0: Point,
     the odd iterate by projecting onto the second; multivalued projections
     are resolved lexicographically.
     """
-    cfg = cfg or InexactAPConfig()
-    trace = IterationTrace()
-    stall = _StallDetector(cfg)
+    def odd_step(even: Point, k: int, step: float) -> _OddResult:
+        odd = canonical_point(setM.project(even))
+        return odd, setM.membership_residual(odd), math.nan, math.nan
 
     even = canonical_point(setC.project(x0))
-    odd = canonical_point(setM.project(even))
-    gap = even.distance(odd)
-    trace.append(TraceRecord(0, even, odd, math.nan, gap,
-                             setM.membership_residual(odd), math.nan, math.nan))
-    prev_even, prev_odd = even, odd
-
-    for k in range(1, cfg.max_iterations + 1):
-        even = canonical_point(setC.project(prev_odd))
-        step = even.distance(prev_odd)
-        odd = canonical_point(setM.project(even))
-        gap = even.distance(odd)
-        even_change = even.distance(prev_even)
-        trace.append(TraceRecord(k, even, odd, step, gap,
-                                 setM.membership_residual(odd), math.nan, math.nan,
-                                 accepted=gap <= step * (1 + 1e-12) + 1e-15))
-        reason = _terminate(trace, cfg, setC, setM.contains, step, gap, even,
-                            even_change, stall)
-        if reason:
-            return trace.finish(reason)
-        prev_even, prev_odd = even, odd
-    return trace.finish(MAX_ITER)
-
-
-def _segment_entry(contains: Callable[[Point], bool], start: Point, end: Point) -> Point:
-    """First member of the segment from start to end; end must be a member."""
-    if contains(start):
-        return start
-    t = first_crossing(lambda s: contains(lerp(start, end, s)))
-    return lerp(start, end, t)
+    return _iterate(setC, even, odd_step(even, 0, math.nan), odd_step, setM.contains,
+                    cfg or InexactAPConfig())
 
 
 def inexact_alternating_projections(setC: SetOracle,
@@ -256,21 +266,11 @@ def inexact_alternating_projections(setC: SetOracle,
     unless ``strict_gamma`` demands them.
     """
     cfg = cfg or InexactAPConfig()
-    trace = IterationTrace()
-    stall = _StallDetector(cfg)
 
-    even, odd = x0, x1
-    gap = even.distance(odd)
-    res = m_oracle.membership_residual(odd) if m_oracle is not None else math.nan
-    trace.append(TraceRecord(0, even, odd, math.nan, gap, res, math.nan, math.nan))
-    prev_even, prev_odd = even, odd
+    def residual(odd: Point) -> float:
+        return m_oracle.membership_residual(odd) if m_oracle is not None else math.nan
 
-    contains = m_oracle.contains if m_oracle is not None else None
-
-    for k in range(1, cfg.max_iterations + 1):
-        even = canonical_point(setC.project(prev_odd))
-        step = even.distance(prev_odd)
-
+    def odd_step(even: Point, k: int, step: float) -> _OddResult:
         gamma_meas = math.nan
         if m_oracle is not None and m_oracle.contains(even):
             odd = even
@@ -279,11 +279,7 @@ def inexact_alternating_projections(setC: SetOracle,
             cands = approx_m(even)
             if isinstance(cands, Point):
                 cands = [cands]
-            odd = None
-            for cand in cands:
-                if even.distance(cand) <= step * (1 + 1e-12) + 1e-15:
-                    odd = cand
-                    break
+            odd = next((c for c in cands if _within_step(even.distance(c), step)), None)
             if odd is None:
                 raise StepConditionError(
                     f"cycle {k}: no candidate step within the previous half-step "
@@ -301,18 +297,11 @@ def inexact_alternating_projections(setC: SetOracle,
                     f"cycle {k}: alignment residual {gamma_meas:.6g} exceeds "
                     f"gamma = {cfg.gamma:.6g}"
                 )
+        return odd, residual(odd), gamma_meas, math.nan
 
-        gap = even.distance(odd)
-        res = m_oracle.membership_residual(odd) if m_oracle is not None else math.nan
-        even_change = even.distance(prev_even)
-        trace.append(TraceRecord(k, even, odd, step, gap, res, gamma_meas, math.nan,
-                                 accepted=gap <= step * (1 + 1e-12) + 1e-15))
-        reason = _terminate(trace, cfg, setC, contains, step, gap, even,
-                            even_change, stall)
-        if reason:
-            return trace.finish(reason)
-        prev_even, prev_odd = even, odd
-    return trace.finish(MAX_ITER)
+    m_contains = m_oracle.contains if m_oracle is not None else None
+    return _iterate(setC, x0, (x1, residual(x1), math.nan, math.nan), odd_step,
+                    m_contains, cfg)
 
 
 def _alignment_residual(m_oracle: SetOracle, even: Point, odd: Point) -> float:
@@ -320,7 +309,9 @@ def _alignment_residual(m_oracle: SetOracle, even: Point, odd: Point) -> float:
     if gap == 0.0:
         return 0.0
     zhat = Point((even.data - odd.data) / gap, even.kind)
-    star = _segment_entry(lambda p: m_oracle.contains(p), even, odd)
+    star = even
+    if not m_oracle.contains(even):
+        star = lerp(even, odd, first_crossing(lambda s: m_oracle.contains(lerp(even, odd, s))))
     try:
         cone = m_oracle.normal_cone_at(star)
     except NormalConeUnavailableError:
@@ -344,13 +335,11 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     is verified to lie in both sets.
     """
     cfg = cfg or InexactAPConfig()
-    trace = IterationTrace()
-    stall = _StallDetector(cfg)
 
-    def odd_step(even: Point, k: int) -> tuple[Point, float, float, float]:
+    def odd_step(even: Point, k: int, step: float) -> _OddResult:
         res_even = m.residual(even)
         if res_even <= m.epsilon + MEMBERSHIP_TOL:
-            return even, 0.0, 0.0, res_even
+            return even, res_even, 0.0, 0.0
         anchor = canonical_point(unregularized.project(even))
         boundary = None
         if cfg.lambda_schedule == SURFACE:
@@ -368,31 +357,11 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
             if boundary is None:
                 _, boundary = bregman_line_boundary(m, even, anchor)
             gamma_meas = _ball_alignment(m, even, odd, boundary)
-        return odd, lam, gamma_meas, m.residual(odd)
+        return odd, m.residual(odd), gamma_meas, lam
 
     even = canonical_point(setC.project(x0))
-    odd, lam, gamma_meas, res = odd_step(even, 0)
-    gap = even.distance(odd)
-    trace.append(TraceRecord(0, even, odd, math.nan, gap, res, gamma_meas, lam))
-    prev_even, prev_odd = even, odd
-
-    m_contains = lambda p, tol: m.contains(p, tol)
-    for k in range(1, cfg.max_iterations + 1):
-        even = canonical_point(setC.project(prev_odd))
-        step = even.distance(prev_odd)
-        odd, lam, gamma_meas, res = odd_step(even, k)
-        gap = even.distance(odd)
-        even_change = even.distance(prev_even)
-        trace.append(TraceRecord(k, even, odd, step, gap, res, gamma_meas, lam,
-                                 accepted=gap <= step * (1 + 1e-12) + 1e-15))
-        reason = _terminate(trace, cfg, setC, m_contains, step, gap, even,
-                            even_change, stall)
-        if reason:
-            if reason == FIXED_POINT:
-                _verify_fixed_point(setC, m, even, cfg)
-            return trace.finish(reason)
-        prev_even, prev_odd = even, odd
-    return trace.finish(MAX_ITER)
+    return _iterate(setC, even, odd_step(even, 0, math.nan), odd_step, m.contains, cfg,
+                    on_fixed_point=lambda final: _verify_fixed_point(setC, m, final, cfg))
 
 
 def _ball_alignment(m: RegularizedSet, even: Point, odd: Point, boundary: Point) -> float:
@@ -411,6 +380,6 @@ def _verify_fixed_point(setC: SetOracle, m: RegularizedSet, even: Point,
     grad_scale = 1.0 + m.residual_gradient(even).norm()
     tol = max(MEMBERSHIP_TOL, 10.0 * cfg.fixed_point_tolerance * grad_scale)
     if not setC.contains(even, tol) or not m.contains(even, tol):
-        raise RuntimeError(
+        raise FixedPointError(
             "fixed point verification failed: final iterate is not in both sets"
         )

@@ -33,18 +33,17 @@ import numpy as np
 from scipy.linalg import null_space
 
 from . import problems
-from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, GammaConditionError,
-                         InexactAPConfig, RateMeasurementError, StepConditionError,
-                         exact_alternating_projections, inexact_alternating_projections,
-                         measure_rate, predict_rate, regularized_extrapolated_ap)
-from .core import COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point
+from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
+                         RateMeasurementError, exact_alternating_projections,
+                         inexact_alternating_projections, measure_rate, predict_rate,
+                         regularized_extrapolated_ap)
+from .core import COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet
 from .phase import (PhaseInstance, aligned_error, box_support, cup_object,
                     divergence_ball, export_grid, interiority_check, load_instance,
                     loose_support, reconstruct, save_instance, smooth_object,
                     synthesize)
-from .projectors import (FourierMagnitudeSet, NewtonConvergenceError,
-                         SupportNonnegSet)
+from .projectors import FourierMagnitudeSet, SupportNonnegSet
 from .regularity import cbar_subspaces
 
 EXIT_OK = 0
@@ -875,8 +874,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (StepConditionError, GammaConditionError, NewtonConvergenceError,
-            RuntimeError, ValueError) as exc:
+    except (SolverError, RuntimeError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -39,6 +39,10 @@ class NormalConeUnavailableError(RuntimeError):
     """The set does not expose an analytic normal cone at the queried point."""
 
 
+class SolverError(RuntimeError):
+    """A run cannot go on: a projection or a driver's check failed."""
+
+
 class Point:
     """Immutable finite vector, real or complex-as-interleaved-real storage."""
 
@@ -459,6 +463,9 @@ class IterationTrace:
                 )
 
     def to_json(self, path) -> None:
+        """Write the rows as strict JSON: non-finite values become ``null``."""
+        rows = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for key, v in row.items()} for row in self.rows()]
         with open(path, "w") as fh:
-            json.dump(self.rows(), fh, indent=1)
+            json.dump(rows, fh, indent=1, allow_nan=False)
             fh.write("\n")

@@ -22,6 +22,7 @@ from .core import (
     RayCone,
     SetOracle,
     SignedProductCone,
+    SolverError,
     SubspaceCone,
     ZeroCone,
     canonical_point,
@@ -31,7 +32,7 @@ from .divergences import RegularizedSet, bregman_line_boundary
 NEWTON_MAX_DIM = 50
 
 
-class NewtonConvergenceError(RuntimeError):
+class NewtonConvergenceError(SolverError):
     """The KKT Newton solve did not converge within the iteration cap."""
 
 

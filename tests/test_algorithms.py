@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regap.algorithms import (GammaConditionError, InexactAPConfig,
+from regap.algorithms import (FixedPointError, GammaConditionError, InexactAPConfig,
                               RateMeasurementError, StepConditionError,
                               exact_alternating_projections,
                               inexact_alternating_projections, measure_rate,
                               predict_rate, regularized_extrapolated_ap)
 from regap.core import (FIXED_POINT, MAX_ITER, STALLED_GAP, TOLERANCE_MET,
-                        IterationTrace, Point, TraceRecord, canonical_point)
+                        IterationTrace, Point, SolverError, TraceRecord,
+                        canonical_point)
 from regap.problems import (parallel_lines, perturbed_line, slab_problem,
                             two_lines, two_subspaces)
 from regap.regularity import cbar_subspaces
@@ -47,6 +48,19 @@ def perturbed_cycle_contraction(theta, phi):
     shortens each full cycle's distance decay to cos t * cos(t - phi)/cos(phi).
     """
     return math.cos(theta) * math.cos(theta - phi) / math.cos(phi)
+
+
+def assert_same_records(a, b, skip=()):
+    """Equal traces record by record; NaN equals NaN, ``skip`` names fields left out."""
+    assert a.reason == b.reason
+    assert len(a) == len(b)
+    for ra, rb in zip(a.records, b.records):
+        assert np.array_equal(ra.even.data, rb.even.data)
+        assert np.array_equal(ra.odd.data, rb.odd.data)
+        for field in ("k", "step_norm", "gap", "residual", "gamma", "lam", "accepted"):
+            if field not in skip:
+                va, vb = getattr(ra, field), getattr(rb, field)
+                assert va == vb or (math.isnan(va) and math.isnan(vb)), (ra.k, field)
 
 
 def geometric_trace(ratio, n, first=1.0, reason=FIXED_POINT):
@@ -318,6 +332,24 @@ def test_even_iterate_in_set_fixes_odd_iterate():
     assert np.allclose(last.even.data, last.odd.data)
 
 
+@pytest.mark.parametrize("build, x0", [
+    (lambda: two_lines(math.pi / 3), np.array([3.0, 1.0])),
+    (lambda: two_subspaces(8, 3, 4, seed=2), np.random.default_rng(5).standard_normal(8)),
+])
+def test_inexact_with_exact_odd_steps_matches_exact_driver(build, x0):
+    # Fed the exact projection and no oracle, the inexact driver must walk
+    # the exact orbit; only the membership residual goes unmeasured.
+    C, M = build()
+    cfg = InexactAPConfig(max_iterations=500, fixed_point_tolerance=1e-12)
+    exact = exact_alternating_projections(C, M, Point(x0), cfg)
+    even0 = canonical_point(C.project(Point(x0)))
+    inexact = inexact_alternating_projections(
+        C, M.project, None, even0, canonical_point(M.project(even0)), cfg)
+    assert exact.reason == FIXED_POINT and len(exact) > 5
+    assert_same_records(inexact, exact, skip=("residual",))
+    assert all(math.isnan(r.residual) for r in inexact.records)
+
+
 # ---------------------------------------------------------------------------
 # Regularized driver
 
@@ -373,3 +405,25 @@ def test_surface_schedule_alignment_is_small_for_euclid_slab():
     trace = regularized_extrapolated_ap(C, ball, line, Point(np.array([1.0, 0.0])), cfg)
     gammas = [r.gamma for r in trace.records if not math.isnan(r.gamma)]
     assert gammas and max(gammas) < 1e-9
+
+
+def test_custom_schedule_of_ones_matches_constant_one():
+    C, ball, line = slab_problem(1.0, epsilon=0.2)
+    x0 = Point(np.array([1.0, 0.0]))
+    runs = [regularized_extrapolated_ap(
+        C, ball, line, x0, InexactAPConfig(max_iterations=60, gap_stall_window=20, **kw))
+        for kw in ({"lambda_schedule": "constant_one"},
+                   {"lambda_schedule": "custom", "lambda_sequence": [1.0]})]
+    assert len(runs[0]) > 5
+    assert_same_records(*runs)
+
+
+def test_failed_fixed_point_verification_raises():
+    # The consistent slab reaches fixed_point at once; a C that refuses every
+    # membership query must then fail the final verification.
+    C, ball, line = slab_problem(1.0, epsilon=0.6)
+    C.contains = lambda x, tol=None: False
+    cfg = InexactAPConfig(max_iterations=50, fixed_point_tolerance=1e-10)
+    with pytest.raises(FixedPointError, match="fixed point verification failed") as info:
+        regularized_extrapolated_ap(C, ball, line, Point(np.array([3.0, 2.0])), cfg)
+    assert isinstance(info.value, SolverError)

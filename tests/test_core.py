@@ -304,8 +304,13 @@ def test_trace_json_layout(tmp_path):
     tr.finish("stalled_gap")
     path = tmp_path / "t.json"
     tr.to_json(path)
-    rows = json.loads(path.read_text())
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rows = json.loads(path.read_text(), parse_constant=refuse)
     assert isinstance(rows, list) and len(rows) == 1
     assert rows[0]["k"] == 0
     assert rows[0]["reason"] == "stalled_gap"
     assert rows[0]["gap"] == 1.0
+    assert rows[0]["step_norm"] is None
