@@ -305,13 +305,17 @@ def inexact_alternating_projections(setC: SetOracle,
 
 
 def _alignment_residual(m_oracle: SetOracle, even: Point, odd: Point) -> float:
+    """Alignment residual where the segment from ``even``, a non-member, enters the set."""
     gap = even.distance(odd)
     if gap == 0.0:
         return 0.0
     zhat = Point((even.data - odd.data) / gap, even.kind)
-    star = even
-    if not m_oracle.contains(even):
-        star = lerp(even, odd, first_crossing(lambda s: m_oracle.contains(lerp(even, odd, s))))
+
+    def excess(s: float) -> float:
+        return m_oracle.membership_residual(lerp(even, odd, s)) - MEMBERSHIP_TOL
+
+    # on a convex set the members of the segment form one interval ending at odd
+    star = lerp(even, odd, first_crossing(excess, scan=1 if m_oracle.convex else 64))
     try:
         cone = m_oracle.normal_cone_at(star)
     except NormalConeUnavailableError:

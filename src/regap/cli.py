@@ -37,7 +37,8 @@ from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
                          RateMeasurementError, exact_alternating_projections,
                          inexact_alternating_projections, measure_rate, predict_rate,
                          regularized_extrapolated_ap)
-from .core import COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError
+from .core import (COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError,
+                   atomic_open)
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet
 from .phase import (PhaseInstance, aligned_error, box_support, cup_object,
                     divergence_ball, export_grid, interiority_check, load_instance,
@@ -652,7 +653,7 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
             summary[key] = value.item()
     trace.to_csv(outdir / "trace.csv")
     trace.to_json(outdir / "trace.json")
-    with open(outdir / "summary.json", "w") as fh:
+    with atomic_open(outdir / "summary.json") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return summary

@@ -9,11 +9,13 @@ on ``R^{2n}``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -150,33 +152,63 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
     return min(candidates, key=Point.lex_key)
 
 
-def first_crossing(pred: Callable[[float], bool], lo: float = 0.0, hi: float = 1.0,
+def first_crossing(excess: Callable[[float], float], lo: float = 0.0, hi: float = 1.0,
                    scan: int = 64, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Smallest ``t`` in ``(lo, hi]`` with ``pred(t)`` true.
+    """Smallest member ``t`` in ``(lo, hi]``, where ``t`` is a member iff ``excess(t) <= 0``.
 
-    Brackets by a forward scan from ``lo`` (so on non-monotone predicates the
-    first crossing is returned), then bisects the bracket down to ``tol`` or
-    ``max_iter`` halvings.  ``pred(hi)`` must hold.  The returned value always
-    satisfies the predicate.
+    Callers pass a residual minus its bound, so membership is exactly the
+    test ``residual <= bound``.  A forward scan of ``scan`` cells from ``lo``
+    brackets the first member, so on non-monotone excesses the first
+    crossing is returned.  The bracket is then narrowed to ``tol`` by at
+    most ``max_iter`` Illinois (modified regula falsi) steps, with
+    ``excess(lo)`` taken to seed them when the first cell holds the
+    crossing.  Each probe aims ``tol/4`` past the secant root, so the member
+    end lands strictly inside the set, and stays ``tol/2`` inside the
+    bracket, so the last steps close it from both sides.  A step bisects
+    instead when an end value is unknown or not finite, or when the bracket
+    is wider than ``2**(1 - k/2)`` scan cells after ``k`` steps; the
+    refinement thus takes at most about twice bisection's evaluations.
+    ``excess(hi) <= 0`` must hold.  The returned value is always a member
+    with a non-member, or ``lo``, within ``tol`` below it.
     """
-    if not pred(hi):
-        raise ValueError("predicate does not hold at the upper endpoint")
-    grid = np.linspace(lo, hi, scan + 1)
-    bracket_lo, bracket_hi = lo, hi
-    for t in grid[1:]:
-        if pred(float(t)):
-            bracket_hi = float(t)
+    f_hi = float(excess(hi))
+    if not f_hi <= 0.0:
+        raise ValueError("the upper endpoint is not a member")
+    a, fa = lo, math.nan  # lower end: lo or a non-member
+    b, fb = hi, f_hi      # upper end: always a member
+    for t in np.linspace(lo, hi, scan + 1)[1:].tolist():
+        ft = f_hi if t == hi else float(excess(t))
+        if ft <= 0.0:
+            b, fb = t, ft
             break
-        bracket_lo = float(t)
-    it = 0
-    while bracket_hi - bracket_lo > tol and it < max_iter:
-        mid = 0.5 * (bracket_lo + bracket_hi)
-        if pred(mid):
-            bracket_hi = mid
+        a, fa = t, ft
+    if a == lo:
+        f_lo = float(excess(lo))
+        if f_lo > 0.0:
+            fa = f_lo
+    limit, shrink = 2.0 * (b - a), math.sqrt(0.5)
+    moved = 0  # +1 when the last step moved b, -1 when it moved a
+    for _ in range(max_iter):
+        width = b - a
+        if width <= tol:
+            break
+        drop = fa - fb  # positive and finite when both end values are
+        if width <= limit and 0.0 < drop < math.inf:
+            root = b + fb / drop * width
+            t = min(max(root + 0.25 * tol, a + 0.5 * tol), b - 0.5 * tol)
         else:
-            bracket_lo = mid
-        it += 1
-    return bracket_hi
+            t = 0.5 * (a + b)
+        limit *= shrink
+        ft = float(excess(t))
+        if ft <= 0.0:
+            if moved > 0:
+                fa *= 0.5  # Illinois: a was kept twice, so weight it down
+            b, fb, moved = t, ft, 1
+        else:
+            if moved < 0:
+                fb *= 0.5
+            a, fa, moved = t, ft, -1
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +327,14 @@ class SetOracle:
     implement :meth:`project` and :meth:`membership_residual`.  ``project``
     returns the full finite candidate set; use :func:`canonical_point` to pick
     the deterministic representative.  ``prox_regular`` is metadata consumed
-    by the rate predictions.
+    by the rate predictions.  ``convex`` marks sets whose
+    ``membership_residual`` is a convex function, so the members on a segment
+    form an interval and a segment search needs no scan for the first one.
     """
 
     kind = REAL
     prox_regular = False
+    convex = False
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -384,6 +419,27 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
+    """Text file for writing that appears under ``path`` only when complete.
+
+    The block writes a temporary file in the same directory, which
+    ``os.replace`` moves onto ``path`` once the block ends without error.
+    On an error the temporary file is removed and ``path`` keeps whatever
+    it held before.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 class IterationTrace:
     """Strictly ordered sequence of cycle records plus a termination reason."""
 
@@ -452,7 +508,7 @@ class IterationTrace:
         ]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(TRACE_COLUMNS)
             for row in self.rows():
@@ -466,6 +522,6 @@ class IterationTrace:
         """Write the rows as strict JSON: non-finite values become ``null``."""
         rows = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
                  for key, v in row.items()} for row in self.rows()]
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(rows, fh, indent=1, allow_nan=False)
             fh.write("\n")

@@ -419,19 +419,21 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     """First entry of the segment from ``x`` toward ``x0`` into the set.
 
     Returns ``(tau, point)`` with ``tau`` the smallest relaxation in (0, 1]
-    such that ``(1 - tau) x + tau x0`` is a member, located by a forward scan
-    plus bisection (closed-form quadratic for Euclidean kernels with affine
-    maps).  Requires ``x`` outside the set and ``x0`` a member (for instance
+    such that ``(1 - tau) x + tau x0`` is a member, located by
+    :func:`~regap.core.first_crossing` (a forward scan plus safeguarded
+    secant refinement of the excess ``residual - (epsilon + MEMBERSHIP_TOL)``)
+    or, for Euclidean kernels with affine maps, by a closed-form quadratic.
+    Requires ``x`` outside the set and ``x0`` a member (for instance
     a projection onto the unregularized set).  For non-monotone residuals
     along the segment the first crossing found by the scan is returned, so
     the result is always a member within the membership tolerance, matching
     the slack granted to the anchor itself.
 
-    The scan and bisection test membership through the map's ``segment``
-    and the set's prepared divergence, which skip building and re-validating
-    a point per step.  The returned point is re-checked with ``contains``;
+    The search evaluates the excess through the map's ``segment`` and the
+    set's prepared divergence, which skip building and re-validating a point
+    per step.  The returned point is re-checked with ``contains``;
     should rounding in a fast ``segment`` ever disagree, the search is
-    redone with the generic predicate.
+    redone with the generic excess.
     """
     rx = m.residual(x)
     if rx <= m.epsilon:
@@ -456,21 +458,21 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
                     tau = (-b + sqrt_disc) / (2.0 * a)
                 if 0.0 < tau <= 1.0:
                     return float(tau), lerp(x, x0, float(tau))
-        # fall through to bisection on degenerate geometry
+        # fall through to the segment search on degenerate geometry
 
     bound = m.epsilon + MEMBERSHIP_TOL
     along = m.forward.segment(x, x0)
     divergence = m.divergence
 
-    def search(member: Callable[[float], bool]) -> tuple[float, Point]:
-        tau = float(first_crossing(member, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter))
+    def search(excess: Callable[[float], float]) -> tuple[float, Point]:
+        tau = float(first_crossing(excess, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter))
         return tau, lerp(x, x0, tau)
 
-    def generic(t: float) -> bool:
-        return m.residual(lerp(x, x0, t)) <= bound
+    def generic(t: float) -> float:
+        return m.residual(lerp(x, x0, t)) - bound
 
     try:
-        tau, point = search(lambda t: divergence(along(t)) <= bound)
+        tau, point = search(lambda t: divergence(along(t)) - bound)
     except ValueError:  # rounding in ``along`` can put the anchor itself outside
         return search(generic)
     return (tau, point) if m.contains(point) else search(generic)

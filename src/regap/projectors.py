@@ -44,6 +44,7 @@ class AffineSet(SetOracle):
     """
 
     prox_regular = True
+    convex = True
 
     def __init__(self, matrix, rhs):
         a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
@@ -80,6 +81,7 @@ class HalfspaceSet(SetOracle):
     """Halfspace {x : <a, x> <= beta}."""
 
     prox_regular = True
+    convex = True
 
     def __init__(self, normal, offset: float):
         a = np.atleast_1d(np.asarray(normal, dtype=np.float64))
@@ -121,6 +123,7 @@ class SupportNonnegSet(SetOracle):
     """
 
     prox_regular = True
+    convex = True
 
     def __init__(self, forced_zero, n: int, kind: str = REAL):
         self.kind = kind

@@ -17,6 +17,7 @@ from regap.core import (FIXED_POINT, MAX_ITER, STALLED_GAP, TOLERANCE_MET,
                         canonical_point)
 from regap.problems import (parallel_lines, perturbed_line, slab_problem,
                             two_lines, two_subspaces)
+from regap.projectors import AffineSet
 from regap.regularity import cbar_subspaces
 
 
@@ -253,7 +254,7 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # Inexact driver with supplied odd steps
 
-def _run_perturbed(theta, phi, gamma=None, **kw):
+def _run_perturbed(theta, phi, gamma=None, m_oracle=None, **kw):
     C, oracle, exact = perturbed_line(theta, phi)
     x0 = Point(np.array([2.0, 0.0]))
     even0 = canonical_point(C.project(x0))
@@ -261,7 +262,8 @@ def _run_perturbed(theta, phi, gamma=None, **kw):
     cfg = InexactAPConfig(gamma=gamma if gamma is not None else min(math.sin(phi) + 1e-9, 0.99),
                           max_iterations=500, fixed_point_tolerance=1e-12, **kw)
     return inexact_alternating_projections(
-        C, lambda p: oracle.project(p), exact, even0, odd0, cfg)
+        C, lambda p: oracle.project(p), exact if m_oracle is None else m_oracle,
+        even0, odd0, cfg)
 
 
 def test_perturbed_alignment_equals_sine_of_slide_angle():
@@ -272,6 +274,29 @@ def test_perturbed_alignment_equals_sine_of_slide_angle():
                 if not math.isnan(r.gamma) and r.gap > 1e-10]
     assert len(measured) > 10
     assert np.allclose(measured, math.sin(phi), atol=1e-9)
+
+
+class _CountingAffineSet(AffineSet):
+    """Affine set that counts its ``membership_residual`` calls."""
+
+    def __init__(self, matrix, rhs):
+        super().__init__(matrix, rhs)
+        self.residuals = 0
+
+    def membership_residual(self, x):
+        self.residuals += 1
+        return super().membership_residual(x)
+
+
+def test_inexact_cycle_membership_count():
+    # Per cycle: the interior test of even, the alignment search (the upper
+    # end, the lower end and two secant probes: an affine set is convex, so
+    # no scan), the normal cone's membership check and residual(odd).
+    exact = perturbed_line(math.pi / 4, 0.3)[2]
+    counted = _CountingAffineSet(exact.matrix, exact.rhs)
+    trace = _run_perturbed(math.pi / 4, 0.3, m_oracle=counted)
+    assert trace.reason == FIXED_POINT and len(trace) > 10
+    assert counted.residuals <= 8 * len(trace)
 
 
 def test_perturbed_rate_matches_trigonometric_contraction():

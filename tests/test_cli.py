@@ -214,6 +214,20 @@ def test_run_two_lines_summary_and_artifacts(tmp_path, capsys):
     assert header == "k,step_norm,gap,residual,gamma,lambda,reason"
 
 
+def test_run_summary_writer_that_fails_halfway_leaves_no_partial_file(tmp_path, monkeypatch):
+    dump = json.dump
+
+    def failing_dump(obj, fh, **kwargs):
+        if isinstance(obj, dict):  # the summary; trace.json holds a list
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            raise OSError("device full")
+        return dump(obj, fh, **kwargs)
+    monkeypatch.setattr(json, "dump", failing_dump)
+    cfg = write_config(tmp_path, TWO_LINES_CFG + f"out = {tmp_path / 'out'}\n")
+    assert run_cli("run", "--config", str(cfg)) == cli.EXIT_IO
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["trace.csv", "trace.json"]
+
+
 def test_run_is_deterministic(tmp_path):
     cfg_a = write_config(tmp_path, TWO_LINES_CFG + f"out = {tmp_path / 'a'}\n", "a.cfg")
     cfg_b = write_config(tmp_path, TWO_LINES_CFG + f"out = {tmp_path / 'b'}\n", "b.cfg")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regap.core import (COMPLEX, REAL, DimensionMismatchError, IterationTrace,
@@ -106,7 +106,7 @@ def test_canonical_point_returns_a_single_candidate_itself():
 
 def test_first_crossing_step_threshold():
     # Oracle: the predicate t >= 0.3 has its first crossing exactly at 0.3.
-    t = first_crossing(lambda t: t >= 0.3)
+    t = first_crossing(lambda t: 0.3 - t)
     assert t >= 0.3
     assert t == pytest.approx(0.3, abs=1e-9)
 
@@ -117,19 +117,133 @@ def test_first_crossing_prefers_earliest_component():
     def pred(t):
         return 0.40 <= t <= 0.45 or t >= 0.9
 
-    t = first_crossing(pred)
+    t = first_crossing(lambda t: 0.0 if pred(t) else 1.0)
     assert pred(t)
     assert t == pytest.approx(0.40, abs=1e-9)
 
 
 def test_first_crossing_requires_true_upper_end():
     with pytest.raises(ValueError):
-        first_crossing(lambda t: t < 0.5)
+        first_crossing(lambda t: t - 0.5)
 
 
 def test_first_crossing_returns_satisfying_value():
-    t = first_crossing(lambda t: t >= 1.0)
+    t = first_crossing(lambda t: 1.0 - t)
     assert t == 1.0
+
+
+def _scan_bisect_reference(pred, lo=0.0, hi=1.0, scan=64, tol=1e-12, max_iter=200):
+    """The former first_crossing, verbatim: a forward scan, then bisection."""
+    if not pred(hi):
+        raise ValueError("predicate does not hold at the upper endpoint")
+    grid = np.linspace(lo, hi, scan + 1)
+    bracket_lo, bracket_hi = lo, hi
+    for t in grid[1:]:
+        if pred(float(t)):
+            bracket_hi = float(t)
+            break
+        bracket_lo = float(t)
+    it = 0
+    while bracket_hi - bracket_lo > tol and it < max_iter:
+        mid = 0.5 * (bracket_lo + bracket_hi)
+        if pred(mid):
+            bracket_hi = mid
+        else:
+            bracket_lo = mid
+        it += 1
+    return bracket_hi
+
+
+def _reference_cell(excess, scan):
+    """The scan cell (lo, hi] in which the reference brackets the crossing."""
+    grid = np.linspace(0.0, 1.0, scan + 1)
+    k = next(k for k in range(1, scan + 1) if excess(float(grid[k])) <= 0.0)
+    return float(grid[k - 1]), float(grid[k])
+
+
+def _run_both(excess, scan):
+    """Both root finders on one excess: results, evaluation counts, new probes."""
+    probes = []
+
+    def counted(t):
+        probes.append((t, excess(t)))
+        return probes[-1][1]
+    ref_evals = [0]
+
+    def ref_pred(t):
+        ref_evals[0] += 1
+        return excess(t) <= 0.0
+    got = first_crossing(counted, scan=scan)
+    ref = _scan_bisect_reference(ref_pred, scan=scan)
+    return got, ref, len(probes), ref_evals[0], probes
+
+
+def _check_crossing(excess, got, probes, tol=1e-12):
+    """A member, with a probed non-member (or lo = 0) within tol below it."""
+    assert excess(got) <= 0.0
+    assert got <= tol or any(value > 0.0 and got - tol <= t < got for t, value in probes)
+
+
+def _smooth_excess(draw):
+    """A smooth excess on [0, 1], > 0 at 0 and <= 0 at 1, with a bound on |excess''|."""
+    if draw(st.booleans()):
+        coef = np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5)))
+        poly = np.polynomial.Polynomial(coef)
+        curve, slope = poly, poly.deriv()
+        bend = float(sum(abs(c) * k * (k - 1) for k, c in enumerate(coef)))
+    else:
+        waves = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 20.0),
+                                        st.floats(0.0, 2 * math.pi)), min_size=1, max_size=3))
+        amp, freq, phase = (np.asarray(v) for v in zip(*waves))
+
+        def curve(t):
+            return np.sin(np.multiply.outer(t, freq) + phase) @ amp
+
+        def slope(t):
+            return np.cos(np.multiply.outer(t, freq) + phase) @ (amp * freq)
+        bend = float(np.sum(np.abs(amp) * freq ** 2))
+    start, end = float(curve(0.0)), float(curve(1.0))
+    sign = 1.0 if start > end else -1.0
+    level = end + draw(st.floats(0.0, 1.0, exclude_max=True)) * (start - end)
+    return (lambda t: sign * (float(curve(t)) - level)), (lambda t: sign * slope(t)), bend
+
+
+def _single_sign_change(slope, bend, lo, hi, floor=1e-3, samples=2001):
+    """True if the excess is strictly monotone on [lo, hi] with |excess'| >= floor.
+
+    |excess''| <= bend bounds how far |excess'| can dip between samples.
+    """
+    d = slope(np.linspace(lo, hi, samples))
+    margin = bend * (hi - lo) / (samples - 1) / 2 + floor
+    return bool(np.all(d >= margin) or np.all(d <= -margin))
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from([1, 8, 64]))
+def test_first_crossing_matches_scan_bisection_on_smooth_excess(data, scan):
+    excess, slope, bend = _smooth_excess(data.draw)
+    got, ref, _, _, probes = _run_both(excess, scan)
+    _check_crossing(excess, got, probes)
+    lo, hi = _reference_cell(excess, scan)
+    if excess(lo) > 0.0 and _single_sign_change(slope, bend, lo, hi):
+        assert abs(got - ref) <= 1e-10
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6, unique=True),
+       st.sampled_from([1, 8, 64]))
+def test_first_crossing_matches_scan_bisection_on_step_predicates(breaks, scan):
+    # Membership switches at every break point, and the last piece is a member.
+    breaks = sorted(breaks)
+
+    def excess(t):
+        return 0.0 if sum(t >= b for b in breaks) % 2 == len(breaks) % 2 else 1.0
+    got, ref, evals, ref_evals, probes = _run_both(excess, scan)
+    _check_crossing(excess, got, probes)
+    lo, hi = _reference_cell(excess, scan)
+    if sum(lo < b <= hi for b in breaks) == 1:
+        assert abs(got - ref) <= 1e-10
+    assert evals <= 2 * ref_evals + 2
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +428,29 @@ def test_trace_json_layout(tmp_path):
     assert rows[0]["reason"] == "stalled_gap"
     assert rows[0]["gap"] == 1.0
     assert rows[0]["step_norm"] is None
+
+
+class _Unwritable:
+    """A trace value that fails once the writer reaches it."""
+
+    def __float__(self):
+        raise OSError("device full")
+
+
+@pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+def test_trace_writer_that_fails_halfway_leaves_no_partial_file(tmp_path, writer):
+    trace = IterationTrace()
+    for k in range(200):
+        trace.append(_record(k, 0.5, 0.25, residual=_Unwritable() if k == 150 else 0.125))
+    trace.finish("max_iter")
+    path = tmp_path / "trace.out"
+    with pytest.raises((OSError, TypeError)):
+        getattr(trace, writer)(path)
+    assert list(tmp_path.iterdir()) == []
+
+    # a complete file from an earlier write survives a failed rewrite as it was
+    path.write_text("earlier\n")
+    with pytest.raises((OSError, TypeError)):
+        getattr(trace, writer)(path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "earlier\n"

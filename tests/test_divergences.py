@@ -381,17 +381,22 @@ def test_residual_memo_answers_only_the_identical_point():
     assert first == m.kernel.evaluate(m.forward.value(p), data)
 
 
-def test_surface_cycle_transform_count(monkeypatch):
+def _surface_8x8(forward_map):
+    """An 8x8 phase instance: ``(C, ball, unregularized set, start)``."""
     shape = (8, 8)
     instance = synthesize(shape, box_support(shape, 2), 1e3, seed=3)
     observed = instance.observed.ravel()
-    m = RegularizedSet(_CountingFourierMap(shape), observed, KullbackLeiblerKernel(),
+    m = RegularizedSet(forward_map(shape), observed, KullbackLeiblerKernel(),
                        instance.kl_noise_level())
     setC = SupportNonnegSet(instance.forced_zero, observed.size, kind=COMPLEX)
     unreg = FourierMagnitudeSet(observed, shape)
     start = np.zeros(shape)
     start[instance.support] = np.random.default_rng(0).uniform(0.0, 1.0, 16)
-    x0 = Point.from_complex(start.ravel().astype(np.complex128))
+    return setC, m, unreg, Point.from_complex(start.ravel().astype(np.complex128))
+
+
+def test_surface_cycle_transform_count(monkeypatch):
+    setC, m, unreg, x0 = _surface_8x8(_CountingFourierMap)
 
     ffts = [0]
     for name in ("fftn", "ifftn"):
@@ -422,12 +427,43 @@ def test_surface_cycle_transform_count(monkeypatch):
     assert v3 - v2 == 3
 
 
+class _CountingSegmentMap(FourierIntensityMap):
+    """Fourier intensity map that counts the excess evaluations of each boundary solve."""
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.solves = []
+
+    def segment(self, x, a):
+        along = super().segment(x, a)
+        self.solves.append(0)
+
+        def counted(t):
+            self.solves[-1] += 1
+            return along(t)
+        return counted
+
+
+def test_surface_boundary_solve_evaluation_count():
+    # A solve evaluates the upper end, scans the ceil(64 tau) grid points up
+    # to the first member, then refines: a handful of secant steps where
+    # bisection to 1e-12 took about 35.
+    setC, m, unreg, x0 = _surface_8x8(_CountingSegmentMap)
+    trace = regularized_extrapolated_ap(
+        setC, m, unreg, x0, InexactAPConfig(max_iterations=40, measure_gamma=False))
+    scans = [math.ceil(64 * r.lam) for r in trace.records if 0.0 < r.lam < 1.0]
+    solves = m.forward.solves
+    assert len(solves) == len(scans) and scans.count(1) > 10
+    assert all(n <= 14 for n, cells in zip(solves, scans) if cells == 1)
+    assert all(n - cells <= 13 for n, cells in zip(solves, scans))
+
+
 # ---------------------------------------------------------------------------
-# Boundary fast path against the generic scan + bisection
+# Boundary fast path against the generic excess
 
 def _reference_boundary(m, x, x0):
-    """The generic predicate: build each segment point and evaluate the residual."""
-    return first_crossing(lambda t: m.residual(lerp(x, x0, t)) <= m.epsilon + MEMBERSHIP_TOL)
+    """The generic excess: build each segment point and evaluate the residual."""
+    return first_crossing(lambda t: m.residual(lerp(x, x0, t)) - (m.epsilon + MEMBERSHIP_TOL))
 
 
 def _check_fast_boundary(m, x, x0, exact_segment):
