@@ -20,6 +20,7 @@ usage, 3 solver failure, 4 input/output failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -30,7 +31,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import problems
 from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
@@ -38,7 +38,7 @@ from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
                          inexact_alternating_projections, measure_rate, predict_rate,
                          regularized_extrapolated_ap)
 from .core import (COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError,
-                   atomic_open)
+                   atomic_open, null_space)
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet
 from .phase import (PhaseInstance, aligned_error, box_support, cup_object,
                     divergence_ball, export_grid, interiority_check, load_instance,
@@ -744,23 +744,27 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, overrides)
     entries = sweep_entries(cfg)
     out_root = Path(cfg.out)
+    run_dirs = [out_root / entry.label if entry.label else out_root for entry in entries]
+    payloads = [(cfg, entry, str(outdir)) for entry, outdir in zip(entries, run_dirs)]
+    # The directories this run creates, parents first; a failed run removes
+    # those that are still empty.
+    fresh = [d for d in (*reversed(out_root.parents), out_root, *run_dirs) if not d.exists()]
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailure(f"cannot create output directory {out_root}: {exc}") from None
 
-    run_dirs = []
-    payloads = []
-    for entry in entries:
-        outdir = out_root / entry.label if entry.label else out_root
-        run_dirs.append(outdir)
-        payloads.append((cfg, entry, str(outdir)))
-
-    if cfg.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            summaries = list(pool.map(_entry_worker, payloads))
-    else:
-        summaries = [_entry_worker(p) for p in payloads]
+    try:
+        if cfg.jobs > 1 and len(payloads) > 1:
+            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                summaries = list(pool.map(_entry_worker, payloads))
+        else:
+            summaries = [_entry_worker(p) for p in payloads]
+    except BaseException:
+        for d in reversed(fresh):
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
     for summary in summaries:
         rate = summary.get("measured_rate")

@@ -211,6 +211,30 @@ def first_crossing(excess: Callable[[float], float], lo: float = 0.0, hi: float 
     return b
 
 
+def _svd_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of singular values above ``s.max() * eps * max(m, n)``."""
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(shape)
+    return int(np.count_nonzero(s > tol))
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of the real matrix ``a``, as columns.
+
+    Uses the SVD with the rank rule of ``scipy.linalg.null_space``.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_svd_rank(s, a.shape):].T
+
+
+def orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the real matrix ``a``, as columns.
+
+    Uses the SVD with the rank rule of ``scipy.linalg.orth``.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, :_svd_rank(s, a.shape)]
+
+
 # ---------------------------------------------------------------------------
 # Normal cones
 

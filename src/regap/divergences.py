@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point, first_crossing, lerp
 
@@ -108,9 +107,8 @@ class KullbackLeiblerKernel:
             if (z < 0).any():
                 raise KernelDomainError("negative component in the first argument")
             self.clip_count += n_small
-            # z*log(z/y) as z*log(z) - z*log(yc), with 0*log(0) = 0: numpy's
-            # vectorized log on the positive entries (scipy's xlogy would call
-            # the scalar log once per entry).
+            # z*log(z/y) as z*log(z) - z*log(yc), with 0*log(0) = 0: the log
+            # is taken on the positive entries of z only.
             terms = np.log(z, out=np.zeros_like(z), where=z > 0)
             terms *= z
             terms -= z * log_y
@@ -150,7 +148,10 @@ def kl_divergence(z, y) -> float:
         raise KernelDomainError("negative component in z")
     if np.any(y <= 0):
         raise KernelDomainError("nonpositive component in y")
-    return float(np.sum(xlogy(z, z / y) + y - z))
+    ratio = z / y
+    terms = np.log(ratio, out=np.zeros_like(ratio), where=z > 0)
+    terms *= z
+    return float(np.sum(terms + y - z))
 
 
 # ---------------------------------------------------------------------------

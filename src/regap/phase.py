@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .algorithms import InexactAPConfig, regularized_extrapolated_ap
 from .core import COMPLEX, IterationTrace, Point
@@ -83,6 +82,32 @@ def loose_support(object_image: np.ndarray, margin: int = 2) -> np.ndarray:
     c1 = min(cols[-1] + margin + 1, object_image.shape[1])
     mask[r0:r1, c0:c1] = True
     return mask
+
+
+def gaussian_filter(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of ``image`` with edges reflected about the border.
+
+    Each axis in turn is correlated with the taps ``exp(-x^2 / 2 sigma^2)``
+    for ``|x| <= int(4 sigma + 0.5)``, normalized to sum 1.  Mirror-image
+    samples are added in pairs and the far taps come first, which is the
+    order of operations of ``scipy.ndimage.gaussian_filter(image, sigma)``.
+    """
+    out = np.asarray(image, dtype=np.float64)
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    taps = taps / taps.sum()
+    for axis in range(out.ndim):
+        widths = [(0, 0)] * out.ndim
+        widths[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(out, widths, mode="symmetric"), axis, 0)
+        n = out.shape[axis]
+        acc = padded[radius:radius + n] * taps[radius]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) \
+                * taps[radius + j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
 
 
 def smooth_object(support: np.ndarray, seed: int, sigma: float = 1.0) -> np.ndarray:

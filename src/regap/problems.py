@@ -8,9 +8,8 @@ directly with the drivers in :mod:`regap.algorithms`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .core import Point, SetOracle
+from .core import Point, SetOracle, null_space
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet, SquareMap
 from .projectors import AffineSet, BoxMagnitudeSet
 

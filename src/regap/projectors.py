@@ -10,7 +10,6 @@ an unregularized projection until the ball boundary is hit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     COMPLEX,
@@ -39,8 +38,8 @@ class NewtonConvergenceError(SolverError):
 class AffineSet(SetOracle):
     """Affine subspace {x : A x = b} with full row rank A.
 
-    The Gram factorization of A A^T is computed once and reused by every
-    projection.
+    The Cholesky factor L of A A^T = L L^T is computed once and reused by
+    every projection.
     """
 
     prox_regular = True
@@ -51,11 +50,13 @@ class AffineSet(SetOracle):
         b = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
         if a.shape[0] != b.size:
             raise DimensionMismatchError("rhs length does not match the row count")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
         super().__init__(a.shape[1])
         self.matrix = a
         self.rhs = b
         try:
-            self._gram = cho_factor(a @ a.T)
+            self._chol = np.linalg.cholesky(a @ a.T)
         except np.linalg.LinAlgError as exc:
             raise ValueError("matrix must have full row rank") from exc
         q, _ = np.linalg.qr(a.T)
@@ -64,7 +65,8 @@ class AffineSet(SetOracle):
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
         r = self.matrix @ x.data - self.rhs
-        y = x.data - self.matrix.T @ cho_solve(self._gram, r)
+        w = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, r))
+        y = x.data - self.matrix.T @ w
         return [Point(y)]
 
     def membership_residual(self, x: Point) -> float:

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, orth
 
-from .core import Point, SetOracle
+from .core import Point, SetOracle, null_space, orth
 
 SUBSPACE_PRINCIPAL_ANGLE = "subspace_principal_angle"
 SAMPLED_CONE = "sampled_cone"

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +398,30 @@ def test_solver_failure_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_no_empty_directory(tmp_path, monkeypatch):
+    solve = cli._run_two_subspaces
+
+    def fails_on_seed_two(cfg, entry, *args):
+        if entry.seed == 2:
+            raise StepConditionError("cycle 3: no candidate step within 0.5")
+        return solve(cfg, entry, *args)
+    monkeypatch.setattr(cli, "_run_two_subspaces", fails_on_seed_two)
+
+    fresh = tmp_path / "runs" / "y"
+    cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = 2, 3\nout = {fresh}\n")
+    assert run_cli("run", "--config", str(cfg)) == 3
+    assert not (tmp_path / "runs").exists()
+
+    # finished entries and directories that existed before the run stay
+    existing = tmp_path / "z"
+    (existing / "seed2").mkdir(parents=True)
+    cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = 1, 2, 3\nout = {existing}\n")
+    assert run_cli("run", "--config", str(cfg)) == 3
+    assert sorted(p.name for p in existing.iterdir()) == ["seed1", "seed2"]
+    assert (existing / "seed1" / "summary.json").exists()
+    assert not any((existing / "seed2").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # report verb
 
@@ -542,3 +570,48 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("frob")
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies: numpy only
+
+def _python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports regap from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    proc = _python("import sys, regap.cli\n"
+                   "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                   "assert not loaded, loaded\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+RUNTIME_CONFIGS = {
+    "lines.cfg": "problem = two_subspaces\nalgorithm = inexact_ap\n"
+                 "theta = pi/8\nphi = pi/16\nseed = 1, 2\nout = lines\n",
+    "box.cfg": "problem = box_affine\nalgorithm = regularized_extrapolated\n"
+               "n = 10\nm = 4\nepsilon_kappa = 1\nlambda_schedule = surface\n"
+               "max_iter = 50\nout = box\n",
+    "phase.cfg": "problem = phase_retrieval\nalgorithm = regularized_extrapolated\n"
+                 "object = smooth\nshape = 16, 16\nphoton_scale = 1e3\n"
+                 "epsilon_kappa = 1\nlambda_schedule = surface\nmax_iter = 60\n"
+                 "out = phase\n",
+}
+
+
+def test_runs_with_scipy_unavailable(tmp_path):
+    for name, text in RUNTIME_CONFIGS.items():
+        write_config(tmp_path, text, name)
+    proc = _python("import sys\n"
+                   "sys.modules['scipy'] = None  # any scipy import now fails\n"
+                   "from regap.cli import main\n"
+                   f"codes = [main(['run', '--config', c]) for c in {sorted(RUNTIME_CONFIGS)!r}]\n"
+                   "assert codes == [0, 0, 0], codes\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for run in ("lines/seed1", "lines/seed2", "box", "phase"):
+        assert json.loads((tmp_path / run / "summary.json").read_text())["iterations"] > 0

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from regap.core import (COMPLEX, REAL, DimensionMismatchError, IterationTrace,
                         Point, RayCone, SetOracle, SignedProductCone,
                         SubspaceCone, TraceRecord, ZeroCone, canonical_point,
-                        distance, first_crossing, lerp,
+                        distance, first_crossing, lerp, null_space, orth,
                         proximal_normal_residual)
 from regap.projectors import HalfspaceSet
 
@@ -244,6 +245,26 @@ def test_first_crossing_matches_scan_bisection_on_step_predicates(breaks, scan):
     if sum(lo < b <= hi for b in breaks) == 1:
         assert abs(got - ref) <= 1e-10
     assert evals <= 2 * ref_evals + 2
+
+
+# ---------------------------------------------------------------------------
+# Subspace bases
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_null_space_and_orth_match_scipy(m, n, data):
+    rank = data.draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (u[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ v[:, :rank].T
+    kernel, span = null_space(a), orth(a)
+    assert kernel.shape == linalg.null_space(a).shape
+    assert span.shape == linalg.orth(a).shape
+    for basis in (kernel, span):
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+    assert np.allclose(a @ kernel, 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(span @ (span.T @ a), a, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

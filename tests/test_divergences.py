@@ -179,6 +179,17 @@ def test_kl_divergence_matches_xlogy_reference(pairs):
                 evaluate(negative)
 
 
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)), st.floats(1e-300, 1e6)),
+                min_size=1, max_size=40))
+def test_strict_kl_divergence_matches_xlogy_reference(pairs):
+    z, y = (np.array(v) for v in zip(*pairs))
+    terms = xlogy(z, z / y)
+    expected = float(np.sum(terms + y - z))
+    scale = float(np.sum(np.abs(terms)) + np.sum(y) + np.sum(z))
+    assert abs(kl_divergence(z, y) - expected) <= 1e-13 * scale
+
+
 def test_make_kernel_names():
     assert isinstance(make_kernel("euclidean"), EuclideanKernel)
     assert isinstance(make_kernel("kullback_leibler"), KullbackLeiblerKernel)

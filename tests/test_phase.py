@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter as scipy_gaussian_filter
 
 from conftest import noiseless_instance, smooth_instance
 from regap.algorithms import InexactAPConfig
 from regap.core import FIXED_POINT, MAX_ITER, STALLED_GAP, Point
 from regap.phase import (PhaseInstance, aligned_error, box_support, cup_object,
-                         divergence_ball, export_grid, interiority_check,
-                         load_instance, loose_support, reconstruct,
+                         divergence_ball, export_grid, gaussian_filter,
+                         interiority_check, load_instance, loose_support, reconstruct,
                          save_instance, smooth_object, synthesize)
 
 
@@ -64,6 +65,24 @@ def test_smooth_object_support_and_determinism():
     assert np.all(a[sup] > 0)
     # smoothing leaves values near the generating field's range
     assert 0 < a[sup].min() and a[sup].max() < 2.0
+
+
+_GRID = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+
+@settings(max_examples=150)
+@given(_GRID, st.integers(0, 2**32 - 1), st.floats(-3, 3))
+def test_gaussian_filter_equals_scipy_at_unit_sigma(shape, seed, log_scale):
+    img = np.random.default_rng(seed).standard_normal(shape) * 10.0 ** log_scale
+    assert np.array_equal(gaussian_filter(img, 1.0), scipy_gaussian_filter(img, 1.0))
+
+
+@settings(max_examples=150)
+@given(_GRID, st.integers(0, 2**32 - 1), st.floats(0.3, 4.0))
+def test_gaussian_filter_equals_scipy_at_any_sigma(shape, seed, sigma):
+    # same taps and the same order of additions as scipy, so equal to the bit
+    img = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
+    assert np.array_equal(gaussian_filter(img, sigma), scipy_gaussian_filter(img, sigma))
 
 
 # ---------------------------------------------------------------------------

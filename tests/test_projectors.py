@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import NonlinearConstraint, minimize
 
 from regap.core import (COMPLEX, DimensionMismatchError, Point, RayCone,
@@ -65,9 +66,25 @@ def test_affine_projection_matches_kkt_oracle():
         assert s.membership_residual(got) < 1e-10
 
 
+@settings(max_examples=150)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_affine_projection_matches_cholesky_reference(m, extra, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m + extra, m + extra)))
+    A = (u * rng.uniform(0.5, 2.0, m)) @ v[:, :m].T
+    b = rng.standard_normal(m)
+    x = rng.standard_normal(m + extra)
+    expected = x - A.T @ cho_solve(cho_factor(A @ A.T), A @ x - b)
+    got = AffineSet(A, b).project(Point(x))[0].data
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
 def test_affine_rejects_rank_deficiency_and_bad_shapes():
     with pytest.raises(ValueError):
         AffineSet(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        AffineSet(np.array([[1.0, np.nan]]), np.zeros(1))
     with pytest.raises(DimensionMismatchError):
         AffineSet(np.eye(2), np.zeros(3))
 
