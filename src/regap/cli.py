@@ -712,13 +712,13 @@ def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
             "measured_rate": summary.get("measured_rate"),
         })
     table_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(table_path, "w", newline="") as fh:
+    with atomic_open(table_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["run", "k", "step_norm"])
         for run_id, k, step in rows:
             w.writerow([run_id, k, format(step, ".17g")])
     rates_path = table_path.with_name(table_path.stem + "_rates" + table_path.suffix)
-    with open(rates_path, "w", newline="") as fh:
+    with atomic_open(rates_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["run", "reason", "converged", "iterations", "measured_rate"])
         for row in rates:

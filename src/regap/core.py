@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -421,16 +421,19 @@ def proximal_normal_residual(s: SetOracle, base: Point, direction: Point) -> flo
 class TraceRecord:
     """One projection cycle: even iterate, odd iterate, and diagnostics.
 
-    ``step_norm`` is the even half-step into this cycle's even iterate (NaN
-    at k = 0), ``gap`` the odd half-step out of it.  ``gamma`` is the measured
-    normal-alignment residual (NaN when unverified), ``lam`` the relaxation
-    used for the odd step (NaN when not applicable), and ``accepted`` records
-    the per-iteration step-monotonicity check gap <= step_norm.
+    ``even`` and ``odd`` become ``None`` once the record is superseded: an
+    :class:`IterationTrace` keeps the iterates of its first and last two
+    records only.  ``step_norm`` is the even half-step into this cycle's even
+    iterate (NaN at k = 0), ``gap`` the odd half-step out of it.  ``gamma``
+    is the measured normal-alignment residual (NaN when unverified), ``lam``
+    the relaxation used for the odd step (NaN when not applicable), and
+    ``accepted`` records the per-iteration step-monotonicity check
+    gap <= step_norm.
     """
 
     k: int
-    even: Point
-    odd: Point
+    even: Point | None
+    odd: Point | None
     step_norm: float
     gap: float
     residual: float
@@ -444,18 +447,18 @@ def _fmt(v: float) -> str:
 
 
 @contextlib.contextmanager
-def atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
-    """Text file for writing that appears under ``path`` only when complete.
+def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
+    """File for writing that appears under ``path`` only when complete.
 
-    The block writes a temporary file in the same directory, which
-    ``os.replace`` moves onto ``path`` once the block ends without error.
-    On an error the temporary file is removed and ``path`` keeps whatever
-    it held before.
+    ``mode`` is ``"w"`` (text) or ``"wb"`` (binary).  The block writes a
+    temporary file in the same directory, which ``os.replace`` moves onto
+    ``path`` once the block ends without error.  On an error the temporary
+    file is removed and ``path`` keeps whatever it held before.
     """
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -465,7 +468,13 @@ def atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 class IterationTrace:
-    """Strictly ordered sequence of cycle records plus a termination reason."""
+    """Strictly ordered sequence of cycle records plus a termination reason.
+
+    Every record keeps its scalars, but only records 0, -2 and -1 keep their
+    iterates: appending a record sets ``even`` and ``odd`` of the record that
+    falls out of the last two to ``None``, so memory does not grow with the
+    cycle count.
+    """
 
     def __init__(self):
         self.records: list[TraceRecord] = []
@@ -480,6 +489,8 @@ class IterationTrace:
                 f"got k={record.k}"
             )
         self.records.append(record)
+        if len(self.records) > 3:
+            self.records[-3].even = self.records[-3].odd = None
 
     def finish(self, reason: str) -> "IterationTrace":
         if reason not in TERMINATION_REASONS:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import InexactAPConfig, regularized_extrapolated_ap
-from .core import COMPLEX, IterationTrace, Point
+from .core import COMPLEX, IterationTrace, Point, atomic_open
 from .divergences import FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
 from .projectors import FourierMagnitudeSet, SupportNonnegSet
 
@@ -289,7 +289,7 @@ def save_instance(instance: PhaseInstance, path) -> None:
     """
     path = Path(path)
     n1, n2 = instance.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIQd", n1, n2, instance.seed, instance.photon_scale))
         fh.write(instance.support.astype(np.uint8).tobytes())
@@ -303,7 +303,7 @@ def save_instance(instance: PhaseInstance, path) -> None:
         "support_pixels": int(instance.support.sum()),
         "kl_noise_level": instance.kl_noise_level(),
     }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
+    with atomic_open(path.with_suffix(path.suffix + ".json")) as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -353,13 +353,14 @@ def export_grid(image: np.ndarray, stem) -> tuple[Path, Path]:
     """
     stem = Path(stem)
     npy_path = stem.with_suffix(".npy")
-    np.save(npy_path, np.asarray(image, dtype=np.float64))
+    with atomic_open(npy_path, "wb") as fh:
+        np.save(fh, np.asarray(image, dtype=np.float64))
     pgm_path = stem.with_suffix(".pgm")
     img = np.asarray(image, dtype=np.float64)
     top = float(img.max())
     scaled = np.zeros_like(img) if top <= 0 else np.clip(img / top, 0.0, 1.0)
     samples = np.round(scaled * 65535).astype(">u2")
-    with open(pgm_path, "wb") as fh:
+    with atomic_open(pgm_path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode())
         fh.write(samples.tobytes())
     return npy_path, pgm_path

@@ -24,6 +24,7 @@ from .core import (
     SolverError,
     SubspaceCone,
     ZeroCone,
+    _svd_rank,
     canonical_point,
 )
 from .divergences import RegularizedSet, bregman_line_boundary
@@ -55,6 +56,10 @@ class AffineSet(SetOracle):
         super().__init__(a.shape[1])
         self.matrix = a
         self.rhs = b
+        # The SVD rank rule of core.null_space; Cholesky alone accepts an
+        # exactly rank-deficient A whose last pivot rounds to a tiny positive.
+        if _svd_rank(np.linalg.svd(a, compute_uv=False), a.shape) < a.shape[0]:
+            raise ValueError("matrix must have full row rank")
         try:
             self._chol = np.linalg.cholesky(a @ a.T)
         except np.linalg.LinAlgError as exc:

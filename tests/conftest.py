@@ -1,13 +1,34 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
+from regap.core import IterationTrace
 from regap.phase import PhaseInstance, box_support, smooth_object, synthesize
 
 settings.register_profile("suite", deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def iterates(monkeypatch):
+    """Every cycle's ``(even, odd)`` Points, per trace, in append order.
+
+    A trace keeps the iterates of its first and last two records only; a
+    test that compares whole orbits reads them here, captured as each
+    record is appended.
+    """
+    captured: dict[IterationTrace, list] = {}
+    append = IterationTrace.append
+
+    def capture(trace, record):
+        pair = (record.even, record.odd)
+        append(trace, record)
+        captured.setdefault(trace, []).append(pair)
+    monkeypatch.setattr(IterationTrace, "append", capture)
+    return captured
 
 
 def smooth_instance(seed: int, shape=(32, 32), photon_scale: float = 1e3,

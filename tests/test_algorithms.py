@@ -51,13 +51,16 @@ def perturbed_cycle_contraction(theta, phi):
     return math.cos(theta) * math.cos(theta - phi) / math.cos(phi)
 
 
-def assert_same_records(a, b, skip=()):
-    """Equal traces record by record; NaN equals NaN, ``skip`` names fields left out."""
+def assert_same_records(a, b, iterates, skip=()):
+    """Equal traces record by record; NaN equals NaN, ``skip`` names fields left out.
+
+    ``iterates`` is the fixture that captured both traces' iterates.
+    """
     assert a.reason == b.reason
-    assert len(a) == len(b)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.even.data, rb.even.data)
-        assert np.array_equal(ra.odd.data, rb.odd.data)
+    assert len(a) == len(b) == len(iterates[a]) == len(iterates[b])
+    for ra, rb, (ea, oa), (eb, ob) in zip(a.records, b.records, iterates[a], iterates[b]):
+        assert np.array_equal(ea.data, eb.data)
+        assert np.array_equal(oa.data, ob.data)
         for field in ("k", "step_norm", "gap", "residual", "gamma", "lam", "accepted"):
             if field not in skip:
                 va, vb = getattr(ra, field), getattr(rb, field)
@@ -157,16 +160,17 @@ def test_measure_rate_refusals():
 # ---------------------------------------------------------------------------
 # Exact alternating projections
 
-def test_two_lines_matches_closed_form_orbit():
+def test_two_lines_matches_closed_form_orbit(iterates):
     theta, d = math.pi / 3, 2.0
     C, M = two_lines(theta)
     x0 = Point(d * np.array([math.cos(theta), math.sin(theta)]))
     trace = exact_alternating_projections(
         C, M, x0, InexactAPConfig(max_iterations=25, fixed_point_tolerance=1e-300))
     oracle = two_lines_trace_oracle(theta, d, 20)
-    for rec, (even, odd, step, gap) in zip(trace.records, oracle):
-        assert np.allclose(rec.even.data, even, atol=1e-12)
-        assert np.allclose(rec.odd.data, odd, atol=1e-12)
+    for rec, (rec_even, rec_odd), (even, odd, step, gap) in zip(
+            trace.records, iterates[trace], oracle):
+        assert np.allclose(rec_even.data, even, atol=1e-12)
+        assert np.allclose(rec_odd.data, odd, atol=1e-12)
         if not math.isnan(step):
             assert rec.step_norm == pytest.approx(step, abs=1e-12)
         assert rec.gap == pytest.approx(gap, abs=1e-12)
@@ -361,7 +365,7 @@ def test_even_iterate_in_set_fixes_odd_iterate():
     (lambda: two_lines(math.pi / 3), np.array([3.0, 1.0])),
     (lambda: two_subspaces(8, 3, 4, seed=2), np.random.default_rng(5).standard_normal(8)),
 ])
-def test_inexact_with_exact_odd_steps_matches_exact_driver(build, x0):
+def test_inexact_with_exact_odd_steps_matches_exact_driver(build, x0, iterates):
     # Fed the exact projection and no oracle, the inexact driver must walk
     # the exact orbit; only the membership residual goes unmeasured.
     C, M = build()
@@ -371,8 +375,25 @@ def test_inexact_with_exact_odd_steps_matches_exact_driver(build, x0):
     inexact = inexact_alternating_projections(
         C, M.project, None, even0, canonical_point(M.project(even0)), cfg)
     assert exact.reason == FIXED_POINT and len(exact) > 5
-    assert_same_records(inexact, exact, skip=("residual",))
+    assert_same_records(inexact, exact, iterates, skip=("residual",))
     assert all(math.isnan(r.residual) for r in inexact.records)
+
+
+def test_trace_keeps_iterates_of_first_and_last_two_records_only(iterates):
+    C, M = two_lines(math.pi / 3)
+    trace = exact_alternating_projections(
+        C, M, Point(np.array([1.0, 2.0])),
+        InexactAPConfig(max_iterations=25, fixed_point_tolerance=1e-300))
+    assert len(trace) == 26
+    kept = {0, len(trace) - 2, len(trace) - 1}
+    for rec in trace.records:
+        if rec.k in kept:
+            assert isinstance(rec.even, Point) and isinstance(rec.odd, Point)
+        else:
+            assert rec.even is None and rec.odd is None
+    # every record still carries both iterates while it is appended
+    assert all(isinstance(e, Point) and isinstance(o, Point) for e, o in iterates[trace])
+    assert trace.final_even is iterates[trace][-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +432,14 @@ def test_custom_schedule_replays_sequence():
     assert all(v == pytest.approx(0.5) for v in lams[1:])
 
 
-def test_constant_one_schedule_jumps_to_anchor():
+def test_constant_one_schedule_jumps_to_anchor(iterates):
     C, ball, line = slab_problem(1.0, epsilon=0.02)
     cfg = InexactAPConfig(max_iterations=3, fixed_point_tolerance=1e-12,
                           lambda_schedule="constant_one", measure_gamma=False)
     trace = regularized_extrapolated_ap(C, ball, line, Point(np.array([1.0, 0.0])), cfg)
-    for rec in trace.records:
-        assert np.allclose(rec.odd.data[1], 1.0)  # anchor line x2 = 1
+    assert len(iterates[trace]) == len(trace)
+    for rec, (_, odd) in zip(trace.records, iterates[trace]):
+        assert np.allclose(odd.data[1], 1.0)  # anchor line x2 = 1
         assert rec.lam == pytest.approx(1.0)
 
 
@@ -432,7 +454,7 @@ def test_surface_schedule_alignment_is_small_for_euclid_slab():
     assert gammas and max(gammas) < 1e-9
 
 
-def test_custom_schedule_of_ones_matches_constant_one():
+def test_custom_schedule_of_ones_matches_constant_one(iterates):
     C, ball, line = slab_problem(1.0, epsilon=0.2)
     x0 = Point(np.array([1.0, 0.0]))
     runs = [regularized_extrapolated_ap(
@@ -440,7 +462,7 @@ def test_custom_schedule_of_ones_matches_constant_one():
         for kw in ({"lambda_schedule": "constant_one"},
                    {"lambda_schedule": "custom", "lambda_sequence": [1.0]})]
     assert len(runs[0]) > 5
-    assert_same_records(*runs)
+    assert_same_records(*runs, iterates)
 
 
 def test_failed_fixed_point_verification_raises():

@@ -1,8 +1,10 @@
 """Synthetic diffraction instances, reconstruction driver, serialization."""
 
+import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +324,25 @@ def test_interiority_check_distinguishes_interior_from_boundary():
     assert not interiority_check(ball, boundary_odd)
 
 
+def test_trace_memory_does_not_grow_with_cycles():
+    # A trace keeps the iterates of three records, so ten times the cycles
+    # add only the scalars of the extra records: less than 4 iterates.
+    inst = smooth_instance(0)
+    eps = inst.kl_noise_level()
+    peaks = {}
+    for n in (20, 200):
+        cfg = InexactAPConfig(max_iterations=n, fixed_point_tolerance=1e-300,
+                              lambda_schedule="surface", measure_gamma=False)
+        tracemalloc.start()
+        try:
+            res = reconstruct(inst, eps, cfg, seed=0)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace) == n + 1  # every cycle ran
+    assert peaks[200] - peaks[20] < 4 * res.trace.final_even.data.nbytes
+
+
 def test_interiority_check_validation():
     inst = smooth_instance(0)
     ball = divergence_ball(inst, 1.0)
@@ -379,6 +400,35 @@ def test_export_grid_npy_and_pgm(tmp_path):
     assert samples.max() == 65535  # the maximum maps to full scale
     expected = np.round(img / img.max() * 65535).astype(">u2")
     assert np.array_equal(samples, expected)
+
+
+class _Unwritable:
+    """An array entry that fails once the writer reaches it."""
+
+    def __float__(self):
+        raise OSError("device full")
+
+
+def test_binary_writers_that_fail_halfway_keep_the_old_files(tmp_path, monkeypatch):
+    inst = smooth_instance(0, shape=(16, 16))
+    broken = dataclasses.replace(inst, observed=np.full(inst.shape, _Unwritable(), object))
+    phz = tmp_path / "inst.phz"
+    phz.write_bytes(b"earlier")
+    with pytest.raises(OSError):
+        save_instance(broken, phz)
+    assert list(tmp_path.iterdir()) == [phz]
+    assert phz.read_bytes() == b"earlier"
+
+    def failing_save(fh, arr):
+        fh.write(b"\x93NUMPY")
+        raise OSError("device full")
+    npy = tmp_path / "recon.npy"
+    npy.write_bytes(b"earlier")
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError):
+        export_grid(inst.object_image, tmp_path / "recon")
+    assert sorted(tmp_path.iterdir()) == [phz, npy]
+    assert npy.read_bytes() == b"earlier"
 
 
 def test_export_grid_all_zero_image(tmp_path):

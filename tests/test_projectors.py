@@ -83,6 +83,9 @@ def test_affine_projection_matches_cholesky_reference(m, extra, seed):
 def test_affine_rejects_rank_deficiency_and_bad_shapes():
     with pytest.raises(ValueError):
         AffineSet(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
+    # Cholesky of A A^T leaves a positive 4e-8 pivot on this one
+    with pytest.raises(ValueError, match="full row rank"):
+        AffineSet(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         AffineSet(np.array([[1.0, np.nan]]), np.zeros(1))
     with pytest.raises(DimensionMismatchError):
