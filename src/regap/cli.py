@@ -12,9 +12,12 @@ Verbs
 Config files are plain ``key = value`` text: ``#`` starts a comment, keys are
 case-insensitive, and commas turn the sweepable keys (``epsilon``,
 ``epsilon_kappa``, ``seed``) into sweep lists.  Angle-valued keys accept
-``pi`` expressions such as ``pi/3`` or ``0.4*pi``.  Command-line flags
-override file keys.  Exit codes: 0 success, 2 invalid configuration or
-usage, 3 solver failure, 4 input/output failure.
+``pi`` expressions such as ``pi/3`` or ``0.4*pi``; non-finite numbers are
+rejected.  Command-line flags override file keys.  The problem table
+``PROBLEMS`` says which keys each (problem, algorithm) pair reads; any other
+key is an error.  Exit codes: 0 success, 2 invalid configuration or usage,
+3 solver failure (a ``SolverError``, or another ``ValueError`` or
+``RuntimeError`` raised during the run), 4 input/output failure.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,23 +56,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-PROBLEMS = ("two_subspaces", "parallel_lines", "box_affine", "phase_retrieval", "custom")
-ALGORITHMS = ("exact_ap", "inexact_ap", "regularized_extrapolated")
-SUPPORTED = {
-    ("two_subspaces", "exact_ap"),
-    ("two_subspaces", "inexact_ap"),
-    ("two_subspaces", "regularized_extrapolated"),
-    ("parallel_lines", "exact_ap"),
-    ("parallel_lines", "regularized_extrapolated"),
-    ("box_affine", "exact_ap"),
-    ("box_affine", "regularized_extrapolated"),
-    ("phase_retrieval", "exact_ap"),
-    ("phase_retrieval", "regularized_extrapolated"),
-    ("custom", "exact_ap"),
-    ("custom", "regularized_extrapolated"),
-}
-SCHEDULES = (SURFACE, CONSTANT_ONE, CUSTOM)
-OBJECTS = ("cup", "random", "smooth")
 CONVERGED_REASONS = (FIXED_POINT, TOLERANCE_MET)
 
 
@@ -84,22 +71,25 @@ class IOFailure(Exception):
 # Config parsing
 
 def parse_scalar(text: str) -> float:
-    """Parse a float, allowing products with ``pi`` and a single division."""
+    """Parse a finite float, allowing products with ``pi`` and a single division."""
     t = text.strip().lower()
     try:
         if "pi" not in t:
-            return float(t)
-        num, _, den = t.partition("/")
-        value = 1.0
-        for factor in num.split("*"):
-            factor = factor.strip()
-            value *= math.pi if factor == "pi" else float(factor)
-        if den:
-            den = den.strip()
-            value /= math.pi if den == "pi" else float(den)
-        return value
+            value = float(t)
+        else:
+            num, _, den = t.partition("/")
+            value = 1.0
+            for factor in num.split("*"):
+                factor = factor.strip()
+                value *= math.pi if factor == "pi" else float(factor)
+            if den:
+                den = den.strip()
+                value /= math.pi if den == "pi" else float(den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse number {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text!r} is not finite")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -118,29 +108,26 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-def _parse_choice(text: str, options: tuple[str, ...], key: str) -> str:
-    t = text.strip().lower()
-    if t not in options:
-        raise ConfigError(f"{key} must be one of {', '.join(options)}; got {text!r}")
-    return t
+def _choice(options, key: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        t = text.strip().lower()
+        if t not in options:
+            raise ConfigError(f"{key} must be one of {', '.join(options)}; got {text!r}")
+        return t
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    if not parts:
-        raise ConfigError(f"empty value list {text!r}")
-    return tuple(parse_scalar(p) for p in parts)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    if not parts:
-        raise ConfigError(f"empty value list {text!r}")
-    return tuple(_parse_int(p) for p in parts)
+def _list_of(parse: Callable) -> Callable[[str], tuple]:
+    def parse_list(text: str) -> tuple:
+        parts = [p for p in (s.strip() for s in text.split(",")) if p]
+        if not parts:
+            raise ConfigError(f"empty value list {text!r}")
+        return tuple(parse(p) for p in parts)
+    return parse_list
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
-    values = _parse_int_list(text)
+    values = _list_of(_parse_int)(text)
     if len(values) != 2 or min(values) < 2:
         raise ConfigError(f"shape must be two integers >= 2, got {text!r}")
     return values
@@ -166,18 +153,29 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return data
 
 
+# Keys every (problem, algorithm) pair reads, and the keys each algorithm adds.
+_COMMON_KEYS = ("problem", "algorithm", "out", "seed", "gamma", "max_iter",
+                "fixed_point_tolerance", "membership_tolerance", "measure_gamma", "jobs")
+_EPSILON_KEYS = ("epsilon", "epsilon_kappa")
+ALGORITHMS = {
+    "exact_ap": (),
+    "inexact_ap": ("phi",),
+    "regularized_extrapolated": ("lambda_schedule", "lambda_values"),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; sweepable keys hold value lists."""
+    """Validated experiment: one field per config key; sweepable keys hold lists."""
 
     problem: str
     algorithm: str
     out: str = "runs"
-    seeds: tuple[int, ...] = (0,)
-    epsilons: tuple[float, ...] | None = None
-    epsilon_kappas: tuple[float, ...] | None = None
+    seed: tuple[int, ...] = (0,)
+    epsilon: tuple[float, ...] | None = None
+    epsilon_kappa: tuple[float, ...] | None = None
     gamma: float = 0.0
-    theta: float | None = None
+    theta: float = math.pi / 3
     phi: float | None = None
     dim: int = 2
     dim_u: int | None = None
@@ -189,7 +187,7 @@ class ExperimentConfig:
     shape: tuple[int, int] = (32, 32)
     photon_scale: float = 1e4
     margin: int = 2
-    object_kind: str = "cup"
+    object: str = "cup"
     n_restarts: int = 1
     lambda_schedule: str = SURFACE
     lambda_values: tuple[float, ...] | None = None
@@ -201,18 +199,27 @@ class ExperimentConfig:
     instance: str | None = None
     provided: frozenset = field(default_factory=frozenset, compare=False)
 
-    def _forbid(self, key: str, why: str) -> None:
-        if key in self.provided:
-            raise ConfigError(f"key {key!r} is only meaningful {why}")
-
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"problem must be one of {', '.join(PROBLEMS)}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
-        if (self.problem, self.algorithm) not in SUPPORTED:
+        spec = PROBLEMS[self.problem]
+        if self.algorithm not in spec.algorithms:
             raise ConfigError(
                 f"algorithm {self.algorithm!r} is not supported for problem {self.problem!r}")
+        if self.algorithm == "regularized_extrapolated":
+            either = len(spec.epsilon_keys) == 2
+            given = [k for k in _EPSILON_KEYS if k in self.provided]
+            if len(given) != 1 or given[0] not in spec.epsilon_keys:
+                need = "exactly one of epsilon or epsilon_kappa" if either else spec.epsilon_keys[0]
+                raise ConfigError(f"problem {self.problem!r} requires {need} for regularized "
+                                  f"runs; use {' or '.join(spec.epsilon_keys)}")
+            # a zero phase ball is the exact data set
+            if any(v < 0 or (v == 0 and not either) for v in getattr(self, given[0])):
+                raise ConfigError(f"{given[0]} must be {'nonnegative' if either else 'positive'}")
+        unread = sorted(self.provided - spec.reads(self.algorithm))
+        if unread:
+            raise ConfigError(f"key {unread[0]!r} is not read by problem {self.problem!r} "
+                              f"with algorithm {self.algorithm!r}")
+
+        # Every key now belongs to this pair, and every default passes these.
         if self.max_iter < 1 or self.jobs < 1 or self.n_restarts < 1:
             raise ConfigError("max_iter, jobs, and n_restarts must be positive")
         if self.fixed_point_tolerance <= 0:
@@ -221,80 +228,13 @@ class ExperimentConfig:
             raise ConfigError("membership_tolerance must be positive")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
-
-        regularized = self.algorithm == "regularized_extrapolated"
-        if not regularized:
-            for key in ("epsilon", "epsilon_kappa", "lambda_schedule", "lambda_values"):
-                self._forbid(key, "for algorithm regularized_extrapolated")
-        else:
-            if self.lambda_schedule not in SCHEDULES:
-                raise ConfigError(f"lambda_schedule must be one of {', '.join(SCHEDULES)}")
-            if self.lambda_schedule == CUSTOM and not self.lambda_values:
-                raise ConfigError("lambda_schedule custom requires lambda_values")
-            if self.lambda_schedule != CUSTOM and self.lambda_values:
-                raise ConfigError("lambda_values requires lambda_schedule = custom")
-            if self.lambda_values is not None and any(
-                    not 0 < v <= 1 for v in self.lambda_values):
-                raise ConfigError("lambda_values must lie in (0, 1]")
-            self._check_epsilon_keys()
-
-        if self.problem != "two_subspaces":
-            for key in ("theta", "dim", "dim_u", "dim_v"):
-                self._forbid(key, "for problem two_subspaces")
-        else:
-            self._validate_two_subspaces()
-        if self.algorithm != "inexact_ap":
-            self._forbid("phi", "for algorithm inexact_ap")
-        if self.problem != "parallel_lines":
-            self._forbid("gap", "for problem parallel_lines")
-        elif self.gap < 0:
-            raise ConfigError("gap must be nonnegative")
-        if self.problem != "box_affine":
-            for key in ("n", "m", "noise"):
-                self._forbid(key, "for problem box_affine")
-        elif not 0 < self.m < self.n:
-            raise ConfigError("box_affine needs 0 < m < n")
-        if self.problem != "phase_retrieval":
-            for key in ("shape", "photon_scale", "margin", "object"):
-                self._forbid(key, "for problem phase_retrieval")
-        elif self.photon_scale <= 0:
-            raise ConfigError("photon_scale must be positive")
-        if self.problem != "custom":
-            self._forbid("instance", "for problem custom")
-        elif not self.instance:
-            raise ConfigError("problem custom requires an instance file path")
-        if self.problem not in ("phase_retrieval", "custom"):
-            self._forbid("n_restarts", "for phase problems")
-
-    def _check_epsilon_keys(self) -> None:
-        has_eps = self.epsilons is not None
-        has_kappa = self.epsilon_kappas is not None
-        if self.problem in ("two_subspaces", "parallel_lines"):
-            if has_kappa:
-                raise ConfigError(
-                    f"epsilon_kappa is not defined for problem {self.problem!r}; use epsilon")
-            if not has_eps:
-                raise ConfigError("regularized_extrapolated requires epsilon")
-            if any(e <= 0 for e in self.epsilons):
-                raise ConfigError("epsilon must be positive for this problem")
-        elif self.problem == "box_affine":
-            if has_eps:
-                raise ConfigError("box_affine derives epsilon from the noise level; "
-                                  "use epsilon_kappa")
-            if not has_kappa:
-                raise ConfigError("box_affine regularized runs require epsilon_kappa")
-            if any(k <= 0 for k in self.epsilon_kappas):
-                raise ConfigError("epsilon_kappa must be positive")
-        else:  # phase_retrieval, custom
-            if has_eps == has_kappa:
-                raise ConfigError("phase runs require exactly one of epsilon or epsilon_kappa")
-            values = self.epsilons if has_eps else self.epsilon_kappas
-            if any(v < 0 for v in values):
-                raise ConfigError("epsilon and epsilon_kappa must be nonnegative")
-
-    def _validate_two_subspaces(self) -> None:
-        random_pair = self.dim_u is not None or self.dim_v is not None
-        if random_pair:
+        if self.lambda_schedule == CUSTOM and not self.lambda_values:
+            raise ConfigError("lambda_schedule custom requires lambda_values")
+        if self.lambda_schedule != CUSTOM and self.lambda_values:
+            raise ConfigError("lambda_values requires lambda_schedule = custom")
+        if self.lambda_values is not None and any(not 0 < v <= 1 for v in self.lambda_values):
+            raise ConfigError("lambda_values must lie in (0, 1]")
+        if self.dim_u is not None or self.dim_v is not None:
             if self.dim_u is None or self.dim_v is None:
                 raise ConfigError("give both dim_u and dim_v for random subspaces")
             if "theta" in self.provided:
@@ -303,26 +243,36 @@ class ExperimentConfig:
                 raise ConfigError("need 0 < dim_u, dim_v < dim")
             if self.algorithm == "inexact_ap":
                 raise ConfigError("inexact_ap needs the planted-angle instance (theta)")
-        else:
-            theta = self.theta if self.theta is not None else math.pi / 3
-            if not 0 < theta < math.pi / 2:
-                raise ConfigError("theta must lie strictly between 0 and pi/2")
-            if self.algorithm == "inexact_ap":
-                if self.phi is None:
-                    raise ConfigError("inexact_ap requires phi (projection slide angle)")
-                if not 0 <= self.phi < theta:
-                    raise ConfigError("phi must satisfy 0 <= phi < theta")
+        elif not 0 < self.theta < math.pi / 2:
+            raise ConfigError("theta must lie strictly between 0 and pi/2")
+        elif self.algorithm == "inexact_ap" and self.phi is None:
+            raise ConfigError("inexact_ap requires phi (projection slide angle)")
+        elif self.algorithm == "inexact_ap" and not 0 <= self.phi < self.theta:
+            raise ConfigError("phi must satisfy 0 <= phi < theta")
         if self.dim < 2:
             raise ConfigError("dim must be at least 2")
+        if self.gap < 0:
+            raise ConfigError("gap must be nonnegative")
+        if not 0 < self.m < self.n:
+            raise ConfigError("box_affine needs 0 < m < n")
+        if self.photon_scale <= 0:
+            raise ConfigError("photon_scale must be positive")
+        if self.margin < 0:
+            raise ConfigError("margin must be nonnegative")
+        if self.object == "smooth" and min(self.shape) < 4:
+            # the smooth object's support box needs max(2, 3*min//16) <= min//2
+            raise ConfigError("object smooth needs a shape of at least 4 x 4")
+        if self.problem == "custom" and not self.instance:
+            raise ConfigError("problem custom requires an instance file path")
 
 
 _KEY_PARSERS = {
-    "problem": lambda t: _parse_choice(t, PROBLEMS, "problem"),
-    "algorithm": lambda t: _parse_choice(t, ALGORITHMS, "algorithm"),
-    "out": lambda t: t,
-    "seed": _parse_int_list,
-    "epsilon": _parse_float_list,
-    "epsilon_kappa": _parse_float_list,
+    "problem": lambda t: _choice(PROBLEMS, "problem")(t),  # PROBLEMS is defined below
+    "algorithm": _choice(ALGORITHMS, "algorithm"),
+    "out": str,
+    "seed": _list_of(_parse_int),
+    "epsilon": _list_of(parse_scalar),
+    "epsilon_kappa": _list_of(parse_scalar),
     "gamma": parse_scalar,
     "theta": parse_scalar,
     "phi": parse_scalar,
@@ -336,22 +286,16 @@ _KEY_PARSERS = {
     "shape": _parse_shape,
     "photon_scale": parse_scalar,
     "margin": _parse_int,
-    "object": lambda t: _parse_choice(t, OBJECTS, "object"),
+    "object": _choice(("cup", "random", "smooth"), "object"),
     "n_restarts": _parse_int,
-    "lambda_schedule": lambda t: _parse_choice(t, SCHEDULES, "lambda_schedule"),
-    "lambda_values": _parse_float_list,
+    "lambda_schedule": _choice((SURFACE, CONSTANT_ONE, CUSTOM), "lambda_schedule"),
+    "lambda_values": _list_of(parse_scalar),
     "max_iter": _parse_int,
     "fixed_point_tolerance": parse_scalar,
     "membership_tolerance": parse_scalar,
     "measure_gamma": _parse_bool,
     "jobs": _parse_int,
-    "instance": lambda t: t,
-}
-_FIELD_NAMES = {
-    "seed": "seeds",
-    "epsilon": "epsilons",
-    "epsilon_kappa": "epsilon_kappas",
-    "object": "object_kind",
+    "instance": str,
 }
 
 
@@ -364,30 +308,28 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
     for required in ("problem", "algorithm"):
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")
-    kwargs = {}
-    for key, raw in data.items():
-        kwargs[_FIELD_NAMES.get(key, key)] = _KEY_PARSERS[key](raw)
+    kwargs = {key: _KEY_PARSERS[key](raw) for key, raw in data.items()}
     cfg = ExperimentConfig(**kwargs, provided=frozenset(data))
     cfg.validate()
     return cfg
 
 
-def load_config(path, overrides: dict[str, str]) -> ExperimentConfig:
+def _read_config(path) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise IOFailure(f"cannot read config file {path}: {exc}") from None
-    data = parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path))
+
+
+def load_config(path, overrides: dict[str, str]) -> ExperimentConfig:
+    data = _read_config(path)
     data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_mapping(data)
 
 
 # ---------------------------------------------------------------------------
 # Run execution
-
-def _label_num(v) -> str:
-    return format(v, "g")
-
 
 @dataclass
 class RunEntry:
@@ -398,21 +340,18 @@ class RunEntry:
 
 
 def sweep_entries(cfg: ExperimentConfig) -> list[RunEntry]:
-    eps_values = cfg.epsilons if cfg.epsilons is not None else (None,)
-    kappa_values = cfg.epsilon_kappas if cfg.epsilon_kappas is not None else (None,)
-    combos = list(product(eps_values, kappa_values, cfg.seeds))
-    sweeping = len(combos) > 1
+    eps_values = cfg.epsilon if cfg.epsilon is not None else (None,)
+    kappa_values = cfg.epsilon_kappa if cfg.epsilon_kappa is not None else (None,)
     entries = []
-    for eps, kappa, seed in combos:
+    for eps, kappa, seed in product(eps_values, kappa_values, cfg.seed):
         parts = []
-        if eps is not None and len(eps_values) > 1:
-            parts.append(f"eps{_label_num(eps)}")
-        if kappa is not None and len(kappa_values) > 1:
-            parts.append(f"kap{_label_num(kappa)}")
-        if len(cfg.seeds) > 1:
+        if len(eps_values) > 1:
+            parts.append(f"eps{eps:g}")
+        if len(kappa_values) > 1:
+            parts.append(f"kap{kappa:g}")
+        if len(cfg.seed) > 1:
             parts.append(f"seed{seed}")
-        label = "_".join(parts) if sweeping else None
-        entries.append(RunEntry(label=label, epsilon=eps, epsilon_kappa=kappa, seed=seed))
+        entries.append(RunEntry("_".join(parts) or None, eps, kappa, seed))
     return entries
 
 
@@ -428,43 +367,25 @@ def _algorithm_config(cfg: ExperimentConfig) -> InexactAPConfig:
     )
 
 
-def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of the two an entry's seed spawns (0: start point, 1: phase)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(2)[index]))
 
 
-def _max_measured_gamma(trace: IterationTrace) -> float | None:
-    values = [r.gamma for r in trace.records if math.isfinite(r.gamma)]
-    return max(values) if values else None
-
-
-def _try_measure_rate(trace: IterationTrace) -> float | None:
-    try:
-        return measure_rate(trace)
-    except RateMeasurementError:
-        return None
-
-
-def _try_predict(c_bar: float | None, gamma: float, prox_regular: bool = True):
-    if c_bar is None:
-        return None, None
-    try:
-        pred = predict_rate(c_bar, gamma, m_prox_regular=prox_regular)
-    except ValueError:
-        return None, None
-    return pred.eta, pred.r_linear_rate
+def _random_start(seed: int, dim: int) -> Point:
+    return Point(_stream(seed, 0).standard_normal(dim))
 
 
 def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                       rng: np.random.Generator) -> tuple[IterationTrace, dict]:
+                       outdir: Path) -> tuple[IterationTrace, dict]:
     if cfg.dim_u is not None:
         setC, setM = problems.two_subspaces(cfg.dim, cfg.dim_u, cfg.dim_v, entry.seed)
     else:
-        theta = cfg.theta if cfg.theta is not None else math.pi / 3
-        setC, setM = problems.two_lines(theta, cfg.dim)
+        setC, setM = problems.two_lines(cfg.theta, cfg.dim)
     estimate = cbar_subspaces(null_space(setC.matrix), null_space(setM.matrix))
-    start = Point(rng.standard_normal(setC.dim))
+    start = _random_start(entry.seed, setC.dim)
     gamma_pred = cfg.gamma
-
+    extras = {"c_bar": estimate.c_bar}
     m = None
     if cfg.algorithm == "exact_ap":
         trace = exact_alternating_projections(setC, setM, start, acfg)
@@ -478,66 +399,49 @@ def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPCo
         m = RegularizedSet(LinearMap(setM.matrix), np.zeros(len(setM.matrix)),
                            EuclideanKernel(), entry.epsilon)
         trace = regularized_extrapolated_ap(setC, m, setM, start, acfg)
-    eta, rate = _try_predict(estimate.c_bar, gamma_pred)
-    extras = {
-        "c_bar": estimate.c_bar,
-        "eta": eta,
-        "predicted_rate": rate,
-        "residual_constraint": setC.membership_residual(trace.final_even),
-        "residual_data": setM.membership_residual(trace.final_even),
-    }
-    if m is not None:
         extras["residual_data"] = max(m.residual(trace.final_even) - entry.epsilon, 0.0)
         extras["interior"] = interiority_check(m, trace.final_even)
+    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
+    if m is None:
+        extras["residual_data"] = setM.membership_residual(trace.final_even)
+    with contextlib.suppress(ValueError):  # no certified rate: eta stays null
+        pred = predict_rate(estimate.c_bar, gamma_pred)
+        extras.update(eta=pred.eta, predicted_rate=pred.r_linear_rate)
     return trace, extras
 
 
 def _run_parallel_lines(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                        rng: np.random.Generator) -> tuple[IterationTrace, dict]:
-    start = Point(rng.standard_normal(2))
+                        outdir: Path) -> tuple[IterationTrace, dict]:
+    start = _random_start(entry.seed, 2)
     if cfg.algorithm == "exact_ap":
         setC, setM = problems.parallel_lines(cfg.gap)
         trace = exact_alternating_projections(setC, setM, start, acfg)
-        data_res = setM.membership_residual(trace.final_even)
-        extras = {}
+        extras = {"residual_data": setM.membership_residual(trace.final_even)}
     else:
         setC, fat, line = problems.slab_problem(cfg.gap, entry.epsilon)
         trace = regularized_extrapolated_ap(setC, fat, line, start, acfg)
-        data_res = max(fat.residual(trace.final_even) - entry.epsilon, 0.0)
-        extras = {"interior": interiority_check(fat, trace.final_even)}
-    extras.update({
-        "c_bar": None,
-        "predicted_rate": None,
-        "residual_constraint": setC.membership_residual(trace.final_even),
-        "residual_data": data_res,
-    })
+        extras = {"residual_data": max(fat.residual(trace.final_even) - entry.epsilon, 0.0),
+                  "interior": interiority_check(fat, trace.final_even)}
+    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
     return trace, extras
 
 
 def _run_box_affine(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                    rng: np.random.Generator) -> tuple[IterationTrace, dict]:
+                    outdir: Path) -> tuple[IterationTrace, dict]:
+    start = _random_start(entry.seed, cfg.n)
     if cfg.algorithm == "exact_ap":
         affine, box, xbar = problems.box_affine(cfg.n, cfg.m, entry.seed)
-        start = Point(rng.standard_normal(cfg.n))
         trace = exact_alternating_projections(affine, box, start, acfg)
-        data_res = box.membership_residual(trace.final_even)
-        epsilon = None
-        extras = {}
+        extras = {"residual_data": box.membership_residual(trace.final_even)}
     else:
         affine, fat, anchor, xbar, epsilon = problems.box_affine_regularized(
             cfg.n, cfg.m, cfg.noise, entry.epsilon_kappa, entry.seed)
-        start = Point(rng.standard_normal(cfg.n))
         trace = regularized_extrapolated_ap(affine, fat, anchor, start, acfg)
-        data_res = max(fat.residual(trace.final_even) - epsilon, 0.0)
-        extras = {"interior": interiority_check(fat, trace.final_even)}
-    extras.update({
-        "c_bar": None,
-        "predicted_rate": None,
-        "epsilon": epsilon,
-        "residual_constraint": affine.membership_residual(trace.final_even),
-        "residual_data": data_res,
-        "solution_error": trace.final_even.distance(xbar) / max(xbar.norm(), 1e-300),
-    })
+        extras = {"epsilon": epsilon,
+                  "residual_data": max(fat.residual(trace.final_even) - epsilon, 0.0),
+                  "interior": interiority_check(fat, trace.final_even)}
+    extras["residual_constraint"] = affine.membership_residual(trace.final_even)
+    extras["solution_error"] = trace.final_even.distance(xbar) / max(xbar.norm(), 1e-300)
     return trace, extras
 
 
@@ -549,18 +453,17 @@ def _phase_instance(cfg: ExperimentConfig, seed: int) -> PhaseInstance:
             raise IOFailure(f"cannot read instance file {cfg.instance}: {exc}") from None
         except ValueError as exc:
             raise IOFailure(str(exc)) from None
-    return _synthesize_kind(cfg.object_kind, cfg.shape, cfg.margin, cfg.photon_scale, seed)
+    return _synthesize(cfg, seed)
 
 
-def _synthesize_kind(object_kind: str, shape: tuple[int, int], margin: int,
-                     photon_scale: float, seed: int) -> PhaseInstance:
-    if object_kind == "smooth":
-        support = box_support(shape, max(2, 3 * min(shape) // 16))
+def _synthesize(cfg: ExperimentConfig, seed: int) -> PhaseInstance:
+    if cfg.object == "smooth":
+        support = box_support(cfg.shape, max(2, 3 * min(cfg.shape) // 16))
         image = smooth_object(support, seed)
     else:
-        image = cup_object(shape) if object_kind == "cup" else None
-        support = loose_support(cup_object(shape), margin)
-    return synthesize(shape, support, photon_scale, seed, object_image=image)
+        image = cup_object(cfg.shape) if cfg.object == "cup" else None
+        support = loose_support(cup_object(cfg.shape), cfg.margin)
+    return synthesize(cfg.shape, support, cfg.photon_scale, seed, object_image=image)
 
 
 def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
@@ -573,14 +476,13 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
 
     if cfg.algorithm == "exact_ap":
         setM = FourierMagnitudeSet(inst.observed.ravel(), inst.shape)
-        rng = _philox(np.random.SeedSequence(entry.seed).spawn(2)[1])
+        rng = _stream(entry.seed, 1)
         start_img = np.zeros(inst.shape)
         start_img[inst.support] = rng.uniform(0.0, 1.0, size=int(inst.support.sum()))
         x0 = Point.from_complex(start_img.ravel().astype(np.complex128))
         trace = exact_alternating_projections(setC, setM, x0, acfg)
         recon = trace.final_even.as_complex().real.reshape(inst.shape)
         extras.update({
-            "epsilon": None,
             "residual_data": setM.membership_residual(trace.final_even),
             "aligned_error": aligned_error(recon, inst.object_image),
         })
@@ -602,30 +504,57 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
                          if epsilon > 0 else False),
         })
 
-    extras.update({
-        "c_bar": None,
-        "predicted_rate": None,
-        "residual_constraint": setC.membership_residual(trace.final_even),
-    })
+    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
     export_grid(recon, outdir / "reconstruction")
     export_grid(inst.object_image, outdir / "truth")
     return trace, extras
 
 
+@dataclass(frozen=True)
+class ProblemSpec:
+    """One problem's row of the config table.
+
+    ``keys`` are read under every algorithm, ``regularized_keys`` only by
+    regularized runs, which need exactly one of ``epsilon_keys`` (positive if
+    only one is allowed, else nonnegative).
+    """
+
+    algorithms: tuple[str, ...]
+    keys: tuple[str, ...]
+    regularized_keys: tuple[str, ...]
+    epsilon_keys: tuple[str, ...]
+    runner: Callable[..., tuple[IterationTrace, dict]]
+
+    def reads(self, algorithm: str) -> set[str]:
+        """The config keys a run of this problem with ``algorithm`` reads."""
+        regularized = algorithm == "regularized_extrapolated"
+        return {*_COMMON_KEYS, *ALGORITHMS[algorithm], *self.keys,
+                *(self.regularized_keys + self.epsilon_keys if regularized else ())}
+
+
+_EXACT_AND_REGULARIZED = ("exact_ap", "regularized_extrapolated")
+_PHASE_KEYS = ("shape", "photon_scale", "margin", "object")
+PROBLEMS: dict[str, ProblemSpec] = {
+    "two_subspaces": ProblemSpec(tuple(ALGORITHMS), ("theta", "dim", "dim_u", "dim_v"), (),
+                                 ("epsilon",), _run_two_subspaces),
+    "parallel_lines": ProblemSpec(_EXACT_AND_REGULARIZED, ("gap",), (),
+                                  ("epsilon",), _run_parallel_lines),
+    "box_affine": ProblemSpec(_EXACT_AND_REGULARIZED, ("n", "m"), ("noise",),
+                              ("epsilon_kappa",), _run_box_affine),
+    "phase_retrieval": ProblemSpec(_EXACT_AND_REGULARIZED, _PHASE_KEYS, ("n_restarts",),
+                                   _EPSILON_KEYS, _run_phase),
+    "custom": ProblemSpec(_EXACT_AND_REGULARIZED, ("instance",), ("n_restarts",),
+                          _EPSILON_KEYS, _run_phase),
+}
+
+
 def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
-    acfg = _algorithm_config(cfg)
-    rng = _philox(np.random.SeedSequence(entry.seed).spawn(2)[0])
-
-    if cfg.problem == "two_subspaces":
-        trace, extras = _run_two_subspaces(cfg, entry, acfg, rng)
-    elif cfg.problem == "parallel_lines":
-        trace, extras = _run_parallel_lines(cfg, entry, acfg, rng)
-    elif cfg.problem == "box_affine":
-        trace, extras = _run_box_affine(cfg, entry, acfg, rng)
-    else:
-        trace, extras = _run_phase(cfg, entry, acfg, outdir)
-
+    trace, extras = PROBLEMS[cfg.problem].runner(cfg, entry, _algorithm_config(cfg), outdir)
+    try:
+        measured_rate = measure_rate(trace)
+    except RateMeasurementError:
+        measured_rate = None
     summary = {
         "run": entry.label or "run",
         "problem": cfg.problem,
@@ -634,13 +563,14 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
         "epsilon": entry.epsilon,
         "epsilon_kappa": entry.epsilon_kappa,
         "gamma_bound": cfg.gamma,
-        "gamma_max": _max_measured_gamma(trace),
+        "gamma_max": max((r.gamma for r in trace.records if math.isfinite(r.gamma)),
+                         default=None),
         "lambda_schedule": (cfg.lambda_schedule
                             if cfg.algorithm == "regularized_extrapolated" else None),
         "iterations": len(trace),
         "reason": trace.reason,
         "converged": trace.reason in CONVERGED_REASONS,
-        "measured_rate": _try_measure_rate(trace),
+        "measured_rate": measured_rate,
         "c_bar": None,
         "eta": None,
         "predicted_rate": None,
@@ -650,18 +580,15 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
     summary.update(extras)
     for key, value in summary.items():
         if isinstance(value, (np.floating, np.integer)):
-            summary[key] = value.item()
+            value = value.item()
+        # strict JSON, as in trace.json: a non-finite number is written as null
+        summary[key] = None if isinstance(value, float) and not math.isfinite(value) else value
     trace.to_csv(outdir / "trace.csv")
     trace.to_json(outdir / "trace.json")
     with atomic_open(outdir / "summary.json") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
-
-
-def _entry_worker(payload) -> dict:
-    cfg, entry, outdir = payload
-    return _execute_entry(cfg, entry, Path(outdir))
 
 
 # ---------------------------------------------------------------------------
@@ -731,21 +658,23 @@ def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Verbs
 
+# ``regap run`` flags (``--max-iter`` for ``max_iter``), each overriding its config key.
+_RUN_FLAGS = {
+    "out": "output directory (overrides the config)",
+    "seed": "seed or comma list (overrides the config)",
+    "epsilon": "epsilon or comma list (overrides the config)",
+    "gamma": "alignment-residual bound",
+    "lambda_schedule": "surface | constant_one | custom",
+    "max_iter": "iteration cap",
+    "jobs": "worker processes for sweeps",
+}
+
+
 def cmd_run(args) -> int:
-    overrides = {
-        "out": args.out,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "lambda_schedule": args.lambda_schedule,
-        "max_iter": args.max_iter,
-        "jobs": args.jobs,
-    }
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, {key: getattr(args, key) for key in _RUN_FLAGS})
     entries = sweep_entries(cfg)
     out_root = Path(cfg.out)
     run_dirs = [out_root / entry.label if entry.label else out_root for entry in entries]
-    payloads = [(cfg, entry, str(outdir)) for entry, outdir in zip(entries, run_dirs)]
     # The directories this run creates, parents first; a failed run removes
     # those that are still empty.
     fresh = [d for d in (*reversed(out_root.parents), out_root, *run_dirs) if not d.exists()]
@@ -755,11 +684,12 @@ def cmd_run(args) -> int:
         raise IOFailure(f"cannot create output directory {out_root}: {exc}") from None
 
     try:
-        if cfg.jobs > 1 and len(payloads) > 1:
+        if cfg.jobs > 1 and len(entries) > 1:
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                summaries = list(pool.map(_entry_worker, payloads))
+                summaries = list(pool.map(_execute_entry, [cfg] * len(entries), entries,
+                                          run_dirs))
         else:
-            summaries = [_entry_worker(p) for p in payloads]
+            summaries = list(map(_execute_entry, [cfg] * len(entries), entries, run_dirs))
     except BaseException:
         for d in reversed(fresh):
             with contextlib.suppress(OSError):
@@ -795,31 +725,19 @@ _SYNTH_KEYS = ("shape", "photon_scale", "margin", "object", "seed")
 
 
 def cmd_synth(args) -> int:
-    data: dict[str, str] = {}
-    if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise IOFailure(f"cannot read config file {args.config}: {exc}") from None
-        data = parse_config_text(text, source=str(args.config))
-        unknown = sorted(set(data) - set(_SYNTH_KEYS))
-        if unknown:
-            raise ConfigError(f"synth accepts only {', '.join(_SYNTH_KEYS)}; "
-                              f"got {', '.join(unknown)}")
+    data = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(data) - set(_SYNTH_KEYS))
+    if unknown:
+        raise ConfigError(f"synth accepts only {', '.join(_SYNTH_KEYS)}; "
+                          f"got {', '.join(unknown)}")
     if args.seed is not None:
         data["seed"] = args.seed
-    shape = _parse_shape(data["shape"]) if "shape" in data else (32, 32)
-    photon_scale = parse_scalar(data["photon_scale"]) if "photon_scale" in data else 1e4
-    margin = _parse_int(data["margin"]) if "margin" in data else 2
-    object_kind = (_parse_choice(data["object"], OBJECTS, "object")
-                   if "object" in data else "cup")
-    seeds = _parse_int_list(data["seed"]) if "seed" in data else (0,)
-    if len(seeds) != 1:
+    # the phase problem's validation checks the instance keys for both verbs
+    cfg = config_from_mapping({**data, "problem": "phase_retrieval", "algorithm": "exact_ap"})
+    if len(cfg.seed) != 1:
         raise ConfigError("synth takes a single seed")
-    if photon_scale <= 0:
-        raise ConfigError("photon_scale must be positive")
 
-    instance = _synthesize_kind(object_kind, shape, margin, photon_scale, seeds[0])
+    instance = _synthesize(cfg, cfg.seed[0])
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -843,14 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment described by a config file")
     run_p.add_argument("--config", required=True, help="key=value experiment file")
-    run_p.add_argument("--out", help="output directory (overrides the config)")
-    run_p.add_argument("--seed", help="seed or comma list (overrides the config)")
-    run_p.add_argument("--epsilon", help="epsilon or comma list (overrides the config)")
-    run_p.add_argument("--gamma", help="alignment-residual bound")
-    run_p.add_argument("--lambda-schedule", dest="lambda_schedule",
-                       help="surface | constant_one | custom")
-    run_p.add_argument("--max-iter", dest="max_iter", help="iteration cap")
-    run_p.add_argument("--jobs", help="worker processes for sweeps")
+    for key, help_text in _RUN_FLAGS.items():
+        run_p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
     rep_p = sub.add_parser("report", help="tabulate completed runs for plotting")
     rep_p.add_argument("runs", nargs="+", help="run directories")
@@ -858,8 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     syn_p = sub.add_parser("synth", help="generate a synthetic phase instance file")
     syn_p.add_argument("--out", required=True, help="instance file path")
-    syn_p.add_argument("--config", help="optional key=value file (shape, photon_scale, "
-                                        "margin, object, seed)")
+    syn_p.add_argument("--config", help=f"optional key=value file ({', '.join(_SYNTH_KEYS)})")
     syn_p.add_argument("--seed", help="seed (overrides the config)")
     return parser
 
@@ -873,10 +784,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IOFailure as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IOFailure, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SolverError, RuntimeError, ValueError) as exc:

@@ -236,6 +236,7 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     Thurman & Fienup, Opt. Lett. 33(2), 2008); the exact norm is then taken
     at every shift within rounding of the smallest, so the result equals the
     smallest relative Euclidean error over all shifts and both orientations.
+    It is ``nan`` when the truth image's norm overflows float64.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -244,6 +245,8 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     denom = np.linalg.norm(truth)
     if denom == 0:
         raise ValueError("truth image is identically zero")
+    if not np.isfinite(denom):
+        return float("nan")
     reflected = np.roll(np.flip(candidate, axis=(0, 1)), shift=(1, 1), axis=(0, 1))
     shape = truth.shape
     truth_hat = np.fft.rfftn(truth)
@@ -312,8 +315,8 @@ def load_instance(path) -> PhaseInstance:
     """Read a container written by :func:`save_instance`.
 
     Raises ``ValueError`` naming the file and the offending field when the
-    magic, the byte length implied by the header, or the intensities
-    (finite and nonnegative) are wrong.
+    magic, the byte length implied by the header, the object image (finite)
+    or the intensities (finite and nonnegative) are wrong.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -335,6 +338,8 @@ def load_instance(path) -> PhaseInstance:
         arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy())
         off += 8 * n
     obj, intensity, observed = (a.reshape(n1, n2) for a in arrays)
+    if not np.all(np.isfinite(obj)):
+        raise ValueError(f"{path}: object image: entries must be finite")
     for field, values in (("noiseless intensity", intensity), ("observed intensity", observed)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: {field}: entries must be finite")

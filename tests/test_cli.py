@@ -1,15 +1,22 @@
 """Command-line interface: config grammar, validation, verbs, exit codes."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_instance
 from regap import cli
@@ -79,6 +86,58 @@ def test_parse_config_text_errors():
         parse_config_text("a =\n")
 
 
+@pytest.mark.parametrize("text", ["nan", "-inf", "1e400", "pi*1e308*10", "NaN/pi"])
+def test_parse_scalar_rejects_non_finite(text):
+    with pytest.raises(ConfigError, match=re.escape(repr(text))):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("keys, text", [
+    ("problem = two_subspaces\nalgorithm = exact_ap\nfixed_point_tolerance = nan\n", "nan"),
+    ("problem = phase_retrieval\nalgorithm = regularized_extrapolated\nepsilon = nan\n", "nan"),
+    ("problem = parallel_lines\nalgorithm = exact_ap\ngap = nan\n", "nan"),
+    ("problem = phase_retrieval\nalgorithm = exact_ap\nphoton_scale = inf\n", "inf"),
+    ("problem = box_affine\nalgorithm = regularized_extrapolated\nepsilon_kappa = 1\n"
+     "noise = 1e400\n", "1e400"),
+])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, keys, text):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, keys + f"out = {out}\n")
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(text) in err
+    assert not out.exists()
+
+
+# Texts of every kind the parsers meet: finite and non-finite numbers, lists,
+# choices, booleans and junk.
+_VALUE_TEXTS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "pi/0", "nan, 1", "0", "-1",
+                     "0.5", "2", "3", "1e-9", "pi/3", "16, 16", "3, 3", "4, 4", "0, 1",
+                     "custom", "smooth", "cup", "true", "x.phz"]),
+    st.floats().map(repr),
+    st.integers(-3, 40).map(str),
+    st.lists(st.floats().map(repr), min_size=1, max_size=3).map(", ".join),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(problem=st.sampled_from(sorted(cli.PROBLEMS)),
+       algorithm=st.sampled_from(sorted(cli.ALGORITHMS)),
+       extra=st.dictionaries(st.sampled_from(sorted(cli._KEY_PARSERS)), _VALUE_TEXTS,
+                             max_size=3))
+def test_config_from_mapping_yields_finite_config_or_config_error(problem, algorithm, extra):
+    try:
+        cfg = config_from_mapping({"problem": problem, "algorithm": algorithm, **extra})
+    except ConfigError:
+        return
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(v, float) or math.isfinite(v), (f.name, value)
+
+
 def test_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_mapping({"problem": "two_subspaces", "algorithm": "exact_ap",
@@ -138,6 +197,13 @@ def test_problem_specific_keys_forbidden_elsewhere():
         cfg_of(problem="box_affine", algorithm="exact_ap", shape="8,8")
     with pytest.raises(ConfigError, match="instance"):
         cfg_of(problem="two_subspaces", algorithm="exact_ap", instance="x.phz")
+    # keys that only regularized runs read
+    with pytest.raises(ConfigError, match="n_restarts"):
+        cfg_of(problem="phase_retrieval", algorithm="exact_ap", n_restarts="2")
+    with pytest.raises(ConfigError, match="n_restarts"):
+        cfg_of(problem="custom", algorithm="exact_ap", instance="x.phz", n_restarts="2")
+    with pytest.raises(ConfigError, match="noise"):
+        cfg_of(problem="box_affine", algorithm="exact_ap", noise="0.1")
 
 
 def test_two_subspaces_angle_rules():
@@ -172,6 +238,30 @@ def test_custom_requires_instance_and_schedule_rules():
     with pytest.raises(ConfigError, match="membership_tolerance"):
         cfg_of(problem="two_subspaces", algorithm="exact_ap",
                membership_tolerance="0")
+
+
+def _readme_key_table():
+    """(keys, readers) of each row of the README's config-key table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return [(re.findall(r"`(\w+)`", keys), re.findall(r"`(\w+)`", readers))
+            for keys, readers in rows]
+
+
+def test_readme_key_table_matches_the_problem_table():
+    table = _readme_key_table()
+    assert sorted(k for keys, _ in table for k in keys) == sorted(cli._KEY_PARSERS)
+    # "read by" names problems and/or algorithms; none named means all of them
+    for keys, readers in table:
+        problems = set(readers) & set(cli.PROBLEMS) or set(cli.PROBLEMS)
+        algorithms = set(readers) & set(cli.ALGORITHMS) or set(cli.ALGORITHMS)
+        assert set(readers) <= problems | algorithms, readers
+        for problem, spec in cli.PROBLEMS.items():
+            for algorithm in spec.algorithms:
+                expected = problem in problems and algorithm in algorithms
+                for key in keys:
+                    assert (key in spec.reads(algorithm)) == expected, (key, problem, algorithm)
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +479,29 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def patch_runner(monkeypatch, problem, runner):
+    """Swap the runner of ``problem``'s entry in the problem table."""
+    spec = dataclasses.replace(cli.PROBLEMS[problem], runner=runner)
+    monkeypatch.setitem(cli.PROBLEMS, problem, spec)
+
+
 def test_solver_failure_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     def boom(*a, **kw):
         raise StepConditionError("cycle 3: no candidate step within 0.5")
-    monkeypatch.setattr(cli, "_run_two_subspaces", boom)
+    patch_runner(monkeypatch, "two_subspaces", boom)
     cfg = write_config(tmp_path, TWO_LINES_CFG + f"out = {tmp_path / 'y'}\n")
     assert run_cli("run", "--config", str(cfg)) == 3
     assert "solver error" in capsys.readouterr().err
 
 
 def test_failed_run_leaves_no_empty_directory(tmp_path, monkeypatch):
-    solve = cli._run_two_subspaces
+    solve = cli.PROBLEMS["two_subspaces"].runner
 
     def fails_on_seed_two(cfg, entry, *args):
         if entry.seed == 2:
             raise StepConditionError("cycle 3: no candidate step within 0.5")
         return solve(cfg, entry, *args)
-    monkeypatch.setattr(cli, "_run_two_subspaces", fails_on_seed_two)
+    patch_runner(monkeypatch, "two_subspaces", fails_on_seed_two)
 
     fresh = tmp_path / "runs" / "y"
     cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = 2, 3\nout = {fresh}\n")
@@ -506,6 +602,26 @@ def test_synth_rejects_run_only_keys(tmp_path, capsys):
     assert "synth accepts only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "synth"])
+@pytest.mark.parametrize("keys, message", [
+    ("margin = -40\n", "margin"),
+    ("object = smooth\nshape = 3, 16\n", "smooth"),
+])
+def test_phase_geometry_errors_are_config_errors(tmp_path, capsys, verb, keys, message):
+    out = tmp_path / "out"
+    if verb == "run":
+        cfg = write_config(tmp_path, "problem = phase_retrieval\nalgorithm = exact_ap\n"
+                                     f"{keys}out = {out}\n")
+        argv = ("run", "--config", str(cfg))
+    else:
+        argv = ("synth", "--out", str(out / "i.phz"), "--config",
+                str(write_config(tmp_path, keys)))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 def test_synth_rejects_seed_lists(tmp_path, capsys):
     assert run_cli("synth", "--out", str(tmp_path / "i.phz"), "--seed", "1,2") == 2
     assert "single seed" in capsys.readouterr().err
@@ -531,7 +647,8 @@ def _corrupt_instance_run(tmp_path, corrupt):
     raw = bytearray(inst_path.read_bytes())
     n = 16 * 16
     header = 8 + 24
-    offsets = {"noiseless": header + n + 8 * n, "observed": header + n + 16 * n}
+    offsets = {"object": header + n, "noiseless": header + n + 8 * n,
+               "observed": header + n + 16 * n}
     inst_path.write_bytes(bytes(corrupt(raw, offsets)))
     cfg = write_config(tmp_path, (
         "problem = custom\n"
@@ -552,6 +669,7 @@ def _put(raw, offset, value):
     (lambda raw, off: _put(raw, off["observed"] + 8 * 5, math.nan), "observed intensity"),
     (lambda raw, off: _put(raw, off["noiseless"], -1.0), "noiseless intensity"),
     (lambda raw, off: _put(raw, off["observed"] + 8 * 7, -0.5), "observed intensity"),
+    (lambda raw, off: _put(raw, off["object"] + 8 * 100, math.nan), "object image"),
     (lambda raw, off: raw + b"trailing garbage", "shape"),
     (lambda raw, off: raw[:-3], "shape"),
 ])
@@ -561,6 +679,55 @@ def test_custom_run_rejects_bad_instance_data(tmp_path, capsys, corrupt, field):
     assert "io error" in err and "inst.phz" in err and field in err
     assert "Traceback" not in err
     assert not (tmp_path / "z" / "summary.json").exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_summary_writes_non_finite_numbers_as_null(tmp_path):
+    # a finite but huge object pixel overflows the aligned error
+    assert _corrupt_instance_run(
+        tmp_path, lambda raw, off: _put(raw, off["object"] + 8 * 100, 1e300)) == 0
+    summary = _strict_json((tmp_path / "z" / "summary.json").read_text())
+    assert summary["aligned_error"] is None
+
+
+_INSTANCE_BYTES = []
+
+
+def _instance_bytes():
+    if not _INSTANCE_BYTES:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.phz"
+            save_instance(smooth_instance(3, shape=(16, 16)), path)
+            _INSTANCE_BYTES.append(path.read_bytes())
+    return _INSTANCE_BYTES[0]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 8 + 24 + 16 * 16 * 25 - 1), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_corrupt_instance_bytes_exit_zero_or_four(edits):
+    raw = bytearray(_instance_bytes())
+    for offset, byte in edits:
+        raw[offset] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "inst.phz").write_bytes(raw)
+        cfg = write_config(tmp, "problem = custom\nalgorithm = regularized_extrapolated\n"
+                                f"instance = {tmp / 'inst.phz'}\nepsilon_kappa = 1.0\n"
+                                f"max_iter = 5\nout = {tmp / 'z'}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("run", "--config", str(cfg))
+        assert code in (0, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        summary = tmp / "z" / "summary.json"
+        if summary.exists():
+            _strict_json(summary.read_text())
 
 
 def test_usage_errors_exit_two():
