@@ -18,9 +18,8 @@ import pathlib
 import numpy as np
 
 from regap.algorithms import InexactAPConfig
-from regap.phase import (box_support, divergence_ball, export_grid,
-                         interiority_check, reconstruct, smooth_object,
-                         synthesize)
+from regap.phase import (box_support, export_grid, interiority_check,
+                         reconstruct, smooth_object, synthesize)
 
 
 def main(argv=None) -> int:
@@ -49,7 +48,6 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_grid(truth, out / "truth")
 
-    ball = divergence_ball(instance, epsilon)
     for schedule in ("constant_one", "surface"):
         cfg = InexactAPConfig(max_iterations=args.max_iter,
                               fixed_point_tolerance=1e-7,
@@ -57,7 +55,7 @@ def main(argv=None) -> int:
                               measure_gamma=False, gap_stall_window=40)
         result = reconstruct(instance, epsilon, cfg, seed=args.seed)
         trace = result.trace
-        interior = (interiority_check(ball, trace.final_even)
+        interior = (interiority_check(result.ball, trace.final_even)
                     if trace.reason == "fixed_point" else False)
         print(f"{schedule:>13}: reason={trace.reason:<12} "
               f"iterations={len(trace.records):<4} "

@@ -19,8 +19,7 @@ from .core import (COMPLEX, REAL, TERMINATION_REASONS, DimensionMismatchError,
 from .divergences import (EuclideanKernel, ForwardMap, FourierIntensityMap,
                           IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                           LinearMap, RegularizedSet, SquareMap,
-                          bregman_line_boundary, kl_divergence, make_kernel,
-                          residual)
+                          bregman_line_boundary, kl_divergence)
 from .phase import (PhaseInstance, ReconstructionResult, aligned_error,
                     box_support, cup_object, divergence_ball, export_grid,
                     interiority_check, load_instance, loose_support, reconstruct,
@@ -28,8 +27,8 @@ from .phase import (PhaseInstance, ReconstructionResult, aligned_error,
 from .projectors import (AffineSet, BoxMagnitudeSet, FourierMagnitudeSet,
                          HalfspaceSet, NewtonConvergenceError,
                          RegularizedSetOracle, SupportNonnegSet, project_affine,
-                         project_fourier_magnitude, project_magnitude,
-                         project_regularized_approx, project_regularized_exact)
+                         project_fourier_magnitude, project_regularized_approx,
+                         project_regularized_exact)
 from .regularity import RegularityEstimate, cbar_sampled, cbar_subspaces
 
 __version__ = "0.1.0"
@@ -50,9 +49,9 @@ __all__ = [
     "cbar_subspaces",
     "cup_object", "distance", "divergence_ball", "exact_alternating_projections",
     "export_grid", "inexact_alternating_projections", "interiority_check",
-    "kl_divergence", "lerp", "load_instance", "loose_support", "make_kernel",
+    "kl_divergence", "lerp", "load_instance", "loose_support",
     "measure_rate", "predict_rate", "project_affine", "project_fourier_magnitude",
-    "project_magnitude", "project_regularized_approx", "project_regularized_exact",
+    "project_regularized_approx", "project_regularized_exact",
     "proximal_normal_residual", "reconstruct", "regularized_extrapolated_ap",
-    "residual", "save_instance", "smooth_object", "synthesize",
+    "save_instance", "smooth_object", "synthesize",
 ]

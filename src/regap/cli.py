@@ -42,12 +42,11 @@ from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
                          inexact_alternating_projections, measure_rate, predict_rate,
                          regularized_extrapolated_ap)
 from .core import (COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError,
-                   atomic_open, null_space)
+                   atomic_open, canonical_point, null_space)
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet
-from .phase import (PhaseInstance, aligned_error, box_support, cup_object,
-                    divergence_ball, export_grid, interiority_check, load_instance,
-                    loose_support, reconstruct, save_instance, smooth_object,
-                    synthesize)
+from .phase import (PhaseInstance, aligned_error, box_support, cup_object, export_grid,
+                    interiority_check, load_instance, loose_support, reconstruct,
+                    save_instance, smooth_object, synthesize)
 from .projectors import FourierMagnitudeSet, SupportNonnegSet
 from .regularity import cbar_subspaces
 
@@ -257,6 +256,12 @@ class ExperimentConfig:
             raise ConfigError("box_affine needs 0 < m < n")
         if self.photon_scale <= 0:
             raise ConfigError("photon_scale must be positive")
+        # The Poisson means reach photon_scale * n * max|object|^2 with objects
+        # <= 1.5, and numpy's sampler refuses means above about 9.2e18.
+        limit = 1e18 / (2.25 * self.shape[0] * self.shape[1])
+        if self.photon_scale > limit:
+            raise ConfigError(f"photon_scale must be at most {limit:.3g} on a "
+                              f"{self.shape[0]} x {self.shape[1]} grid")
         if self.margin < 0:
             raise ConfigError("margin must be nonnegative")
         if self.object == "smooth" and min(self.shape) < 4:
@@ -391,7 +396,7 @@ def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPCo
         trace = exact_alternating_projections(setC, setM, start, acfg)
     elif cfg.algorithm == "inexact_ap":
         oracle = problems.PerturbedLineOracle(setM, cfg.phi)
-        even = setC.project_one(start)
+        even = canonical_point(setC.project(start))
         odd = oracle.project(even)[0]
         trace = inexact_alternating_projections(setC, oracle.project, setM, even, odd, acfg)
         gamma_pred = max(cfg.gamma, math.sin(cfg.phi))
@@ -491,9 +496,7 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
                    else entry.epsilon_kappa * noise_level)
         result = reconstruct(inst, epsilon, acfg, seed=entry.seed,
                              n_restarts=cfg.n_restarts)
-        trace = result.trace
-        recon = result.reconstruction
-        ball = divergence_ball(inst, epsilon)
+        trace, recon, ball = result.trace, result.reconstruction, result.ball
         extras.update({
             "epsilon": epsilon,
             "restarts": result.restarts,

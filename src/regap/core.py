@@ -152,43 +152,43 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
     return min(candidates, key=Point.lex_key)
 
 
-def first_crossing(excess: Callable[[float], float], lo: float = 0.0, hi: float = 1.0,
-                   scan: int = 64, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Smallest member ``t`` in ``(lo, hi]``, where ``t`` is a member iff ``excess(t) <= 0``.
+def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
+    """Smallest member ``t`` in ``(0, 1]``, where ``t`` is a member iff ``excess(t) <= 0``.
 
     Callers pass a residual minus its bound, so membership is exactly the
-    test ``residual <= bound``.  A forward scan of ``scan`` cells from ``lo``
+    test ``residual <= bound``.  A forward scan of ``scan`` cells from 0
     brackets the first member, so on non-monotone excesses the first
-    crossing is returned.  The bracket is then narrowed to ``tol`` by at
-    most ``max_iter`` Illinois (modified regula falsi) steps, with
-    ``excess(lo)`` taken to seed them when the first cell holds the
+    crossing is returned.  The bracket is then narrowed to ``tol = 1e-12``
+    by at most 200 Illinois (modified regula falsi) steps, with
+    ``excess(0)`` taken to seed them when the first cell holds the
     crossing.  Each probe aims ``tol/4`` past the secant root, so the member
     end lands strictly inside the set, and stays ``tol/2`` inside the
     bracket, so the last steps close it from both sides.  A step bisects
     instead when an end value is unknown or not finite, or when the bracket
     is wider than ``2**(1 - k/2)`` scan cells after ``k`` steps; the
     refinement thus takes at most about twice bisection's evaluations.
-    ``excess(hi) <= 0`` must hold.  The returned value is always a member
-    with a non-member, or ``lo``, within ``tol`` below it.
+    ``excess(1) <= 0`` must hold.  The returned value is always a member
+    with a non-member, or 0, within ``tol`` below it.
     """
-    f_hi = float(excess(hi))
+    tol = 1e-12
+    f_hi = float(excess(1.0))
     if not f_hi <= 0.0:
         raise ValueError("the upper endpoint is not a member")
-    a, fa = lo, math.nan  # lower end: lo or a non-member
-    b, fb = hi, f_hi      # upper end: always a member
-    for t in np.linspace(lo, hi, scan + 1)[1:].tolist():
-        ft = f_hi if t == hi else float(excess(t))
+    a, fa = 0.0, math.nan  # lower end: 0 or a non-member
+    b, fb = 1.0, f_hi      # upper end: always a member
+    for t in np.linspace(0.0, 1.0, scan + 1)[1:].tolist():
+        ft = f_hi if t == 1.0 else float(excess(t))
         if ft <= 0.0:
             b, fb = t, ft
             break
         a, fa = t, ft
-    if a == lo:
-        f_lo = float(excess(lo))
+    if a == 0.0:
+        f_lo = float(excess(0.0))
         if f_lo > 0.0:
             fa = f_lo
     limit, shrink = 2.0 * (b - a), math.sqrt(0.5)
     moved = 0  # +1 when the last step moved b, -1 when it moved a
-    for _ in range(max_iter):
+    for _ in range(200):
         width = b - a
         if width <= tol:
             break
@@ -350,8 +350,9 @@ class SetOracle:
     Subclasses must set ``dim`` (real storage length) and ``kind`` and
     implement :meth:`project` and :meth:`membership_residual`.  ``project``
     returns the full finite candidate set; use :func:`canonical_point` to pick
-    the deterministic representative.  ``prox_regular`` is metadata consumed
-    by the rate predictions.  ``convex`` marks sets whose
+    the deterministic representative.  ``prox_regular`` is descriptive
+    metadata: nothing in the package reads it (``predict_rate`` takes
+    ``m_prox_regular`` from its caller).  ``convex`` marks sets whose
     ``membership_residual`` is a convex function, so the members on a segment
     form an interval and a segment search needs no scan for the first one.
     """
@@ -377,9 +378,6 @@ class SetOracle:
         raise NormalConeUnavailableError(
             f"{type(self).__name__} exposes no analytic normal cone"
         )
-
-    def project_one(self, x: Point) -> Point:
-        return canonical_point(self.project(x))
 
     def _check_point(self, x: Point) -> None:
         if x.dim != self.dim or x.kind != self.kind:

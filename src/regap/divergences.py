@@ -19,9 +19,6 @@ from .core import COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point, 
 
 CLIP_FLOOR = 1e-300
 
-EUCLIDEAN = "euclidean"
-KULLBACK_LEIBLER = "kullback_leibler"
-
 
 class KernelDomainError(ValueError):
     """Argument outside the kernel's domain."""
@@ -35,8 +32,6 @@ def _as_array(v) -> np.ndarray:
 
 class EuclideanKernel:
     """Half squared Euclidean distance, the Bregman distance of 0.5*||.||^2."""
-
-    name = EUCLIDEAN
 
     def evaluate(self, z, y) -> float:
         return self.against(y)(z)
@@ -69,8 +64,6 @@ class KullbackLeiblerKernel:
     The gradient and Hessian also clip and count zeros of ``z``, where
     ``log(z)`` and ``1/z`` have no such convention.
     """
-
-    name = KULLBACK_LEIBLER
 
     def __init__(self):
         self.clip_count = 0
@@ -127,14 +120,6 @@ class KullbackLeiblerKernel:
     def hessian_in_first_arg(self, z, y) -> np.ndarray:
         z = self._clip(_as_array(z))
         return np.diag(1.0 / z)
-
-
-def make_kernel(name: str):
-    if name == EUCLIDEAN:
-        return EuclideanKernel()
-    if name == KULLBACK_LEIBLER:
-        return KullbackLeiblerKernel()
-    raise ValueError(f"unknown kernel {name!r}")
 
 
 def kl_divergence(z, y) -> float:
@@ -409,14 +394,7 @@ class RegularizedSet:
         return self.residual(x) <= self.epsilon + tol
 
 
-def residual(m: RegularizedSet, x: Point) -> float:
-    """Divergence d(g(x), b) of the point's image from the data."""
-    return m.residual(x)
-
-
-def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
-                          tol: float = 1e-12, max_iter: int = 200,
-                          scan: int = 64) -> tuple[float, Point]:
+def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
     """First entry of the segment from ``x`` toward ``x0`` into the set.
 
     Returns ``(tau, point)`` with ``tau`` the smallest relaxation in (0, 1]
@@ -425,7 +403,9 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     secant refinement of the excess ``residual - (epsilon + MEMBERSHIP_TOL)``)
     or, for Euclidean kernels with affine maps, by a closed-form quadratic.
     Requires ``x`` outside the set and ``x0`` a member (for instance
-    a projection onto the unregularized set).  For non-monotone residuals
+    a projection onto the unregularized set); a member ``x`` raises
+    ``ValueError``, as does a non-member ``x0`` in the segment search, which
+    tests the ``x0`` end first.  For non-monotone residuals
     along the segment the first crossing found by the scan is returned, so
     the result is always a member within the membership tolerance, matching
     the slack granted to the anchor itself.
@@ -436,12 +416,8 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     should rounding in a fast ``segment`` ever disagree, the search is
     redone with the generic excess.
     """
-    rx = m.residual(x)
-    if rx <= m.epsilon:
+    if m.residual(x) <= m.epsilon:
         raise ValueError("x is already a member; no boundary crossing to find")
-    r0 = m.residual(x0)
-    if r0 > m.epsilon + MEMBERSHIP_TOL:
-        raise ValueError("anchor x0 is not a member of the set")
 
     if isinstance(m.kernel, EuclideanKernel) and m.forward.is_affine:
         u = m.forward.value(x) - m.data
@@ -466,7 +442,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     divergence = m.divergence
 
     def search(excess: Callable[[float], float]) -> tuple[float, Point]:
-        tau = float(first_crossing(excess, 0.0, 1.0, scan=scan, tol=tol, max_iter=max_iter))
+        tau = float(first_crossing(excess))
         return tau, lerp(x, x0, tau)
 
     def generic(t: float) -> float:
@@ -475,5 +451,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point,
     try:
         tau, point = search(lambda t: divergence(along(t)) - bound)
     except ValueError:  # rounding in ``along`` can put the anchor itself outside
+        if not m.contains(x0):
+            raise ValueError("anchor x0 is not a member of the set") from None
         return search(generic)
     return (tau, point) if m.contains(point) else search(generic)

@@ -183,15 +183,16 @@ def divergence_ball(instance: PhaseInstance, epsilon: float) -> RegularizedSet:
 
 @dataclass
 class ReconstructionResult:
+    """The best restart's trace and image, and the ball every restart used."""
+
     trace: IterationTrace
     reconstruction: np.ndarray
     aligned_error: float
     restarts: int
-    epsilon: float
+    ball: RegularizedSet
 
 
-def reconstruct(instance: PhaseInstance, epsilon: float,
-                cfg: InexactAPConfig | None = None, seed: int | None = None,
+def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, seed: int,
                 n_restarts: int = 1, error_target: float | None = None) -> ReconstructionResult:
     """Alternating projections between the support cone and the intensity ball.
 
@@ -199,9 +200,6 @@ def reconstruct(instance: PhaseInstance, epsilon: float,
     from a fresh start; the best symmetry-aligned reconstruction is kept and
     restarts stop early once ``error_target`` is reached.
     """
-    cfg = cfg or InexactAPConfig(max_iterations=500, fixed_point_tolerance=1e-7)
-    if seed is None:
-        seed = instance.seed + 1
     n1, n2 = instance.shape
     n = n1 * n2
     setC = SupportNonnegSet(instance.forced_zero, n, kind=COMPLEX)
@@ -220,8 +218,7 @@ def reconstruct(instance: PhaseInstance, epsilon: float,
         err = aligned_error(recon, instance.object_image)
         if best is None or err < best.aligned_error:
             best = ReconstructionResult(trace=trace, reconstruction=recon,
-                                        aligned_error=err, restarts=restart,
-                                        epsilon=float(epsilon))
+                                        aligned_error=err, restarts=restart, ball=m)
         if error_target is not None and best.aligned_error <= error_target:
             break
     return best
@@ -236,13 +233,15 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     Thurman & Fienup, Opt. Lett. 33(2), 2008); the exact norm is then taken
     at every shift within rounding of the smallest, so the result equals the
     smallest relative Euclidean error over all shifts and both orientations.
-    It is ``nan`` when the truth image's norm overflows float64.
+    It is ``nan`` when the truth image's squared norm, which the norm is
+    computed from, overflows float64.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if candidate.shape != truth.shape:
         raise ValueError("images must share a shape")
-    denom = np.linalg.norm(truth)
+    with np.errstate(over="ignore"):
+        denom = np.linalg.norm(truth)
     if denom == 0:
         raise ValueError("truth image is identically zero")
     if not np.isfinite(denom):
@@ -264,15 +263,12 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     return float(best / denom)
 
 
-def interiority_check(m: RegularizedSet, x: Point, n_perturbations: int = 20,
-                      radius: float = 1e-6, seed: int = 0) -> bool:
-    """True when random perturbations of ``x`` of norm ``radius`` stay members."""
-    if n_perturbations < 1 or radius <= 0:
-        raise ValueError("need a positive perturbation count and radius")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(n_perturbations):
+def interiority_check(m: RegularizedSet, x: Point) -> bool:
+    """True when 20 random perturbations of ``x`` of norm 1e-6 (seed 0) stay members."""
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    for _ in range(20):
         d = rng.standard_normal(x.dim)
-        d *= radius / np.linalg.norm(d)
+        d *= 1e-6 / np.linalg.norm(d)
         if not m.contains(Point(x.data + d, x.kind)):
             return False
     return True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Point, SetOracle, null_space
+from .core import Point, SetOracle, canonical_point, null_space
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet, SquareMap
 from .projectors import AffineSet, BoxMagnitudeSet
 
@@ -105,7 +105,7 @@ class PerturbedLineOracle(SetOracle):
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        exact = self.line.project_one(x)
+        exact = canonical_point(self.line.project(x))
         offset = np.tan(self.phi) * x.distance(exact)
         return [Point(exact.data + offset * self.direction)]
 

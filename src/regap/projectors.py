@@ -266,37 +266,19 @@ def project_affine(s: AffineSet, x: Point) -> Point:
     return s.project(x)[0]
 
 
-def project_magnitude(s: BoxMagnitudeSet, x: Point) -> list[Point]:
-    """Candidate projections onto a componentwise magnitude set."""
-    return s.project(x)
-
-
 def project_fourier_magnitude(intensity, x: Point, shape=None) -> Point:
-    """Projection onto {x : |F x|^2 = b} for the unitary DFT F.
-
-    Replaces each DFT coefficient's modulus by sqrt(b_k) while keeping its
-    phase; coefficients at exactly zero get phase 1.  Because F is unitary
-    this is an exact Euclidean projection.
-    """
-    b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
-    if np.any(b < 0):
-        raise ValueError("intensities must be nonnegative")
-    if shape is None:
-        shape = (b.size,)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != b.size or x.kind != COMPLEX or x.n != b.size:
-        raise DimensionMismatchError("intensity, shape, and point sizes disagree")
-    grid = x.as_complex().reshape(shape)
-    X = np.fft.fftn(grid, norm="ortho")
-    mag = np.abs(X)
-    phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
-    Y = np.sqrt(b).reshape(shape) * phase
-    y = np.fft.ifftn(Y, norm="ortho")
-    return Point.from_complex(y.ravel())
+    """Projection onto {x : |F x|^2 = b} for the unitary DFT F."""
+    return FourierMagnitudeSet(intensity, shape).project(x)[0]
 
 
 class FourierMagnitudeSet(SetOracle):
-    """Set {x : |F x|^2 = b} of complex grids with prescribed DFT intensities."""
+    """Set {x : |F x|^2 = b} of complex grids with prescribed DFT intensities.
+
+    ``project`` replaces each DFT coefficient's modulus by sqrt(b_k), taken
+    once at construction, while keeping its phase; coefficients at exactly
+    zero get phase 1.  Because F is unitary this is an exact Euclidean
+    projection.
+    """
 
     kind = COMPLEX
     prox_regular = False
@@ -310,10 +292,15 @@ class FourierMagnitudeSet(SetOracle):
         if int(np.prod(self.shape)) != b.size:
             raise DimensionMismatchError("shape does not match the intensity length")
         super().__init__(2 * b.size)
+        self._magnitude = np.sqrt(b).reshape(self.shape)
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        return [project_fourier_magnitude(self.intensity, x, self.shape)]
+        X = np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")
+        mag = np.abs(X)
+        phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
+        y = np.fft.ifftn(self._magnitude * phase, norm="ortho")
+        return [Point.from_complex(y.ravel())]
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
@@ -324,32 +311,26 @@ class FourierMagnitudeSet(SetOracle):
 class RegularizedSetOracle(SetOracle):
     """Set-oracle facade over a divergence ball.
 
-    ``projection`` selects how ``project`` answers: "exact" uses the KKT
-    Newton solve (small instances, smooth maps), "approx" walks the segment
-    toward a projection onto the unregularized set, which then must be
-    supplied as ``unregularized``.  The normal cone at a boundary point is
-    the ray spanned by the residual gradient; interior points report the
-    zero cone.
+    Without an ``unregularized`` oracle, ``project`` uses the KKT Newton
+    solve (small instances, smooth maps); with one, it walks the segment
+    toward a projection onto that unregularized set.  The normal cone at a
+    boundary point is the ray spanned by the residual gradient; interior
+    points report the zero cone.
     """
 
-    def __init__(self, m: RegularizedSet, unregularized: SetOracle | None = None,
-                 projection: str = "exact", prox_regular: bool = True):
+    prox_regular = True
+
+    def __init__(self, m: RegularizedSet, unregularized: SetOracle | None = None):
         super().__init__(m.dim)
-        if projection not in ("exact", "approx"):
-            raise ValueError("projection must be 'exact' or 'approx'")
-        if projection == "approx" and unregularized is None:
-            raise ValueError("approximate projection needs the unregularized oracle")
         self.m = m
         self.kind = m.kind
         self.unregularized = unregularized
-        self.projection = projection
-        self.prox_regular = prox_regular
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
         if self.m.contains(x):
             return [x]
-        if self.projection == "exact":
+        if self.unregularized is None:
             return [project_regularized_exact(self.m, x)]
         point, _ = project_regularized_approx(self.m, self.unregularized, x)
         return [point]
@@ -371,16 +352,16 @@ class RegularizedSetOracle(SetOracle):
         return RayCone(grad.data)
 
 
-def project_regularized_exact(m: RegularizedSet, x: Point,
-                              max_iter: int = 100, tol: float = 1e-11) -> Point:
+def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
     """Euclidean projection onto a divergence ball via its KKT system.
 
     Solves ``(y - x) + eta * grad_r(y) = 0`` and ``r(y) = epsilon`` for the
     boundary residual ``r`` with a damped Newton method (initial multiplier
-    1, step halving).  Intended as a small-scale reference oracle: ambient
-    dimension is capped at ``NEWTON_MAX_DIM`` and the forward map must supply
-    a dense Jacobian.  Refuses ``epsilon = 0``, where the multiplier blows up
-    because the constraint gradient vanishes on the unregularized set.
+    1, step halving, at most 100 steps to a KKT residual of 1e-11).
+    Intended as a small-scale reference oracle: ambient dimension is capped
+    at ``NEWTON_MAX_DIM`` and the forward map must supply a dense Jacobian.
+    Refuses ``epsilon = 0``, where the multiplier blows up because the
+    constraint gradient vanishes on the unregularized set.
     """
     if m.epsilon <= 0:
         raise ValueError("exact projection requires epsilon > 0")
@@ -391,6 +372,7 @@ def project_regularized_exact(m: RegularizedSet, x: Point,
 
     dim = m.dim
     target = x.data
+    max_iter, tol = 100, 1e-11
 
     def kkt(z: np.ndarray, eta: float) -> tuple[np.ndarray, Point]:
         p = Point(z, m.kind)
@@ -442,9 +424,8 @@ def project_regularized_approx(m: RegularizedSet, unregularized: SetOracle,
     Projects ``x`` onto the unregularized set, then returns the first point
     of the connecting segment that enters the ball, together with the
     relaxation ``tau`` used.  Exact for Euclidean balls around affine sets.
+    A member ``x`` raises ``ValueError``.
     """
-    if m.residual(x) <= m.epsilon:
-        raise ValueError("x is already a member; the projection is x itself")
     anchor = canonical_point(unregularized.project(x))
     tau, point = bregman_line_boundary(m, x, anchor)
     return point, tau

@@ -46,13 +46,13 @@ class RegularityEstimate:
         return cls(c_bar=c, theta_bar=math.acos(c), method=method, n_samples=n_samples)
 
 
-def cbar_subspaces(basis_u, basis_v, common_tol: float = 1e-8) -> RegularityEstimate:
+def cbar_subspaces(basis_u, basis_v) -> RegularityEstimate:
     """Angle constant for two linear subspaces given by spanning columns.
 
     Computes the singular values of the cross-Gram matrix of orthonormal
     bases of the two normal spaces (orthogonal complements) and reports the
     largest one after discarding directions normal to both subspaces
-    (singular values within ``common_tol`` of 1).  Discarding shared normals
+    (singular values within 1e-8 of 1).  Discarding shared normals
     yields the quantity that governs the convergence rate of alternating
     projections between the subspaces: identical subspaces or a subspace
     contained in the other come out as 0, consistent with the one-step
@@ -71,7 +71,7 @@ def cbar_subspaces(basis_u, basis_v, common_tol: float = 1e-8) -> RegularityEsti
     if nu.shape[1] == 0 or nv.shape[1] == 0:
         return RegularityEstimate.from_c_bar(0.0, SUBSPACE_PRINCIPAL_ANGLE)
     sigma = np.linalg.svd(nu.T @ nv, compute_uv=False)
-    sigma = sigma[sigma < 1.0 - common_tol]
+    sigma = sigma[sigma < 1.0 - 1e-8]
     c_bar = float(sigma[0]) if sigma.size else 0.0
     return RegularityEstimate.from_c_bar(c_bar, SUBSPACE_PRINCIPAL_ANGLE)
 

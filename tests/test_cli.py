@@ -23,6 +23,7 @@ from regap import cli
 from regap.algorithms import StepConditionError
 from regap.cli import (ConfigError, ExperimentConfig, config_from_mapping,
                        main, parse_config_text, parse_scalar, sweep_entries)
+from regap.divergences import KullbackLeiblerKernel
 from regap.phase import save_instance
 
 
@@ -459,6 +460,26 @@ def test_run_phase_smoke(tmp_path):
         assert (out / f"{stem}.pgm").exists()
 
 
+def test_run_phase_prepares_one_kl_ball(tmp_path, monkeypatch):
+    # The summary's residual_data and interior read the ball the
+    # reconstruction used; the only other KL divergence is the noise level.
+    calls = []
+    against = KullbackLeiblerKernel.against
+
+    def counted(kernel, y):
+        calls.append(kernel)
+        return against(kernel, y)
+    monkeypatch.setattr(KullbackLeiblerKernel, "against", counted)
+    cfg = write_config(tmp_path, "problem = phase_retrieval\nalgorithm = regularized_extrapolated\n"
+                                 "object = smooth\nshape = 16, 16\nphoton_scale = 1e3\n"
+                                 "epsilon_kappa = 1.0\nmax_iter = 5\nmeasure_gamma = false\n"
+                                 f"out = {tmp_path / 'phase'}\n")
+    assert run_cli("run", "--config", str(cfg)) == 0
+    summary = json.loads((tmp_path / "phase" / "summary.json").read_text())
+    assert summary["residual_data"] is not None and summary["interior"] is not None
+    assert len(calls) == 2
+
+
 def test_run_malformed_config_creates_nothing(tmp_path, capsys):
     out = tmp_path / "never"
     cfg = write_config(tmp_path, f"problem = two_subspaces\nout = {out}\n")
@@ -606,6 +627,7 @@ def test_synth_rejects_run_only_keys(tmp_path, capsys):
 @pytest.mark.parametrize("keys, message", [
     ("margin = -40\n", "margin"),
     ("object = smooth\nshape = 3, 16\n", "smooth"),
+    ("photon_scale = 1e300\n", "photon_scale"),  # beyond numpy's Poisson sampler
 ])
 def test_phase_geometry_errors_are_config_errors(tmp_path, capsys, verb, keys, message):
     out = tmp_path / "out"
@@ -620,6 +642,13 @@ def test_phase_geometry_errors_are_config_errors(tmp_path, capsys, verb, keys, m
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+def test_photon_scale_at_its_bound_still_samples(tmp_path):
+    # The bound keeps every Poisson mean within numpy's sampler for objects up to 1.5.
+    limit = 1e18 / (2.25 * 16 * 16)
+    cfg = write_config(tmp_path, f"shape = 16, 16\nobject = random\nphoton_scale = {limit!r}\n")
+    assert run_cli("synth", "--out", str(tmp_path / "i.phz"), "--config", str(cfg)) == 0
 
 
 def test_synth_rejects_seed_lists(tmp_path, capsys):

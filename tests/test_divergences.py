@@ -12,12 +12,11 @@ from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from regap.algorithms import InexactAPConfig, regularized_extrapolated_ap
-from regap.core import COMPLEX, MEMBERSHIP_TOL, Point, first_crossing, lerp
+from regap.core import COMPLEX, MEMBERSHIP_TOL, Point, canonical_point, first_crossing, lerp
 from regap.divergences import (CLIP_FLOOR, EuclideanKernel, FourierIntensityMap, ForwardMap,
                                IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                                LinearMap, RegularizedSet, SquareMap,
-                               bregman_line_boundary, kl_divergence, make_kernel,
-                               residual)
+                               bregman_line_boundary, kl_divergence)
 from regap.phase import box_support, synthesize
 from regap.projectors import AffineSet, FourierMagnitudeSet, SupportNonnegSet
 
@@ -190,13 +189,6 @@ def test_strict_kl_divergence_matches_xlogy_reference(pairs):
     assert abs(kl_divergence(z, y) - expected) <= 1e-13 * scale
 
 
-def test_make_kernel_names():
-    assert isinstance(make_kernel("euclidean"), EuclideanKernel)
-    assert isinstance(make_kernel("kullback_leibler"), KullbackLeiblerKernel)
-    with pytest.raises(ValueError):
-        make_kernel("mahalanobis")
-
-
 # ---------------------------------------------------------------------------
 # Forward maps
 
@@ -275,7 +267,7 @@ def test_residual_and_membership():
     inside = Point(np.array([0.5, 0.5]))   # residual 0.25
     boundary = Point(np.array([1.0, 0.0]))  # residual 0.5
     outside = Point(np.array([2.0, 0.0]))   # residual 2.0
-    assert residual(ball, inside) == pytest.approx(0.25)
+    assert ball.residual(inside) == pytest.approx(0.25)
     assert ball.contains(inside) and ball.contains(boundary)
     assert not ball.contains(outside)
 
@@ -309,7 +301,7 @@ def test_boundary_closed_form_matches_brentq_oracle():
         x = Point(rng.standard_normal(5) * 3)
         if ball.contains(x):
             continue
-        x0 = affine.project_one(x)
+        x0 = canonical_point(affine.project(x))
         tau, point = bregman_line_boundary(ball, x, x0)
         def f(t):
             from regap.core import lerp
@@ -341,7 +333,7 @@ def test_boundary_rejects_bad_endpoints():
     outside = Point(np.array([5.0, 0.0]))
     with pytest.raises(ValueError):
         bregman_line_boundary(ball, inside, Point(np.zeros(2)))  # x already member
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="anchor"):
         bregman_line_boundary(ball, outside, Point(np.array([4.0, 0.0])))  # x0 outside
 
 
@@ -430,12 +422,12 @@ def test_surface_cycle_transform_count(monkeypatch):
     #   residual(even), the interior test                1 (value)
     #   the anchor projection onto |F x|^2 = b           2 (fftn + ifftn)
     #   boundary solve: residual(even) again             0 (memo)
-    #   boundary solve: residual(anchor)                 1 (value)
-    #   boundary solve: segment(even, anchor)            2 (two fftn)
+    #   boundary solve: segment(even, anchor)            2 (two fftn; its t = 1
+    #                                                       end tests the anchor)
     #   boundary solve: contains(boundary point)         1 (value)
     #   residual(odd) for the trace                      0 (memo)
-    assert f3 - f2 == 7
-    assert v3 - v2 == 3
+    assert f3 - f2 == 6
+    assert v3 - v2 == 2
 
 
 class _CountingSegmentMap(FourierIntensityMap):
@@ -517,7 +509,7 @@ def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
     data[rng.random(data.size) < 0.3] = 0.0  # zeros in the data: KL clips them
     data[rng.integers(data.size)] = 0.0
     x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
-    x0 = FourierMagnitudeSet(data, shape).project_one(x)
+    x0 = canonical_point(FourierMagnitudeSet(data, shape).project(x))
     ball = _outside_ball(FourierIntensityMap(shape), data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
     _check_fast_boundary(ball, x, x0, exact_segment=False)

@@ -18,8 +18,7 @@ from regap.projectors import (AffineSet, BoxMagnitudeSet, FourierMagnitudeSet,
                               HalfspaceSet, NewtonConvergenceError,
                               RegularizedSetOracle, SupportNonnegSet,
                               project_affine, project_fourier_magnitude,
-                              project_magnitude, project_regularized_approx,
-                              project_regularized_exact)
+                              project_regularized_approx, project_regularized_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def test_support_normal_cone_signs():
 
 def test_magnitude_projection_real_signs():
     s = BoxMagnitudeSet([2.0, 3.0])
-    cands = project_magnitude(s, Point(np.array([-0.5, 4.0])))
+    cands = s.project(Point(np.array([-0.5, 4.0])))
     assert len(cands) == 1
     assert np.allclose(cands[0].data, [-2.0, 3.0])
     assert s.contains(cands[0])
@@ -178,7 +177,7 @@ def test_magnitude_projection_real_signs():
 
 def test_magnitude_projection_zero_component_yields_two_candidates():
     s = BoxMagnitudeSet([2.0, 3.0])
-    cands = project_magnitude(s, Point(np.array([0.0, 4.0])))
+    cands = s.project(Point(np.array([0.0, 4.0])))
     assert len(cands) == 2
     datas = sorted(tuple(c.data) for c in cands)
     assert datas == [(-2.0, 3.0), (2.0, 3.0)]
@@ -189,7 +188,7 @@ def test_magnitude_projection_zero_component_yields_two_candidates():
 def test_magnitude_projection_complex_keeps_phase():
     s = BoxMagnitudeSet([2.0], kind=COMPLEX)
     z = 3.0 * np.exp(1j * 0.7)
-    p = project_magnitude(s, Point.from_complex(np.array([z])))[0]
+    p = s.project(Point.from_complex(np.array([z])))[0]
     assert np.allclose(p.as_complex(), [2.0 * np.exp(1j * 0.7)])
     assert s.membership_residual(p) < 1e-12
 
@@ -389,8 +388,8 @@ def test_regularized_oracle_modes_and_normal_cones():
     b = rng.standard_normal(2)
     ball = RegularizedSet(LinearMap(A), b, EuclideanKernel(), 0.3)
     affine = AffineSet(A, b)
-    exact_oracle = RegularizedSetOracle(ball, projection="exact")
-    approx_oracle = RegularizedSetOracle(ball, unregularized=affine, projection="approx")
+    exact_oracle = RegularizedSetOracle(ball)
+    approx_oracle = RegularizedSetOracle(ball, unregularized=affine)
 
     x = Point(rng.standard_normal(4) * 4)
     pe = exact_oracle.project(x)[0]
@@ -406,10 +405,22 @@ def test_regularized_oracle_modes_and_normal_cones():
     with pytest.raises(ValueError):
         exact_oracle.normal_cone_at(Point(pe.data * 50))
 
-    with pytest.raises(ValueError):
-        RegularizedSetOracle(ball, projection="newton")
-    with pytest.raises(ValueError):
-        RegularizedSetOracle(ball, projection="approx")
+
+def test_regularized_oracle_projection_follows_unregularized():
+    # No unregularized oracle: the KKT Newton solve; with one: the segment
+    # step.  On a squared-magnitude ball the two give different points.
+    rng = np.random.default_rng(23)
+    data = rng.uniform(0.5, 2.0, 4)
+    ball = RegularizedSet(SquareMap(4), data, EuclideanKernel(), 0.3)
+    box = BoxMagnitudeSet.from_intensity(data)
+    for _ in range(5):
+        x = Point(rng.standard_normal(4) * 3)
+        assert not ball.contains(x)
+        (exact,) = RegularizedSetOracle(ball).project(x)
+        (approx,) = RegularizedSetOracle(ball, box).project(x)
+        assert np.array_equal(exact.data, project_regularized_exact(ball, x).data)
+        assert np.array_equal(approx.data, project_regularized_approx(ball, box, x)[0].data)
+        assert not np.allclose(exact.data, approx.data)
 
 
 def test_regularized_oracle_membership_residual():
