@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Console-script smoke: `regap run` on two tiny configs and a bad one.
+# Console-script smoke: `regap run` on two tiny configs, `regap report` on
+# the runs, and three bad inputs with their documented exit codes.
 #
 # usage: scripts/cli_smoke.sh [WORKDIR]
 #
@@ -49,4 +50,26 @@ status=0
 $regap run --config "$work/nan.cfg" || status=$?
 test "$status" -eq 2
 test ! -e "$work/nan"
+
+# `regap report` on the two lines runs writes the series and the rates tables
+$regap report "$work/lines/seed1" "$work/lines/seed2" --out "$work/report/table.csv"
+test -s "$work/report/table.csv"
+test -s "$work/report/table_rates.csv"
+
+# a summary.json that is valid JSON but not an object is an input error: exit 4
+mkdir -p "$work/broken"
+cp "$work/lines/seed1/trace.csv" "$work/broken/"
+echo '[]' > "$work/broken/summary.json"
+status=0
+$regap report "$work/broken" --out "$work/broken.csv" || status=$?
+test "$status" -eq 4
+test ! -e "$work/broken.csv"
+
+# a config file that is not valid text is an input error: exit 4, nothing written
+printf 'problem = two_subspaces\nalgorithm = exact_ap\nout = %s/undecodable\n# \xff\n' \
+  "$work" > "$work/undecodable.cfg"
+status=0
+$regap run --config "$work/undecodable.cfg" || status=$?
+test "$status" -eq 4
+test ! -e "$work/undecodable"
 echo "cli smoke: ok ($work)"

@@ -14,12 +14,11 @@ from .algorithms import (FixedPointError, GammaConditionError, InexactAPConfig,
                          predict_rate, regularized_extrapolated_ap)
 from .core import (COMPLEX, REAL, TERMINATION_REASONS, DimensionMismatchError,
                    IterationTrace, NormalConeUnavailableError, Point, SetOracle,
-                   SolverError, TraceRecord, canonical_point, distance, lerp,
-                   proximal_normal_residual)
+                   SolverError, TraceRecord, canonical_point, lerp)
 from .divergences import (EuclideanKernel, ForwardMap, FourierIntensityMap,
                           IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                           LinearMap, RegularizedSet, SquareMap,
-                          bregman_line_boundary, kl_divergence)
+                          bregman_line_boundary)
 from .phase import (PhaseInstance, ReconstructionResult, aligned_error,
                     box_support, cup_object, divergence_ball, export_grid,
                     interiority_check, load_instance, loose_support, reconstruct,
@@ -47,11 +46,11 @@ __all__ = [
     "SupportNonnegSet", "TERMINATION_REASONS", "TraceRecord", "aligned_error",
     "box_support", "bregman_line_boundary", "canonical_point", "cbar_sampled",
     "cbar_subspaces",
-    "cup_object", "distance", "divergence_ball", "exact_alternating_projections",
+    "cup_object", "divergence_ball", "exact_alternating_projections",
     "export_grid", "inexact_alternating_projections", "interiority_check",
-    "kl_divergence", "lerp", "load_instance", "loose_support",
+    "lerp", "load_instance", "loose_support",
     "measure_rate", "predict_rate", "project_affine", "project_fourier_magnitude",
     "project_regularized_approx", "project_regularized_exact",
-    "proximal_normal_residual", "reconstruct", "regularized_extrapolated_ap",
+    "reconstruct", "regularized_extrapolated_ap",
     "save_instance", "smooth_object", "synthesize",
 ]

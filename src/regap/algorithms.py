@@ -148,24 +148,22 @@ def predict_rate(c: float, gamma: float = 0.0, m_prox_regular: bool = True) -> R
                           m_prox_regular=m_prox_regular)
 
 
-def measure_rate(trace: IterationTrace, tail_fraction: float = 0.5) -> float:
+def measure_rate(trace: IterationTrace) -> float:
     """Per-half-step geometric decay fitted on the trailing step norms.
 
-    Least-squares slope of the log half-step norms over the trailing
-    ``tail_fraction`` of the chronological step sequence, exponentiated.
+    Least-squares slope of the log half-step norms over the trailing half
+    (rounded up) of the chronological step sequence, exponentiated.
     Trailing exact zeros (iterates that arrived on the set and stopped
     moving) are trimmed before fitting.  Raises
     :class:`RateMeasurementError` on stalled traces, on tails shorter than
     10 steps, and on nonpositive tail entries.
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     if trace.reason == STALLED_GAP:
         raise RateMeasurementError("nonconvergent tail: trace stalled")
     seq = trace.step_sequence()
     while seq.size and seq[-1] == 0.0:
         seq = seq[:-1]
-    tail = seq[len(seq) - int(math.ceil(tail_fraction * len(seq))):]
+    tail = seq[len(seq) // 2:]
     if tail.size < 10:
         raise RateMeasurementError(f"tail has {tail.size} steps; need at least 10")
     if np.any(tail <= 0):
@@ -219,8 +217,7 @@ def _iterate(setC: SetOracle, even: Point, first: _OddResult,
         step = even.distance(odd)
         odd, res, gamma, lam = odd_step(even, k, step)
         gap = even.distance(odd)
-        trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam,
-                                 accepted=_within_step(gap, step)))
+        trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam))
         reason = _terminate(cfg, setC, m_contains, step, gap, even,
                             even.distance(prev_even), gaps)
         if reason:

@@ -322,7 +322,7 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
 def _read_config(path) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailure(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 
@@ -615,8 +615,11 @@ def _read_run_dir(run_dir: Path) -> tuple[list[tuple[int, float]], dict]:
             summary = json.load(fh)
     except OSError as exc:
         raise IOFailure(f"cannot read run directory {run_dir}: {exc}") from None
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short trace row
         raise IOFailure(f"corrupt run artifacts in {run_dir}: {exc}") from None
+    if not isinstance(summary, dict):
+        raise IOFailure(f"corrupt run artifacts in {run_dir}: {summary_path.name} "
+                        f"is not a JSON object")
     return series, summary
 
 

@@ -84,11 +84,6 @@ class Point:
         """Length of the real storage."""
         return self._data.size
 
-    @property
-    def n(self) -> int:
-        """Logical length: number of scalar (possibly complex) components."""
-        return self._data.size // 2 if self._kind == COMPLEX else self._data.size
-
     def as_complex(self) -> np.ndarray:
         if self._kind != COMPLEX:
             raise ValueError("point is not complex")
@@ -105,28 +100,12 @@ class Point:
         self._check_compatible(other)
         return float(np.linalg.norm(self._data - other._data))
 
-    def lex_key(self) -> tuple:
-        return tuple(self._data.tolist())
-
     def _check_compatible(self, other: "Point") -> None:
         if self._kind != other._kind or self._data.size != other._data.size:
             raise DimensionMismatchError(
                 f"incompatible points: {self._kind}/{self._data.size} vs "
                 f"{other._kind}/{other._data.size}"
             )
-
-    def __add__(self, other: "Point") -> "Point":
-        self._check_compatible(other)
-        return Point(self._data + other._data, self._kind)
-
-    def __sub__(self, other: "Point") -> "Point":
-        self._check_compatible(other)
-        return Point(self._data - other._data, self._kind)
-
-    def __mul__(self, scalar: float) -> "Point":
-        return Point(self._data * float(scalar), self._kind)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Point({np.array2string(self._data, threshold=8)}, kind={self._kind!r})"
@@ -149,7 +128,7 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
         raise ValueError("empty candidate set")
     if len(candidates) == 1:
         return candidates[0]
-    return min(candidates, key=Point.lex_key)
+    return min(candidates, key=lambda p: tuple(p.data.tolist()))
 
 
 def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
@@ -350,15 +329,12 @@ class SetOracle:
     Subclasses must set ``dim`` (real storage length) and ``kind`` and
     implement :meth:`project` and :meth:`membership_residual`.  ``project``
     returns the full finite candidate set; use :func:`canonical_point` to pick
-    the deterministic representative.  ``prox_regular`` is descriptive
-    metadata: nothing in the package reads it (``predict_rate`` takes
-    ``m_prox_regular`` from its caller).  ``convex`` marks sets whose
+    the deterministic representative.  ``convex`` marks sets whose
     ``membership_residual`` is a convex function, so the members on a segment
     form an interval and a segment search needs no scan for the first one.
     """
 
     kind = REAL
-    prox_regular = False
     convex = False
 
     def __init__(self, dim: int):
@@ -387,30 +363,6 @@ class SetOracle:
             )
 
 
-def distance(x: Point, s: SetOracle) -> float:
-    """Euclidean distance from x to the set; exactly 0 for members."""
-    if s.contains(x):
-        return 0.0
-    return x.distance(s.project(x)[0])
-
-
-def proximal_normal_residual(s: SetOracle, base: Point, direction: Point) -> float:
-    """Distance from a unit direction to the set's normal cone at ``base``.
-
-    ``direction`` must be a unit vector or zero (zero returns 0).  ``base``
-    must be a member of the set.
-    """
-    nrm = direction.norm()
-    if nrm == 0.0:
-        return 0.0
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError("direction must be a unit vector or zero")
-    if not s.contains(base):
-        raise ValueError("base point is not a member of the set")
-    cone = s.normal_cone_at(base)
-    return cone.distance(direction.data)
-
-
 # ---------------------------------------------------------------------------
 # Iteration traces
 
@@ -424,9 +376,7 @@ class TraceRecord:
     records only.  ``step_norm`` is the even half-step into this cycle's even
     iterate (NaN at k = 0), ``gap`` the odd half-step out of it.  ``gamma``
     is the measured normal-alignment residual (NaN when unverified), ``lam``
-    the relaxation used for the odd step (NaN when not applicable), and
-    ``accepted`` records the per-iteration step-monotonicity check
-    gap <= step_norm.
+    the relaxation used for the odd step (NaN when not applicable).
     """
 
     k: int
@@ -437,7 +387,6 @@ class TraceRecord:
     residual: float
     gamma: float
     lam: float
-    accepted: bool = True
 
 
 def _fmt(v: float) -> str:
@@ -507,10 +456,6 @@ class IterationTrace:
     @property
     def final_even(self) -> Point:
         return self.records[-1].even
-
-    @property
-    def final_odd(self) -> Point:
-        return self.records[-1].odd
 
     def __len__(self) -> int:
         return len(self.records)

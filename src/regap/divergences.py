@@ -122,23 +122,6 @@ class KullbackLeiblerKernel:
         return np.diag(1.0 / z)
 
 
-def kl_divergence(z, y) -> float:
-    """Strict Kullback-Leibler divergence sum(z*log(z/y) + y - z).
-
-    Requires ``z >= 0`` and ``y > 0`` componentwise; ``0*log(0) = 0``.
-    """
-    z = _as_array(z)
-    y = _as_array(y)
-    if np.any(z < 0):
-        raise KernelDomainError("negative component in z")
-    if np.any(y <= 0):
-        raise KernelDomainError("nonpositive component in y")
-    ratio = z / y
-    terms = np.log(ratio, out=np.zeros_like(ratio), where=z > 0)
-    terms *= z
-    return float(np.sum(terms + y - z))
-
-
 # ---------------------------------------------------------------------------
 # Forward maps
 
@@ -222,51 +205,32 @@ class LinearMap(ForwardMap):
 
 
 class SquareMap(ForwardMap):
-    """Componentwise squared modulus: |x_j|^2 per logical component."""
+    """Componentwise square x_j^2 of a real vector."""
 
-    def __init__(self, n: int, kind: str = REAL):
-        self.in_kind = kind
-        self.out_dim = int(n)
-        self.in_dim = 2 * int(n) if kind == COMPLEX else int(n)
+    def __init__(self, n: int):
+        self.in_dim = self.out_dim = int(n)
 
     def value(self, x: Point) -> np.ndarray:
         self._check(x)
-        if self.in_kind == COMPLEX:
-            c = x.as_complex()
-            return (c.real ** 2 + c.imag ** 2)
         return x.data ** 2
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        if self.in_kind == COMPLEX:
-            return 2.0 * x.data * np.repeat(w, 2)
-        return 2.0 * x.data * w
+        return 2.0 * x.data * np.asarray(w, dtype=np.float64)
 
     def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
         # lerp's arithmetic on the raw storage, without building a Point
         self._check(x)
         self._check(a)
         xd, ad = x.data, a.data
-        if self.in_kind == COMPLEX:
-            def along(t: float) -> np.ndarray:
-                c = ((1.0 - t) * xd + t * ad).view(np.complex128)
-                return c.real ** 2 + c.imag ** 2
-        else:
-            def along(t: float) -> np.ndarray:
-                return ((1.0 - t) * xd + t * ad) ** 2
+
+        def along(t: float) -> np.ndarray:
+            return ((1.0 - t) * xd + t * ad) ** 2
         return along
 
     def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        diag = 2.0 * (np.repeat(w, 2) if self.in_kind == COMPLEX else w)
-        return np.diag(diag)
+        return np.diag(2.0 * np.asarray(w, dtype=np.float64))
 
     def jacobian(self, x: Point) -> np.ndarray:
-        if self.in_kind == COMPLEX:
-            jac = np.zeros((self.out_dim, self.in_dim))
-            jac[np.arange(self.out_dim), 2 * np.arange(self.out_dim)] = 2.0 * x.data[0::2]
-            jac[np.arange(self.out_dim), 2 * np.arange(self.out_dim) + 1] = 2.0 * x.data[1::2]
-            return jac
         return np.diag(2.0 * x.data)
 
 

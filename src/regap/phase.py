@@ -193,12 +193,11 @@ class ReconstructionResult:
 
 
 def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, seed: int,
-                n_restarts: int = 1, error_target: float | None = None) -> ReconstructionResult:
+                n_restarts: int = 1) -> ReconstructionResult:
     """Alternating projections between the support cone and the intensity ball.
 
     Starts from seeded uniform noise on the support.  Each restart reruns
-    from a fresh start; the best symmetry-aligned reconstruction is kept and
-    restarts stop early once ``error_target`` is reached.
+    from a fresh start; the best symmetry-aligned reconstruction is kept.
     """
     n1, n2 = instance.shape
     n = n1 * n2
@@ -219,8 +218,6 @@ def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, s
         if best is None or err < best.aligned_error:
             best = ReconstructionResult(trace=trace, reconstruction=recon,
                                         aligned_error=err, restarts=restart, ball=m)
-        if error_target is not None and best.aligned_error <= error_target:
-            break
     return best
 
 
@@ -233,8 +230,7 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     Thurman & Fienup, Opt. Lett. 33(2), 2008); the exact norm is then taken
     at every shift within rounding of the smallest, so the result equals the
     smallest relative Euclidean error over all shifts and both orientations.
-    It is ``nan`` when the truth image's squared norm, which the norm is
-    computed from, overflows float64.
+    It is ``nan`` when the squared norm of either image overflows float64.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -251,9 +247,12 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
     truth_hat = np.fft.rfftn(truth)
     best = np.inf
     for image in (candidate, reflected):
+        with np.errstate(over="ignore"):
+            energy = float(np.sum(image * image) + denom * denom)
+        if not np.isfinite(energy):
+            return float("nan")
         # ||roll(image, s) - truth||^2 = ||image||^2 + ||truth||^2 - 2 corr(s)
         corr = np.fft.irfftn(truth_hat * np.conj(np.fft.rfftn(image)), s=shape, axes=(0, 1))
-        energy = float(np.sum(image * image) + denom * denom)
         sq_err = energy - 2.0 * corr
         # FFT rounding is ~1e-16 of the energy; the slack leaves ample room.
         near = np.flatnonzero(sq_err <= sq_err.min() + 1e-9 * energy)
@@ -312,7 +311,9 @@ def load_instance(path) -> PhaseInstance:
 
     Raises ``ValueError`` naming the file and the offending field when the
     magic, the byte length implied by the header, the object image (finite)
-    or the intensities (finite and nonnegative) are wrong.
+    or the intensities (finite, nonnegative, summing to at most 1e300) are
+    wrong.  By Parseval an intensity sum is the squared norm of every image a
+    run builds from it, so the bound keeps those norms finite.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -341,6 +342,10 @@ def load_instance(path) -> PhaseInstance:
             raise ValueError(f"{path}: {field}: entries must be finite")
         if np.any(values < 0):
             raise ValueError(f"{path}: {field}: entries must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = values.sum()
+        if total > 1e300:
+            raise ValueError(f"{path}: {field}: entries sum to {total:.3g}, above 1e300")
     return PhaseInstance(object_image=obj, noiseless_intensity=intensity,
                          observed=observed, support=support.reshape(n1, n2),
                          photon_scale=float(scale), seed=int(seed))

@@ -90,8 +90,6 @@ class PerturbedLineOracle(SetOracle):
     error with normal-alignment residual ``sin(phi)``.
     """
 
-    prox_regular = True
-
     def __init__(self, line: AffineSet, phi: float):
         if not 0 <= phi < np.pi / 2:
             raise ValueError("phi must lie in [0, pi/2)")

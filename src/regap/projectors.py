@@ -43,7 +43,6 @@ class AffineSet(SetOracle):
     every projection.
     """
 
-    prox_regular = True
     convex = True
 
     def __init__(self, matrix, rhs):
@@ -87,7 +86,6 @@ class AffineSet(SetOracle):
 class HalfspaceSet(SetOracle):
     """Halfspace {x : <a, x> <= beta}."""
 
-    prox_regular = True
     convex = True
 
     def __init__(self, normal, offset: float):
@@ -129,7 +127,6 @@ class SupportNonnegSet(SetOracle):
     parts are normal to the set, so they map to zero.
     """
 
-    prox_regular = True
     convex = True
 
     def __init__(self, forced_zero, n: int, kind: str = REAL):
@@ -186,79 +183,48 @@ class SupportNonnegSet(SetOracle):
 
 
 class BoxMagnitudeSet(SetOracle):
-    """Vectors with prescribed componentwise magnitudes |x_j| = r_j.
+    """Real vectors with prescribed componentwise magnitudes |x_j| = r_j.
 
-    In the real case this is the (finite) corner set of the box with half
-    lengths r.  Components of x at zero make the projection multivalued; to
-    keep the candidate set finite only the two candidates obtained by fixing
-    the positive branch everywhere and additionally flipping the first
-    ambiguous component are enumerated.
+    This is the (finite) corner set of the box with half lengths r.
+    Components of x at zero make the projection multivalued; to keep the
+    candidate set finite only the two candidates obtained by fixing the
+    positive branch everywhere and additionally flipping the first ambiguous
+    component are enumerated.
     """
 
-    prox_regular = False
-
-    def __init__(self, magnitudes, kind: str = REAL):
+    def __init__(self, magnitudes):
         r = np.atleast_1d(np.asarray(magnitudes, dtype=np.float64))
         if np.any(r < 0):
             raise ValueError("magnitudes must be nonnegative")
-        self.kind = kind
         self.magnitudes = r
-        self.n_logical = r.size
-        super().__init__(2 * r.size if kind == COMPLEX else r.size)
+        super().__init__(r.size)
 
     @classmethod
-    def from_intensity(cls, intensity, kind: str = REAL) -> "BoxMagnitudeSet":
+    def from_intensity(cls, intensity) -> "BoxMagnitudeSet":
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
         if np.any(b < 0):
             raise ValueError("intensities must be nonnegative")
-        return cls(np.sqrt(b), kind)
-
-    def _components(self, x: Point) -> np.ndarray:
-        return x.as_complex() if self.kind == COMPLEX else x.data
-
-    def _wrap(self, comps: np.ndarray) -> Point:
-        if self.kind == COMPLEX:
-            return Point.from_complex(comps)
-        return Point(comps.real if np.iscomplexobj(comps) else comps)
+        return cls(np.sqrt(b))
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        c = self._components(x)
-        mag = np.abs(c)
-        phase = np.divide(c, mag, out=np.ones_like(c), where=mag > 0)
-        base = self.magnitudes * phase
-        candidates = [self._wrap(base)]
-        ambiguous = np.flatnonzero((mag == 0) & (self.magnitudes > 0))
+        base = np.where(x.data < 0, -self.magnitudes, self.magnitudes)
+        candidates = [Point(base)]
+        ambiguous = np.flatnonzero((x.data == 0) & (self.magnitudes > 0))
         if ambiguous.size:
-            flipped = base.copy()
-            flipped[ambiguous[0]] = -self.magnitudes[ambiguous[0]]
-            candidates.append(self._wrap(flipped))
+            base[ambiguous[0]] = -self.magnitudes[ambiguous[0]]
+            candidates.append(Point(base))
         return candidates
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
-        return float(np.max(np.abs(np.abs(self._components(x)) - self.magnitudes)))
+        return float(np.max(np.abs(np.abs(x.data) - self.magnitudes)))
 
-    def normal_cone_at(self, x: Point):
+    def normal_cone_at(self, x: Point) -> SubspaceCone:
         if not self.contains(x):
             raise ValueError("base point is not a member of the set")
-        if self.kind == REAL:
-            # members are isolated, so every direction is a proximal normal
-            return SubspaceCone(np.eye(self.dim))
-        c = self._components(x)
-        cols = []
-        for j in range(self.n_logical):
-            if self.magnitudes[j] > 0:
-                col = np.zeros(self.dim)
-                col[2 * j] = c[j].real / self.magnitudes[j]
-                col[2 * j + 1] = c[j].imag / self.magnitudes[j]
-                cols.append(col)
-            else:
-                for off in (0, 1):
-                    col = np.zeros(self.dim)
-                    col[2 * j + off] = 1.0
-                    cols.append(col)
-        return SubspaceCone(np.column_stack(cols))
+        # members are isolated, so every direction is a proximal normal
+        return SubspaceCone(np.eye(self.dim))
 
 
 def project_affine(s: AffineSet, x: Point) -> Point:
@@ -281,8 +247,6 @@ class FourierMagnitudeSet(SetOracle):
     """
 
     kind = COMPLEX
-    prox_regular = False
-
     def __init__(self, intensity, shape=None):
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
         if np.any(b < 0):
@@ -317,8 +281,6 @@ class RegularizedSetOracle(SetOracle):
     boundary point is the ray spanned by the residual gradient; interior
     points report the zero cone.
     """
-
-    prox_regular = True
 
     def __init__(self, m: RegularizedSet, unregularized: SetOracle | None = None):
         super().__init__(m.dim)

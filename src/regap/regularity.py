@@ -10,40 +10,21 @@ seeded Monte Carlo lower bound for any pair of sets with analytic cones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Point, SetOracle, null_space, orth
 
-SUBSPACE_PRINCIPAL_ANGLE = "subspace_principal_angle"
-SAMPLED_CONE = "sampled_cone"
-USER_SUPPLIED = "user_supplied"
-
 
 @dataclass
 class RegularityEstimate:
-    """Estimated regularity constant with its provenance.
-
-    ``theta_bar = arccos(c_bar)`` is the corresponding angle.  ``n_samples``
-    is set by the Monte Carlo estimator only.
-    """
+    """Estimated regularity constant ``c_bar``, clamped to [0, 1]."""
 
     c_bar: float
-    theta_bar: float
-    method: str
-    n_samples: int | None = None
 
-    @property
-    def strongly_regular(self) -> bool:
-        return self.c_bar < 1.0
-
-    @classmethod
-    def from_c_bar(cls, c_bar: float, method: str = USER_SUPPLIED,
-                   n_samples: int | None = None) -> "RegularityEstimate":
-        c = float(min(max(c_bar, 0.0), 1.0))
-        return cls(c_bar=c, theta_bar=math.acos(c), method=method, n_samples=n_samples)
+    def __post_init__(self):
+        self.c_bar = float(min(max(self.c_bar, 0.0), 1.0))
 
 
 def cbar_subspaces(basis_u, basis_v) -> RegularityEstimate:
@@ -69,11 +50,11 @@ def cbar_subspaces(basis_u, basis_v) -> RegularityEstimate:
     nu = null_space(orth(u).T)
     nv = null_space(orth(v).T)
     if nu.shape[1] == 0 or nv.shape[1] == 0:
-        return RegularityEstimate.from_c_bar(0.0, SUBSPACE_PRINCIPAL_ANGLE)
+        return RegularityEstimate(0.0)
     sigma = np.linalg.svd(nu.T @ nv, compute_uv=False)
     sigma = sigma[sigma < 1.0 - 1e-8]
     c_bar = float(sigma[0]) if sigma.size else 0.0
-    return RegularityEstimate.from_c_bar(c_bar, SUBSPACE_PRINCIPAL_ANGLE)
+    return RegularityEstimate(c_bar)
 
 
 def cbar_sampled(setC: SetOracle, setM: SetOracle, xbar: Point,
@@ -96,7 +77,7 @@ def cbar_sampled(setC: SetOracle, setM: SetOracle, xbar: Point,
     probe_c = cone_c.sample_unit(rng)
     probe_m = cone_m.sample_unit(rng)
     if probe_c is None or probe_m is None:
-        return RegularityEstimate.from_c_bar(0.0, SAMPLED_CONE, n_samples=n_samples)
+        return RegularityEstimate(0.0)
     best = 0.0
     batch = 4096
     drawn = 0
@@ -106,4 +87,4 @@ def cbar_sampled(setC: SetOracle, setM: SetOracle, xbar: Point,
         vs = np.stack([-cone_m.sample_unit(rng) for _ in range(take)])
         best = max(best, float(np.max(np.einsum("ij,ij->i", us, vs))))
         drawn += take
-    return RegularityEstimate.from_c_bar(best, SAMPLED_CONE, n_samples=n_samples)
+    return RegularityEstimate(best)

@@ -500,6 +500,17 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "synth"])
+def test_undecodable_config_file_is_an_io_error(tmp_path, capsys, verb):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(TWO_LINES_CFG.encode() + f"out = {tmp_path / 'x'}\n".encode() + b"# \xff\n")
+    extra = ["--out", str(tmp_path / "x" / "inst.phz")] if verb == "synth" else []
+    assert run_cli(verb, "--config", str(cfg), *extra) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and str(cfg) in err
+    assert not (tmp_path / "x").exists()
+
+
 def patch_runner(monkeypatch, problem, runner):
     """Swap the runner of ``problem``'s entry in the problem table."""
     spec = dataclasses.replace(cli.PROBLEMS[problem], runner=runner)
@@ -580,9 +591,19 @@ def test_report_missing_directory(tmp_path, capsys):
 
 def test_report_corrupt_trace(tmp_path, capsys):
     run = make_run(tmp_path, "ok", TWO_LINES_CFG)
-    (run / "trace.csv").write_text("wrong,columns\n1,2\n")
-    assert run_cli("report", str(run)) == 4
-    assert "corrupt" in capsys.readouterr().err
+    intact = {name: (run / name).read_text() for name in ("trace.csv", "summary.json")}
+    for name, text in [("trace.csv", "wrong,columns\n1,2\n"),
+                       # a row shorter than the header
+                       ("trace.csv", "k,step_norm,gap,residual,gamma,lambda,reason\n0\n"),
+                       # valid JSON, but not an object
+                       ("summary.json", "[]\n")]:
+        capsys.readouterr()
+        (run / name).write_text(text)
+        assert run_cli("report", str(run), "--out", str(tmp_path / "t.csv")) == 4, text
+        err = capsys.readouterr().err
+        assert "corrupt" in err and str(run) in err
+        assert not (tmp_path / "t.csv").exists()
+        (run / name).write_text(intact[name])
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +715,11 @@ def _put(raw, offset, value):
     return raw
 
 
+def _put_all(raw, offset, value, n=16 * 16):
+    raw[offset:offset + 8 * n] = np.full(n, value, dtype="<f8").tobytes()
+    return raw
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (lambda raw, off: _put(raw, off["observed"] + 8 * 5, math.nan), "observed intensity"),
     (lambda raw, off: _put(raw, off["noiseless"], -1.0), "noiseless intensity"),
@@ -701,6 +727,8 @@ def _put(raw, offset, value):
     (lambda raw, off: _put(raw, off["object"] + 8 * 100, math.nan), "object image"),
     (lambda raw, off: raw + b"trailing garbage", "shape"),
     (lambda raw, off: raw[:-3], "shape"),
+    # finite but huge: the sum overflows float64
+    (lambda raw, off: _put_all(raw, off["observed"], 1e307), "observed intensity"),
 ])
 def test_custom_run_rejects_bad_instance_data(tmp_path, capsys, corrupt, field):
     assert _corrupt_instance_run(tmp_path, corrupt) == 4

@@ -92,7 +92,6 @@ def test_perturbed_oracle_slide_length_and_membership():
     assert slid.distance(straight) == pytest.approx(math.tan(phi) * dist, rel=1e-12)
     # slid point sits at angle phi from the foot, seen from x
     assert x.distance(slid) == pytest.approx(dist / math.cos(phi), rel=1e-12)
-    assert oracle.prox_regular
 
 
 def test_perturbed_line_validation():

@@ -185,24 +185,36 @@ def test_magnitude_projection_zero_component_yields_two_candidates():
     assert tuple(canonical_point(cands).data) == (-2.0, 3.0)
 
 
-def test_magnitude_projection_complex_keeps_phase():
-    s = BoxMagnitudeSet([2.0], kind=COMPLEX)
-    z = 3.0 * np.exp(1j * 0.7)
-    p = s.project(Point.from_complex(np.array([z])))[0]
-    assert np.allclose(p.as_complex(), [2.0 * np.exp(1j * 0.7)])
-    assert s.membership_residual(p) < 1e-12
-
-
 def test_magnitude_projection_optimality_against_sampled_members():
     rng = np.random.default_rng(11)
     r = rng.uniform(0.5, 2.0, 4)
-    s = BoxMagnitudeSet(r, kind=COMPLEX)
-    x = Point.from_complex(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    p = canonical_point(s.project(x))
-    d_star = x.distance(p)
-    for _ in range(200):
-        member = Point.from_complex(r * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-        assert x.distance(member) >= d_star - 1e-12
+    s = BoxMagnitudeSet(r)
+    for _ in range(20):
+        x = Point(rng.standard_normal(4))
+        p = canonical_point(s.project(x))
+        d_star = x.distance(p)
+        # the corner set has 16 members: sample every one
+        for signs in np.ndindex(2, 2, 2, 2):
+            member = Point(r * np.where(np.array(signs) == 1, -1.0, 1.0))
+            assert x.distance(member) >= d_star - 1e-12
+
+
+def test_magnitude_projection_matches_sign_times_magnitude():
+    # Reference: r * x/|x| with phase 1 at zero, the unit-phase form of the
+    # projection; -0.0 counts as zero.
+    rng = np.random.default_rng(12)
+    r = rng.uniform(0.0, 2.0, 9)
+    r[3] = 0.0
+    x = rng.standard_normal(9)
+    x[[1, 3, 5]] = 0.0
+    x[7] = -0.0
+    mag = np.abs(x)
+    base = r * np.divide(x, mag, out=np.ones_like(x), where=mag > 0)
+    cands = BoxMagnitudeSet(r).project(Point(x))
+    assert len(cands) == 2
+    assert cands[0].data.tobytes() == base.tobytes()
+    base[1] = -r[1]  # the first zero component with r > 0 flips
+    assert cands[1].data.tobytes() == base.tobytes()
 
 
 def test_magnitude_from_intensity():
