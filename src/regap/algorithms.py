@@ -5,7 +5,7 @@ differs.  Plain alternating projections project onto the second set; an
 inexact variant accepts externally produced odd iterates subject to
 step-monotonicity and normal-alignment checks; and the relaxed scheme for
 divergence balls mixes the current iterate with a projection onto the
-unregularized set.
+data set that the ball fattens.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import (
     IterationTrace,
     NormalConeUnavailableError,
     Point,
-    RayCone,
     SetOracle,
     SolverError,
     TraceRecord,
@@ -105,7 +104,9 @@ class InexactAPConfig:
             raise ValueError("gap_stall_window must be positive")
         if self.lambda_schedule not in LAMBDA_SCHEDULES:
             raise ValueError(f"unknown lambda schedule {self.lambda_schedule!r}")
-        if self.lambda_schedule == CUSTOM:
+        if self.lambda_schedule == CONSTANT_ONE:
+            self.lambda_sequence = (1.0,)
+        elif self.lambda_schedule == CUSTOM:
             seq = tuple(float(v) for v in (self.lambda_sequence or ()))
             if not seq or any(not 0.0 < v <= 1.0 for v in seq):
                 raise ValueError("custom schedule needs relaxations in (0, 1]")
@@ -176,15 +177,13 @@ def _within_step(length: float, step: float) -> bool:
     return length <= step * (1 + 1e-12) + 1e-15
 
 
-def _terminate(cfg: InexactAPConfig, setC: SetOracle,
-               setM_contains: Callable[[Point, float], bool] | None,
-               step: float, gap: float, even: Point, even_change: float,
-               gaps: deque[float]) -> str | None:
+def _terminate(cfg: InexactAPConfig, setC: SetOracle, setM, step: float, gap: float,
+               even: Point, even_change: float, gaps: deque[float]) -> str | None:
     if max(step, gap) <= cfg.fixed_point_tolerance:
         return FIXED_POINT
-    if cfg.membership_tolerance is not None and setM_contains is not None:
+    if cfg.membership_tolerance is not None:
         mtol = cfg.membership_tolerance
-        if setC.contains(even, mtol) and setM_contains(even, mtol):
+        if setC.contains(even, mtol) and setM.contains(even, mtol):
             return TOLERANCE_MET
     gaps.append(gap)
     if len(gaps) <= cfg.gap_stall_window:
@@ -196,16 +195,15 @@ def _terminate(cfg: InexactAPConfig, setC: SetOracle,
     return None
 
 
-def _iterate(setC: SetOracle, even: Point, first: _OddResult,
+def _iterate(setC: SetOracle, setM, even: Point, first: _OddResult,
              odd_step: Callable[[Point, int, float], _OddResult],
-             m_contains: Callable[[Point, float], bool] | None, cfg: InexactAPConfig,
-             on_fixed_point: Callable[[Point], None] | None = None) -> IterationTrace:
+             cfg: InexactAPConfig) -> IterationTrace:
     """The cycle loop shared by the drivers: project onto C, then take an odd step.
 
     ``first`` is cycle 0's ``(odd, residual, gamma, lam)`` for the even
     iterate ``even``; ``odd_step(even, k, step)`` returns the same tuple for
-    cycle ``k``, given the even half-step ``step`` into it.  On a
-    ``fixed_point`` finish ``on_fixed_point(even)`` runs first and may raise.
+    cycle ``k``, given the even half-step ``step`` into it.  ``setM`` (a set
+    oracle or a divergence ball) answers the ``tolerance_met`` test.
     """
     trace = IterationTrace()
     odd, res, gamma, lam = first
@@ -218,11 +216,8 @@ def _iterate(setC: SetOracle, even: Point, first: _OddResult,
         odd, res, gamma, lam = odd_step(even, k, step)
         gap = even.distance(odd)
         trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam))
-        reason = _terminate(cfg, setC, m_contains, step, gap, even,
-                            even.distance(prev_even), gaps)
+        reason = _terminate(cfg, setC, setM, step, gap, even, even.distance(prev_even), gaps)
         if reason:
-            if reason == FIXED_POINT and on_fixed_point is not None:
-                on_fixed_point(even)
             return trace.finish(reason)
     return trace.finish(MAX_ITER)
 
@@ -240,100 +235,96 @@ def exact_alternating_projections(setC: SetOracle, setM: SetOracle, x0: Point,
         return odd, setM.membership_residual(odd), math.nan, math.nan
 
     even = canonical_point(setC.project(x0))
-    return _iterate(setC, even, odd_step(even, 0, math.nan), odd_step, setM.contains,
+    return _iterate(setC, setM, even, odd_step(even, 0, math.nan), odd_step,
                     cfg or InexactAPConfig())
 
 
 def inexact_alternating_projections(setC: SetOracle,
-                                    approx_m: Callable[[Point], Point | Sequence[Point]],
-                                    m_oracle: SetOracle | None,
-                                    x0: Point, x1: Point,
+                                    approx_m: Callable[[Point], Sequence[Point]],
+                                    m_oracle: SetOracle, x0: Point, x1: Point,
                                     cfg: InexactAPConfig | None = None) -> IterationTrace:
     """Alternating projections with externally supplied odd iterates.
 
-    ``approx_m`` maps an even iterate to one or more candidate odd iterates
-    lying in the second set.  The first candidate whose step is no longer
-    than the previous half-step is accepted; if none qualifies the run fails
-    with :class:`StepConditionError`.  When ``m_oracle`` is supplied the
-    driver also enforces the fixed-point rule (an even iterate already in the
-    set maps to itself) and measures the alignment residual: the distance
-    from the normalized step direction to the set's normal cone at the first
-    point where the ray from the even iterate through the odd one enters the
-    set.  Without an oracle those checks are recorded as unverified (NaN)
-    unless ``strict_gamma`` demands them.
+    ``approx_m`` maps an even iterate to candidate odd iterates lying in the
+    second set, whose oracle is ``m_oracle``.  The first candidate whose
+    step is no longer than the previous half-step is accepted; if none
+    qualifies the run fails with :class:`StepConditionError`.  An even
+    iterate already in the set maps to itself (the fixed-point rule).  With
+    ``measure_gamma`` the driver measures the alignment residual: the
+    distance from the normalized step direction to the set's normal cone at
+    the first point where the segment from the even iterate to the odd one
+    enters the set.  A residual that is not measured is recorded as NaN,
+    unless ``strict_gamma`` demands it.
     """
     cfg = cfg or InexactAPConfig()
 
-    def residual(odd: Point) -> float:
-        return m_oracle.membership_residual(odd) if m_oracle is not None else math.nan
-
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
-        gamma_meas = math.nan
-        if m_oracle is not None and m_oracle.contains(even):
-            odd = even
-            gamma_meas = 0.0
+        if m_oracle.contains(even):
+            odd, gamma_meas = even, 0.0
         else:
-            cands = approx_m(even)
-            if isinstance(cands, Point):
-                cands = [cands]
-            odd = next((c for c in cands if _within_step(even.distance(c), step)), None)
+            odd = next((c for c in approx_m(even) if _within_step(even.distance(c), step)),
+                       None)
             if odd is None:
                 raise StepConditionError(
                     f"cycle {k}: no candidate step within the previous half-step "
                     f"{step:.6g}"
                 )
-            if m_oracle is not None and cfg.measure_gamma:
-                gamma_meas = _alignment_residual(m_oracle, even, odd)
+            gamma_meas = (_alignment_residual(m_oracle, even, odd) if cfg.measure_gamma
+                          else math.nan)
         if cfg.strict_gamma:
             if math.isnan(gamma_meas):
                 raise GammaConditionError(
-                    "strict verification requested but no normal-cone oracle is available"
+                    f"cycle {k}: strict verification requested but the alignment residual "
+                    f"was not measured (measure_gamma is off, or the set has no normal cone)"
                 )
             if gamma_meas > cfg.gamma + 1e-12:
                 raise GammaConditionError(
                     f"cycle {k}: alignment residual {gamma_meas:.6g} exceeds "
                     f"gamma = {cfg.gamma:.6g}"
                 )
-        return odd, residual(odd), gamma_meas, math.nan
+        return odd, m_oracle.membership_residual(odd), gamma_meas, math.nan
 
-    m_contains = m_oracle.contains if m_oracle is not None else None
-    return _iterate(setC, x0, (x1, residual(x1), math.nan, math.nan), odd_step,
-                    m_contains, cfg)
+    first = (x1, m_oracle.membership_residual(x1), math.nan, math.nan)
+    return _iterate(setC, m_oracle, x0, first, odd_step, cfg)
 
 
-def _alignment_residual(m_oracle: SetOracle, even: Point, odd: Point) -> float:
-    """Alignment residual where the segment from ``even``, a non-member, enters the set."""
+def _alignment_residual(m, even: Point, odd: Point, star: Point | None = None) -> float:
+    """Distance of the unit step from ``even`` to ``odd`` to m's normal cone at ``star``.
+
+    ``m`` is a set oracle or a divergence ball; ``star`` defaults to where the
+    segment from ``even``, a non-member, enters it.  NaN when m has no cone there.
+    """
     gap = even.distance(odd)
     if gap == 0.0:
         return 0.0
-    zhat = Point((even.data - odd.data) / gap, even.kind)
+    if star is None:
+        def excess(s: float) -> float:
+            return m.membership_residual(lerp(even, odd, s)) - MEMBERSHIP_TOL
 
-    def excess(s: float) -> float:
-        return m_oracle.membership_residual(lerp(even, odd, s)) - MEMBERSHIP_TOL
-
-    # on a convex set the members of the segment form one interval ending at odd
-    star = lerp(even, odd, first_crossing(excess, scan=1 if m_oracle.convex else 64))
+        # on a convex set the members of the segment form one interval ending at odd
+        star = lerp(even, odd, first_crossing(excess, scan=1 if m.convex else 64))
     try:
-        cone = m_oracle.normal_cone_at(star)
+        cone = m.normal_cone_at(star)
     except NormalConeUnavailableError:
         return math.nan
-    return cone.distance(zhat.data)
+    return cone.distance((even.data - odd.data) / gap)
 
 
 def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
-                                unregularized: SetOracle, x0: Point,
+                                data_set: SetOracle, x0: Point,
                                 cfg: InexactAPConfig | None = None) -> IterationTrace:
     """Alternating projections against a divergence ball with relaxed odd steps.
 
     The odd iterate is ``(1 - lam) * even + lam * anchor`` where the anchor
-    is a projection onto the unregularized set.  The ``surface`` schedule
-    takes ``lam`` just large enough to enter the ball, pinning odd iterates
-    to its boundary; ``constant_one`` always jumps to the anchor, which is a
-    ball member; a ``custom`` sequence is replayed as given (last value
-    repeated).  An even iterate already inside the ball makes the odd step
-    the identity, so runs terminate finitely once the iterates reach the
-    ball's interior.  On ``fixed_point`` termination the final even iterate
-    is verified to lie in both sets.
+    is a projection onto ``data_set``, the ball at epsilon = 0.  The
+    ``surface`` schedule takes ``lam`` just large enough to enter the ball,
+    pinning odd iterates to its boundary; ``constant_one`` always jumps to
+    the anchor, which is a ball member; a ``custom`` sequence is replayed as
+    given (last value repeated).  An even iterate already inside the ball
+    makes the odd step the identity, so runs terminate finitely once the
+    iterates reach the ball's interior.  On ``fixed_point`` termination the
+    final even iterate is verified to lie in both sets.  The alignment
+    residual is measured at the boundary point of the segment to the anchor.
     """
     cfg = cfg or InexactAPConfig()
 
@@ -341,39 +332,24 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
         res_even = m.residual(even)
         if res_even <= m.epsilon + MEMBERSHIP_TOL:
             return even, res_even, 0.0, 0.0
-        anchor = canonical_point(unregularized.project(even))
-        boundary = None
-        if cfg.lambda_schedule == SURFACE:
+        anchor = canonical_point(data_set.project(even))
+        if cfg.lambda_schedule == SURFACE or cfg.measure_gamma:
             tau, boundary = bregman_line_boundary(m, even, anchor)
+        if cfg.lambda_schedule == SURFACE:
             lam, odd = tau, boundary
         else:
-            if cfg.lambda_schedule == CONSTANT_ONE:
-                lam = 1.0
-            else:
-                seq = cfg.lambda_sequence
-                lam = seq[min(k, len(seq) - 1)]
+            seq = cfg.lambda_sequence
+            lam = seq[min(k, len(seq) - 1)]
             odd = lerp(even, anchor, lam)
-        gamma_meas = math.nan
-        if cfg.measure_gamma:
-            if boundary is None:
-                _, boundary = bregman_line_boundary(m, even, anchor)
-            gamma_meas = _ball_alignment(m, even, odd, boundary)
+        gamma_meas = (_alignment_residual(m, even, odd, boundary) if cfg.measure_gamma
+                      else math.nan)
         return odd, m.residual(odd), gamma_meas, lam
 
     even = canonical_point(setC.project(x0))
-    return _iterate(setC, even, odd_step(even, 0, math.nan), odd_step, m.contains, cfg,
-                    on_fixed_point=lambda final: _verify_fixed_point(setC, m, final, cfg))
-
-
-def _ball_alignment(m: RegularizedSet, even: Point, odd: Point, boundary: Point) -> float:
-    gap = even.distance(odd)
-    if gap == 0.0:
-        return 0.0
-    zhat = (even.data - odd.data) / gap
-    grad = m.residual_gradient(boundary)
-    if grad.norm() <= 1e-14:
-        return math.nan
-    return RayCone(grad.data).distance(zhat)
+    trace = _iterate(setC, m, even, odd_step(even, 0, math.nan), odd_step, cfg)
+    if trace.reason == FIXED_POINT:
+        _verify_fixed_point(setC, m, trace.final_even, cfg)
+    return trace
 
 
 def _verify_fixed_point(setC: SetOracle, m: RegularizedSet, even: Point,

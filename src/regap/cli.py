@@ -221,6 +221,8 @@ class ExperimentConfig:
         # Every key now belongs to this pair, and every default passes these.
         if self.max_iter < 1 or self.jobs < 1 or self.n_restarts < 1:
             raise ConfigError("max_iter, jobs, and n_restarts must be positive")
+        if min(self.seed) < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.fixed_point_tolerance <= 0:
             raise ConfigError("fixed_point_tolerance must be positive")
         if self.membership_tolerance is not None and self.membership_tolerance <= 0:
@@ -391,7 +393,7 @@ def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPCo
     start = _random_start(entry.seed, setC.dim)
     gamma_pred = cfg.gamma
     extras = {"c_bar": estimate.c_bar}
-    m = None
+    odd_set = setM
     if cfg.algorithm == "exact_ap":
         trace = exact_alternating_projections(setC, setM, start, acfg)
     elif cfg.algorithm == "inexact_ap":
@@ -401,14 +403,12 @@ def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPCo
         trace = inexact_alternating_projections(setC, oracle.project, setM, even, odd, acfg)
         gamma_pred = max(cfg.gamma, math.sin(cfg.phi))
     else:
-        m = RegularizedSet(LinearMap(setM.matrix), np.zeros(len(setM.matrix)),
-                           EuclideanKernel(), entry.epsilon)
-        trace = regularized_extrapolated_ap(setC, m, setM, start, acfg)
-        extras["residual_data"] = max(m.residual(trace.final_even) - entry.epsilon, 0.0)
-        extras["interior"] = interiority_check(m, trace.final_even)
+        odd_set = RegularizedSet(LinearMap(setM.matrix), np.zeros(len(setM.matrix)),
+                                 EuclideanKernel(), entry.epsilon)
+        trace = regularized_extrapolated_ap(setC, odd_set, setM, start, acfg)
+        extras["interior"] = interiority_check(odd_set, trace.final_even)
     extras["residual_constraint"] = setC.membership_residual(trace.final_even)
-    if m is None:
-        extras["residual_data"] = setM.membership_residual(trace.final_even)
+    extras["residual_data"] = odd_set.membership_residual(trace.final_even)
     with contextlib.suppress(ValueError):  # no certified rate: eta stays null
         pred = predict_rate(estimate.c_bar, gamma_pred)
         extras.update(eta=pred.eta, predicted_rate=pred.r_linear_rate)
@@ -421,12 +421,12 @@ def _run_parallel_lines(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPC
     if cfg.algorithm == "exact_ap":
         setC, setM = problems.parallel_lines(cfg.gap)
         trace = exact_alternating_projections(setC, setM, start, acfg)
-        extras = {"residual_data": setM.membership_residual(trace.final_even)}
+        extras = {}
     else:
-        setC, fat, line = problems.slab_problem(cfg.gap, entry.epsilon)
-        trace = regularized_extrapolated_ap(setC, fat, line, start, acfg)
-        extras = {"residual_data": max(fat.residual(trace.final_even) - entry.epsilon, 0.0),
-                  "interior": interiority_check(fat, trace.final_even)}
+        setC, setM, line = problems.slab_problem(cfg.gap, entry.epsilon)
+        trace = regularized_extrapolated_ap(setC, setM, line, start, acfg)
+        extras = {"interior": interiority_check(setM, trace.final_even)}
+    extras["residual_data"] = setM.membership_residual(trace.final_even)
     extras["residual_constraint"] = setC.membership_residual(trace.final_even)
     return trace, extras
 
@@ -437,14 +437,13 @@ def _run_box_affine(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfi
     if cfg.algorithm == "exact_ap":
         affine, box, xbar = problems.box_affine(cfg.n, cfg.m, entry.seed)
         trace = exact_alternating_projections(affine, box, start, acfg)
-        extras = {"residual_data": box.membership_residual(trace.final_even)}
+        extras = {}
     else:
-        affine, fat, anchor, xbar, epsilon = problems.box_affine_regularized(
+        affine, box, anchor, xbar, epsilon = problems.box_affine_regularized(
             cfg.n, cfg.m, cfg.noise, entry.epsilon_kappa, entry.seed)
-        trace = regularized_extrapolated_ap(affine, fat, anchor, start, acfg)
-        extras = {"epsilon": epsilon,
-                  "residual_data": max(fat.residual(trace.final_even) - epsilon, 0.0),
-                  "interior": interiority_check(fat, trace.final_even)}
+        trace = regularized_extrapolated_ap(affine, box, anchor, start, acfg)
+        extras = {"epsilon": epsilon, "interior": interiority_check(box, trace.final_even)}
+    extras["residual_data"] = box.membership_residual(trace.final_even)
     extras["residual_constraint"] = affine.membership_residual(trace.final_even)
     extras["solution_error"] = trace.final_even.distance(xbar) / max(xbar.norm(), 1e-300)
     return trace, extras
@@ -487,26 +486,23 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
         x0 = Point.from_complex(start_img.ravel().astype(np.complex128))
         trace = exact_alternating_projections(setC, setM, x0, acfg)
         recon = trace.final_even.as_complex().real.reshape(inst.shape)
-        extras.update({
-            "residual_data": setM.membership_residual(trace.final_even),
-            "aligned_error": aligned_error(recon, inst.object_image),
-        })
+        extras["aligned_error"] = aligned_error(recon, inst.object_image)
     else:
         epsilon = (entry.epsilon if entry.epsilon is not None
                    else entry.epsilon_kappa * noise_level)
         result = reconstruct(inst, epsilon, acfg, seed=entry.seed,
                              n_restarts=cfg.n_restarts)
-        trace, recon, ball = result.trace, result.reconstruction, result.ball
+        trace, recon, setM = result.trace, result.reconstruction, result.ball
         extras.update({
             "epsilon": epsilon,
             "restarts": result.restarts,
             # computed by reconstruct for this very reconstruction
             "aligned_error": result.aligned_error,
-            "residual_data": max(ball.residual(trace.final_even) - epsilon, 0.0),
-            "interior": (interiority_check(ball, trace.final_even)
+            "interior": (interiority_check(setM, trace.final_even)
                          if epsilon > 0 else False),
         })
 
+    extras["residual_data"] = setM.membership_residual(trace.final_even)
     extras["residual_constraint"] = setC.membership_residual(trace.final_even)
     export_grid(recon, outdir / "reconstruction")
     export_grid(inst.object_image, outdir / "truth")
@@ -691,7 +687,8 @@ def cmd_run(args) -> int:
 
     try:
         if cfg.jobs > 1 and len(entries) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            # the pool may start all its workers at once: no more than there are entries
+            with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(entries))) as pool:
                 summaries = list(pool.map(_execute_entry, [cfg] * len(entries), entries,
                                           run_dirs))
         else:

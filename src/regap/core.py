@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -224,9 +224,19 @@ class NormalCone:
     def distance(self, v: np.ndarray) -> float:
         raise NotImplementedError
 
-    def sample_unit(self, rng: np.random.Generator) -> np.ndarray | None:
-        """A unit direction in the cone, or None if the cone is {0}."""
+    def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
+        """``k`` unit directions in the cone as rows, or None if the cone is {0}."""
         raise NotImplementedError
+
+
+def _unit_rows(draw: Callable[[int], np.ndarray], k: int) -> np.ndarray:
+    """The rows of ``draw(k)`` normalized; rows of norm <= 1e-12 are drawn again."""
+    w = draw(k)
+    norms = np.linalg.norm(w, axis=1)
+    while np.any(small := norms <= 1e-12):
+        w[small] = draw(int(np.count_nonzero(small)))
+        norms = np.linalg.norm(w, axis=1)
+    return w / norms[:, None]
 
 
 class ZeroCone(NormalCone):
@@ -238,7 +248,7 @@ class ZeroCone(NormalCone):
     def distance(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
 
-    def sample_unit(self, rng: np.random.Generator) -> np.ndarray | None:
+    def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         return None
 
 
@@ -256,8 +266,8 @@ class RayCone(NormalCone):
         t = max(float(v @ self.direction), 0.0)
         return float(np.linalg.norm(v - t * self.direction))
 
-    def sample_unit(self, rng: np.random.Generator) -> np.ndarray | None:
-        return self.direction.copy()
+    def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
+        return np.tile(self.direction, (k, 1))
 
 
 class SubspaceCone(NormalCone):
@@ -273,30 +283,21 @@ class SubspaceCone(NormalCone):
         coeff = self.basis.T @ v
         return float(np.linalg.norm(v - self.basis @ coeff))
 
-    def sample_unit(self, rng: np.random.Generator) -> np.ndarray | None:
-        while True:
-            w = self.basis @ rng.standard_normal(self.basis.shape[1])
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-12:
-                return w / nrm
+    def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
+        r = self.basis.shape[1]
+        return _unit_rows(lambda n: rng.standard_normal((n, r)) @ self.basis.T, k)
 
 
 class SignedProductCone(NormalCone):
     """Coordinate product of free lines, {0} factors, and nonpositive rays.
 
-    Coordinates not listed in ``free`` or ``nonpos`` are constrained to zero.
+    ``free`` and ``nonpos`` are boolean masks of one length; coordinates in
+    neither are constrained to zero.
     """
 
-    def __init__(self, dim: int, free: Iterable[int] = (), nonpos: Iterable[int] = ()):
-        self.dim = dim
-        free_idx = np.asarray(sorted({int(i) for i in free}), dtype=int)
-        nonpos_idx = np.asarray(sorted({int(i) for i in nonpos}), dtype=int)
-        self.free = np.zeros(dim, dtype=bool)
-        self.nonpos = np.zeros(dim, dtype=bool)
-        if free_idx.size:
-            self.free[free_idx] = True
-        if nonpos_idx.size:
-            self.nonpos[nonpos_idx] = True
+    def __init__(self, free: np.ndarray, nonpos: np.ndarray):
+        self.free = np.asarray(free, dtype=bool)
+        self.nonpos = np.asarray(nonpos, dtype=bool)
         if np.any(self.free & self.nonpos):
             raise ValueError("a coordinate cannot be both free and sign-constrained")
 
@@ -306,17 +307,14 @@ class SignedProductCone(NormalCone):
         proj[self.nonpos] = np.minimum(v[self.nonpos], 0.0)
         return float(np.linalg.norm(v - proj))
 
-    def sample_unit(self, rng: np.random.Generator) -> np.ndarray | None:
+    def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         if not (np.any(self.free) or np.any(self.nonpos)):
             return None
-        while True:
-            g = rng.standard_normal(self.dim)
-            w = np.zeros(self.dim)
-            w[self.free] = g[self.free]
-            w[self.nonpos] = -np.abs(g[self.nonpos])
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-12:
-                return w / nrm
+
+        def draw(n: int) -> np.ndarray:
+            g = rng.standard_normal((n, self.free.size))
+            return np.where(self.nonpos, -np.abs(g), np.where(self.free, g, 0.0))
+        return _unit_rows(draw, k)
 
 
 # ---------------------------------------------------------------------------

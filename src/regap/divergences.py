@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point, first_crossing, lerp
+from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, NormalCone,
+                   NormalConeUnavailableError, Point, RayCone, ZeroCone, first_crossing, lerp)
 
 CLIP_FLOOR = 1e-300
 
@@ -288,7 +289,7 @@ class FourierIntensityMap(ForwardMap):
 class RegularizedSet:
     """Divergence ball {x : d(g(x), b) <= epsilon} around the data b.
 
-    The unregularized set (epsilon = 0) is {x : g(x) = b}.  Whether the
+    At epsilon = 0 it is the data set {x : g(x) = b}.  Whether the
     divergence grows fast enough at infinity for projections to exist is a
     property of (g, d, b) that the caller must ensure; it is not checked.
 
@@ -357,6 +358,27 @@ class RegularizedSet:
     def contains(self, x: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.residual(x) <= self.epsilon + tol
 
+    def membership_residual(self, x: Point) -> float:
+        """Excess of the residual over ``epsilon``, zero exactly on the ball."""
+        return max(self.residual(x) - self.epsilon, 0.0)
+
+    def normal_cone_at(self, x: Point) -> NormalCone:
+        """Normal cone at the member ``x``.
+
+        Within ``max(MEMBERSHIP_TOL, 1e-6 * epsilon)`` of the boundary value
+        it is the ray of the residual gradient; deeper inside it is {0}.
+        """
+        r = self.residual(x)
+        band = max(MEMBERSHIP_TOL, 1e-6 * self.epsilon)
+        if r > self.epsilon + band:
+            raise ValueError("base point is not a member of the set")
+        if r < self.epsilon - band:
+            return ZeroCone(self.dim)
+        grad = self.residual_gradient(x)
+        if grad.norm() <= 1e-14:
+            raise NormalConeUnavailableError("zero residual gradient at the boundary")
+        return RayCone(grad.data)
+
 
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
     """First entry of the segment from ``x`` toward ``x0`` into the set.
@@ -367,7 +389,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     secant refinement of the excess ``residual - (epsilon + MEMBERSHIP_TOL)``)
     or, for Euclidean kernels with affine maps, by a closed-form quadratic.
     Requires ``x`` outside the set and ``x0`` a member (for instance
-    a projection onto the unregularized set); a member ``x`` raises
+    a projection onto the data set); a member ``x`` raises
     ``ValueError``, as does a non-member ``x0`` in the segment search, which
     tests the ``x0`` end first.  For non-monotone residuals
     along the segment the first crossing found by the scan is returned, so

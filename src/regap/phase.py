@@ -183,7 +183,11 @@ def divergence_ball(instance: PhaseInstance, epsilon: float) -> RegularizedSet:
 
 @dataclass
 class ReconstructionResult:
-    """The best restart's trace and image, and the ball every restart used."""
+    """The best restart's trace and image, and the ball every restart used.
+
+    ``restarts`` is the 1-based index of the restart that was kept, not the
+    number of restarts run (that is ``n_restarts``).
+    """
 
     trace: IterationTrace
     reconstruction: np.ndarray

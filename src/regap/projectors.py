@@ -4,7 +4,7 @@ Exact projectors exist for affine subspaces, halfspaces, componentwise
 magnitude ("box corner") sets, Fourier-magnitude sets, and the nonnegative
 support cone.  Projections onto a divergence ball are available exactly via a
 small-scale KKT Newton solve, or approximately by walking the segment toward
-an unregularized projection until the ball boundary is hit.
+a projection onto the data set {x : g(x) = b} until the ball boundary is hit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .core import (
     MEMBERSHIP_TOL,
     REAL,
     DimensionMismatchError,
-    NormalConeUnavailableError,
+    NormalCone,
     Point,
     RayCone,
     SetOracle,
@@ -170,16 +170,13 @@ class SupportNonnegSet(SetOracle):
             raise ValueError("base point is not a member of the set")
         re, _ = self._parts(x)
         stride = 2 if self.kind == COMPLEX else 1
-        free, nonpos = [], []
-        for j in range(self.n_logical):
-            coord = stride * j
-            if self.forced_zero[j]:
-                free.append(coord)
-            elif re[j] <= MEMBERSHIP_TOL:
-                nonpos.append(coord)
-            if self.kind == COMPLEX:
-                free.append(coord + 1)
-        return SignedProductCone(self.dim, free=free, nonpos=nonpos)
+        free = np.zeros(self.dim, dtype=bool)
+        nonpos = np.zeros(self.dim, dtype=bool)
+        free[::stride] = self.forced_zero
+        if self.kind == COMPLEX:
+            free[1::2] = True  # imaginary parts
+        nonpos[::stride] = ~self.forced_zero & (re <= MEMBERSHIP_TOL)
+        return SignedProductCone(free, nonpos)
 
 
 class BoxMagnitudeSet(SetOracle):
@@ -275,43 +272,25 @@ class FourierMagnitudeSet(SetOracle):
 class RegularizedSetOracle(SetOracle):
     """Set-oracle facade over a divergence ball.
 
-    Without an ``unregularized`` oracle, ``project`` uses the KKT Newton
-    solve (small instances, smooth maps); with one, it walks the segment
-    toward a projection onto that unregularized set.  The normal cone at a
-    boundary point is the ray spanned by the residual gradient; interior
-    points report the zero cone.
+    ``project`` is the KKT Newton solve of :func:`project_regularized_exact`
+    (small instances, smooth maps); membership and normal cones are the
+    ball's own.
     """
 
-    def __init__(self, m: RegularizedSet, unregularized: SetOracle | None = None):
+    def __init__(self, m: RegularizedSet):
         super().__init__(m.dim)
         self.m = m
         self.kind = m.kind
-        self.unregularized = unregularized
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        if self.m.contains(x):
-            return [x]
-        if self.unregularized is None:
-            return [project_regularized_exact(self.m, x)]
-        point, _ = project_regularized_approx(self.m, self.unregularized, x)
-        return [point]
+        return [x if self.m.contains(x) else project_regularized_exact(self.m, x)]
 
     def membership_residual(self, x: Point) -> float:
-        self._check_point(x)
-        return max(self.m.residual(x) - self.m.epsilon, 0.0)
+        return self.m.membership_residual(x)
 
-    def normal_cone_at(self, x: Point):
-        r = self.m.residual(x)
-        band = max(MEMBERSHIP_TOL, 1e-6 * self.m.epsilon)
-        if r > self.m.epsilon + band:
-            raise ValueError("base point is not a member of the set")
-        if r < self.m.epsilon - band:
-            return ZeroCone(self.dim)
-        grad = self.m.residual_gradient(x)
-        if grad.norm() <= 1e-14:
-            raise NormalConeUnavailableError("zero residual gradient at the boundary")
-        return RayCone(grad.data)
+    def normal_cone_at(self, x: Point) -> NormalCone:
+        return self.m.normal_cone_at(x)
 
 
 def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
@@ -323,7 +302,7 @@ def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
     Intended as a small-scale reference oracle: ambient dimension is capped
     at ``NEWTON_MAX_DIM`` and the forward map must supply a dense Jacobian.
     Refuses ``epsilon = 0``, where the multiplier blows up because the
-    constraint gradient vanishes on the unregularized set.
+    constraint gradient vanishes on the data set {x : g(x) = b}.
     """
     if m.epsilon <= 0:
         raise ValueError("exact projection requires epsilon > 0")
@@ -379,15 +358,15 @@ def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
     )
 
 
-def project_regularized_approx(m: RegularizedSet, unregularized: SetOracle,
+def project_regularized_approx(m: RegularizedSet, data_set: SetOracle,
                                x: Point) -> tuple[Point, float]:
     """Segment-based approximate projection onto a divergence ball.
 
-    Projects ``x`` onto the unregularized set, then returns the first point
-    of the connecting segment that enters the ball, together with the
-    relaxation ``tau`` used.  Exact for Euclidean balls around affine sets.
-    A member ``x`` raises ``ValueError``.
+    Projects ``x`` onto ``data_set``, the ball at epsilon = 0, then returns
+    the first point of the connecting segment that enters the ball, together
+    with the relaxation ``tau`` used.  Exact for Euclidean balls around
+    affine sets.  A member ``x`` raises ``ValueError``.
     """
-    anchor = canonical_point(unregularized.project(x))
+    anchor = canonical_point(data_set.project(x))
     tau, point = bregman_line_boundary(m, x, anchor)
     return point, tau

@@ -74,17 +74,13 @@ def cbar_sampled(setC: SetOracle, setM: SetOracle, xbar: Point,
     cone_c = setC.normal_cone_at(xbar)
     cone_m = setM.normal_cone_at(xbar)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    probe_c = cone_c.sample_unit(rng)
-    probe_m = cone_m.sample_unit(rng)
-    if probe_c is None or probe_m is None:
+    # one probe draw per cone, discarded, so seeded estimates keep their stream
+    if cone_c.sample_units(rng, 1) is None or cone_m.sample_units(rng, 1) is None:
         return RegularityEstimate(0.0)
     best = 0.0
-    batch = 4096
-    drawn = 0
-    while drawn < n_samples:
-        take = min(batch, n_samples - drawn)
-        us = np.stack([cone_c.sample_unit(rng) for _ in range(take)])
-        vs = np.stack([-cone_m.sample_unit(rng) for _ in range(take)])
+    for drawn in range(0, n_samples, 4096):
+        take = min(4096, n_samples - drawn)
+        us = cone_c.sample_units(rng, take)
+        vs = -cone_m.sample_units(rng, take)
         best = max(best, float(np.max(np.einsum("ij,ij->i", us, vs))))
-        drawn += take
     return RegularityEstimate(best)

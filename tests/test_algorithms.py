@@ -51,14 +51,17 @@ def perturbed_cycle_contraction(theta, phi):
     return math.cos(theta) * math.cos(theta - phi) / math.cos(phi)
 
 
-def assert_same_records(a, b, iterates, skip=()):
+def assert_same_records(a, b, iterates, skip=(), count=None):
     """Equal traces record by record; NaN equals NaN, ``skip`` names fields left out.
 
-    ``iterates`` is the fixture that captured both traces' iterates.
+    ``iterates`` is the fixture that captured both traces' iterates.  With
+    ``count`` only the first ``count`` records are compared.
     """
-    assert a.reason == b.reason
-    assert len(a) == len(b) == len(iterates[a]) == len(iterates[b])
-    for ra, rb, (ea, oa), (eb, ob) in zip(a.records, b.records, iterates[a], iterates[b]):
+    if count is None:
+        assert a.reason == b.reason
+        assert len(a) == len(b) == len(iterates[a]) == len(iterates[b])
+    for ra, rb, (ea, oa), (eb, ob) in zip(a.records[:count], b.records[:count],
+                                          iterates[a], iterates[b]):
         assert np.array_equal(ea.data, eb.data)
         assert np.array_equal(oa.data, ob.data)
         for field in ("k", "step_norm", "gap", "residual", "gamma", "lam"):
@@ -342,14 +345,16 @@ def test_strict_gamma_enforcement():
     assert trace.reason == FIXED_POINT
 
 
-def test_strict_gamma_requires_an_oracle():
+def test_strict_gamma_requires_a_measured_gamma():
+    # The oracle is there, but measure_gamma is off: nothing to verify.
     C, oracle, exact = perturbed_line(math.pi / 4, 0.2)
     x0 = Point(np.array([2.0, 0.0]))
     even0 = canonical_point(C.project(x0))
     odd0 = canonical_point(oracle.project(even0))
-    cfg = InexactAPConfig(gamma=0.5, strict_gamma=True, max_iterations=50)
-    with pytest.raises(GammaConditionError, match="normal-cone oracle"):
-        inexact_alternating_projections(C, lambda p: oracle.project(p), None,
+    cfg = InexactAPConfig(gamma=0.5, strict_gamma=True, measure_gamma=False,
+                          max_iterations=50)
+    with pytest.raises(GammaConditionError, match="was not measured"):
+        inexact_alternating_projections(C, lambda p: oracle.project(p), exact,
                                         even0, odd0, cfg)
 
 
@@ -378,17 +383,22 @@ def test_even_iterate_in_set_fixes_odd_iterate():
     (lambda: two_subspaces(8, 3, 4, seed=2), np.random.default_rng(5).standard_normal(8)),
 ])
 def test_inexact_with_exact_odd_steps_matches_exact_driver(build, x0, iterates):
-    # Fed the exact projection and no oracle, the inexact driver must walk
-    # the exact orbit; only the membership residual goes unmeasured.
+    # Fed the exact projection, the inexact driver must walk the exact orbit
+    # until its fixed-point rule finds an even iterate in M (within the
+    # membership tolerance) and takes odd = even there.
     C, M = build()
     cfg = InexactAPConfig(max_iterations=500, fixed_point_tolerance=1e-12)
     exact = exact_alternating_projections(C, M, Point(x0), cfg)
     even0 = canonical_point(C.project(Point(x0)))
     inexact = inexact_alternating_projections(
-        C, M.project, None, even0, canonical_point(M.project(even0)), cfg)
-    assert exact.reason == FIXED_POINT and len(exact) > 5
-    assert_same_records(inexact, exact, iterates, skip=("residual",))
-    assert all(math.isnan(r.residual) for r in inexact.records)
+        C, M.project, M, even0, canonical_point(M.project(even0)), cfg)
+    fired = next(r.k for r in inexact.records if r.gap == 0.0)
+    assert exact.reason == inexact.reason == FIXED_POINT and fired > 5
+    assert_same_records(inexact, exact, iterates, skip=("gamma",), count=fired)
+    even = iterates[inexact][fired][0]
+    assert np.array_equal(even.data, iterates[exact][fired][0].data) and M.contains(even)
+    # exact steps are normal to M: their measured alignment residual is ~0
+    assert all(r.gamma <= 1e-9 for r in inexact.records[1:fired])
 
 
 def test_trace_keeps_iterates_of_first_and_last_two_records_only(iterates):

@@ -480,6 +480,46 @@ def test_run_phase_prepares_one_kl_ball(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_jobs_beyond_the_sweep_start_one_worker_per_entry(tmp_path, monkeypatch):
+    # A pool may start all its workers up front; this stand-in records how
+    # many were asked for and maps in this process.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = 1, 2\njobs = 1000\n"
+                                                 f"out = {tmp_path / 'sweep'}\n")
+    assert run_cli("run", "--config", str(cfg)) == 0
+    assert asked == [2]
+    assert (tmp_path / "sweep" / "seed2" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb, seed", [("run", "-1"), ("run", "1, -1"), ("synth", "-1")])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, verb, seed):
+    out = tmp_path / "out"
+    if verb == "run":
+        cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = {seed}\nout = {out}\n")
+        argv = ("run", "--config", str(cfg))
+    else:
+        argv = ("synth", "--out", str(out / "i.phz"), "--seed", seed)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not out.exists()
+
+
 def test_run_malformed_config_creates_nothing(tmp_path, capsys):
     out = tmp_path / "never"
     cfg = write_config(tmp_path, f"problem = two_subspaces\nout = {out}\n")

@@ -264,7 +264,7 @@ def test_zero_cone_distance_is_norm():
     cone = ZeroCone(3)
     v = np.array([1.0, -2.0, 2.0])
     assert cone.distance(v) == pytest.approx(3.0)
-    assert cone.sample_unit(np.random.default_rng(0)) is None
+    assert cone.sample_units(np.random.default_rng(0), 3) is None
 
 
 def test_ray_cone_distance_matches_grid_oracle():
@@ -274,7 +274,7 @@ def test_ray_cone_distance_matches_grid_oracle():
     ts = np.linspace(0.0, 50.0, 200001)
     for _ in range(5):
         v = rng.standard_normal(4) * 3
-        brute = min(np.linalg.norm(v - t * d / np.linalg.norm(d)) for t in ts)
+        brute = np.linalg.norm(v - ts[:, None] * d / np.linalg.norm(d), axis=1).min()
         assert cone.distance(v) == pytest.approx(brute, abs=1e-3)
 
 
@@ -297,7 +297,8 @@ def test_subspace_cone_distance_matches_lstsq():
 
 
 def test_signed_product_cone_distance():
-    cone = SignedProductCone(4, free=[0], nonpos=[2])
+    cone = SignedProductCone(free=np.array([True, False, False, False]),
+                             nonpos=np.array([False, False, True, False]))
     v = np.array([5.0, 3.0, 1.0, -2.0])
     # Projection: keep free coord, clamp nonpos coord above zero, zero the rest.
     proj = np.array([5.0, 0.0, 0.0, 0.0])
@@ -311,13 +312,38 @@ def test_cone_samples_live_in_cone():
     rng = np.random.default_rng(1)
     cones = [RayCone(np.array([1.0, 2.0, -1.0])),
              SubspaceCone(np.linalg.qr(rng.standard_normal((4, 2)))[0]),
-             SignedProductCone(5, free=[1], nonpos=[3])]
+             SignedProductCone(free=np.arange(5) == 1, nonpos=np.arange(5) == 3)]
     for cone in cones:
-        for _ in range(20):
-            u = cone.sample_unit(rng)
-            assert u is not None
+        units = cone.sample_units(rng, 20)
+        assert units.shape[0] == 20
+        for u in units:
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
             assert cone.distance(u) <= 1e-9
+
+
+class _ZeroFirstRow:
+    """Generator stand-in: all ones, except a zero first row in the first draw."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        g = np.ones(shape)
+        if self.draws == 0:
+            g[0] = 0.0
+        self.draws += 1
+        return g
+
+
+@pytest.mark.parametrize("cone", [
+    SubspaceCone(np.array([[1.0], [0.0]])),
+    SignedProductCone(free=np.array([True, False]), nonpos=np.array([False, False])),
+])
+def test_sample_units_redraws_rows_too_short_to_normalize(cone):
+    rng = _ZeroFirstRow()
+    units = cone.sample_units(rng, 3)
+    assert rng.draws == 2
+    assert np.array_equal(units, np.tile([1.0, 0.0], (3, 1)))
 
 
 # ---------------------------------------------------------------------------

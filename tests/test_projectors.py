@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import NonlinearConstraint, minimize
 
-from regap.core import (COMPLEX, DimensionMismatchError, Point, RayCone,
-                        ZeroCone, canonical_point)
+from regap.core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point,
+                        RayCone, ZeroCone, canonical_point)
 from regap.divergences import (EuclideanKernel, IdentityMap,
                                KullbackLeiblerKernel, LinearMap,
                                RegularizedSet, SquareMap)
@@ -162,6 +162,40 @@ def test_support_normal_cone_signs():
     assert cone.distance(np.array([0.0, -3.0, 0.0])) < 1e-12
     assert cone.distance(np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0)
     assert cone.distance(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
+
+
+def support_cone_masks_by_coordinate(s, x):
+    """Reference ``(free, nonpos)`` masks of the support set's cone, one coordinate at a time."""
+    re = x.as_complex().real if s.kind == COMPLEX else x.data
+    stride = 2 if s.kind == COMPLEX else 1
+    free = np.zeros(s.dim, dtype=bool)
+    nonpos = np.zeros(s.dim, dtype=bool)
+    for j in range(s.n_logical):
+        coord = stride * j
+        if s.forced_zero[j]:
+            free[coord] = True
+        elif re[j] <= MEMBERSHIP_TOL:
+            nonpos[coord] = True
+        if s.kind == COMPLEX:
+            free[coord + 1] = True
+    return free, nonpos
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([REAL, COMPLEX]))
+def test_support_normal_cone_masks_match_per_coordinate_reference(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    s = SupportNonnegSet(rng.choice(n, size=rng.integers(0, n + 1), replace=False), n, kind)
+    # members: real parts on, near and off the bound, within the tolerance elsewhere
+    re = rng.choice([-5e-10, 0.0, 1e-9, 2e-9, 0.5, 3.0], size=n)
+    re[s.forced_zero] = rng.choice([-5e-10, 0.0, 5e-10], size=int(s.forced_zero.sum()))
+    im = rng.uniform(-5e-10, 5e-10, n)
+    x = Point(re) if kind == REAL else Point.from_complex(re + 1j * im)
+    assert s.contains(x)
+    cone = s.normal_cone_at(x)
+    free, nonpos = support_cone_masks_by_coordinate(s, x)
+    assert np.array_equal(cone.free, free) and np.array_equal(cone.nonpos, nonpos)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +435,10 @@ def test_regularized_oracle_modes_and_normal_cones():
     ball = RegularizedSet(LinearMap(A), b, EuclideanKernel(), 0.3)
     affine = AffineSet(A, b)
     exact_oracle = RegularizedSetOracle(ball)
-    approx_oracle = RegularizedSetOracle(ball, unregularized=affine)
 
     x = Point(rng.standard_normal(4) * 4)
     pe = exact_oracle.project(x)[0]
-    pa = approx_oracle.project(x)[0]
+    pa, _ = project_regularized_approx(ball, affine, x)
     assert np.allclose(pe.data, pa.data, atol=1e-9)
 
     inside = exact_oracle.project(x)[0]
@@ -418,21 +451,15 @@ def test_regularized_oracle_modes_and_normal_cones():
         exact_oracle.normal_cone_at(Point(pe.data * 50))
 
 
-def test_regularized_oracle_projection_follows_unregularized():
-    # No unregularized oracle: the KKT Newton solve; with one: the segment
-    # step.  On a squared-magnitude ball the two give different points.
+def test_regularized_oracle_projection_is_the_kkt_solve():
     rng = np.random.default_rng(23)
     data = rng.uniform(0.5, 2.0, 4)
     ball = RegularizedSet(SquareMap(4), data, EuclideanKernel(), 0.3)
-    box = BoxMagnitudeSet.from_intensity(data)
     for _ in range(5):
         x = Point(rng.standard_normal(4) * 3)
         assert not ball.contains(x)
         (exact,) = RegularizedSetOracle(ball).project(x)
-        (approx,) = RegularizedSetOracle(ball, box).project(x)
         assert np.array_equal(exact.data, project_regularized_exact(ball, x).data)
-        assert np.array_equal(approx.data, project_regularized_approx(ball, box, x)[0].data)
-        assert not np.allclose(exact.data, approx.data)
 
 
 def test_regularized_oracle_membership_residual():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from regap.core import Point
+from regap.core import Point, RayCone, SubspaceCone, ZeroCone
 from regap.divergences import EuclideanKernel, IdentityMap, RegularizedSet
-from regap.problems import two_lines
+from regap.problems import two_lines, two_subspaces
 from regap.projectors import HalfspaceSet, RegularizedSetOracle, SupportNonnegSet
 from regap.regularity import (RegularityEstimate, cbar_sampled, cbar_subspaces)
 
@@ -161,3 +161,70 @@ def test_sampled_validation():
     C, M = two_lines(1.0)
     with pytest.raises(ValueError):
         cbar_sampled(C, M, Point(np.zeros(2)), n_samples=0)
+
+
+def unit_sample(cone, rng):
+    """One unit direction in ``cone`` per call, rejecting draws of norm <= 1e-12."""
+    if isinstance(cone, ZeroCone):
+        return None
+    if isinstance(cone, RayCone):
+        return cone.direction.copy()
+    if isinstance(cone, SubspaceCone):
+        def draw():
+            return cone.basis @ rng.standard_normal(cone.basis.shape[1])
+    elif cone.free.any() or cone.nonpos.any():  # SignedProductCone
+        def draw():
+            g = rng.standard_normal(cone.free.size)
+            w = np.zeros(cone.free.size)
+            w[cone.free] = g[cone.free]
+            w[cone.nonpos] = -np.abs(g[cone.nonpos])
+            return w
+    else:
+        return None
+    while True:
+        w = draw()
+        nrm = np.linalg.norm(w)
+        if nrm > 1e-12:
+            return w / nrm
+
+
+def cbar_per_sample(setC, setM, xbar, n_samples, seed):
+    """Reference estimator: ``cbar_sampled`` with one Python call per cone sample."""
+    cone_c, cone_m = setC.normal_cone_at(xbar), setM.normal_cone_at(xbar)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    probe_c, probe_m = unit_sample(cone_c, rng), unit_sample(cone_m, rng)
+    if probe_c is None or probe_m is None:
+        return 0.0
+    best, drawn = 0.0, 0
+    while drawn < n_samples:
+        take = min(4096, n_samples - drawn)
+        us = np.stack([unit_sample(cone_c, rng) for _ in range(take)])
+        vs = np.stack([-unit_sample(cone_m, rng) for _ in range(take)])
+        best = max(best, float(np.max(np.einsum("ij,ij->i", us, vs))))
+        drawn += take
+    return min(max(best, 0.0), 1.0)
+
+
+def _unit_ball():
+    return RegularizedSetOracle(RegularizedSet(IdentityMap(2), np.zeros(2),
+                                               EuclideanKernel(), 0.5))
+
+
+@pytest.mark.parametrize("build, seed", [
+    (lambda: (*two_lines(math.pi / 3), Point(np.zeros(2))), 1),
+    (lambda: (SupportNonnegSet(forced_zero=[], n=2), two_lines(math.pi / 3)[1],
+              Point(np.zeros(2))), 4),
+    (lambda: (*two_subspaces(6, 2, 3, seed=3), Point(np.zeros(6))), 2),
+    (lambda: (SupportNonnegSet(forced_zero=[0], n=4), HalfspaceSet(np.ones(4), 1.0),
+              Point(np.array([0.0, 0.0, 0.0, 1.0]))), 5),
+    (lambda: (HalfspaceSet(np.array([0.0, -1.0]), 0.0),
+              HalfspaceSet(rotation(2.0) @ np.array([0.0, -1.0]), 0.0), Point(np.zeros(2))), 3),
+    (lambda: (_unit_ball(), HalfspaceSet(np.array([-1.0, 0.0]), -1.0),
+              Point(np.array([1.0, 0.0]))), 0),
+], ids=["lines", "orthant-line", "subspaces-6d", "support-halfspace", "halfspaces",
+        "ball-halfspace"])
+def test_sampled_matches_per_sample_reference(build, seed):
+    # 10,000 samples: two full batches of 4096 and a partial one
+    setC, setM, xbar = build()
+    est = cbar_sampled(setC, setM, xbar, n_samples=10_000, seed=seed).c_bar
+    assert abs(est - cbar_per_sample(setC, setM, xbar, 10_000, seed)) <= 1e-15
