@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Console-script smoke: `regap run` on two tiny configs, `regap report` on
-# the runs, and three bad inputs with their documented exit codes.
+# the runs, `regap synth` and a custom run on its instance, and four bad
+# inputs with their documented exit codes.
 #
 # usage: scripts/cli_smoke.sh [WORKDIR]
 #
@@ -72,4 +73,33 @@ status=0
 $regap run --config "$work/undecodable.cfg" || status=$?
 test "$status" -eq 4
 test ! -e "$work/undecodable"
+
+# `regap synth` writes a 16 x 16 instance, and a custom run reads it back
+cat > "$work/synth.cfg" <<CFG
+shape = 16, 16
+photon_scale = 1e3
+object = smooth
+CFG
+$regap synth --config "$work/synth.cfg" --seed 3 --out "$work/synth/inst.phz"
+test -s "$work/synth/inst.phz"
+python3 -m json.tool "$work/synth/inst.phz.json" > /dev/null
+cat > "$work/custom.cfg" <<CFG
+problem = custom
+algorithm = regularized_extrapolated
+instance = $work/synth/inst.phz
+epsilon_kappa = 1
+lambda_schedule = constant_one
+measure_gamma = false
+max_iter = 60
+out = $work/custom
+CFG
+$regap run --config "$work/custom.cfg"
+python3 -m json.tool "$work/custom/summary.json" > /dev/null
+
+# a key synth does not read is a configuration error: exit 2, nothing written
+printf 'shape = 16, 16\nmax_iter = 10\n' > "$work/synth_bad.cfg"
+status=0
+$regap synth --config "$work/synth_bad.cfg" --out "$work/synth_bad/inst.phz" || status=$?
+test "$status" -eq 2
+test ! -e "$work/synth_bad"
 echo "cli smoke: ok ($work)"

@@ -78,9 +78,11 @@ class InexactAPConfig:
     change below ``GAP_STALL_REL_CHANGE``, 1e-6) over the last
     ``gap_stall_window`` cycles; with ``tolerance_met`` when
     ``membership_tolerance`` is set and the even iterate lies in both sets
-    within it; and with ``max_iter`` otherwise.  ``strict_gamma`` turns a
-    failed (or unverifiable) alignment check into an error instead of a
-    trace annotation.
+    within it; and with ``max_iter`` otherwise.  ``strict_gamma`` makes every
+    driver check each odd step it computes: a residual above ``gamma``, or
+    one that was not measured (NaN: ``measure_gamma`` off, no normal cone,
+    or the exact driver, which records none), raises
+    :class:`GammaConditionError` instead of being a trace annotation.
     """
 
     gamma: float = 0.0
@@ -109,7 +111,7 @@ class InexactAPConfig:
         elif self.lambda_schedule == CUSTOM:
             seq = tuple(float(v) for v in (self.lambda_sequence or ()))
             if not seq or any(not 0.0 < v <= 1.0 for v in seq):
-                raise ValueError("custom schedule needs relaxations in (0, 1]")
+                raise ValueError("lambda values of the custom schedule must lie in (0, 1]")
             self.lambda_sequence = seq
         if self.membership_tolerance is not None and self.membership_tolerance <= 0:
             raise ValueError("membership_tolerance must be positive")
@@ -195,25 +197,40 @@ def _terminate(cfg: InexactAPConfig, setC: SetOracle, setM, step: float, gap: fl
     return None
 
 
-def _iterate(setC: SetOracle, setM, even: Point, first: _OddResult,
+def _iterate(setC: SetOracle, setM, even: Point,
              odd_step: Callable[[Point, int, float], _OddResult],
-             cfg: InexactAPConfig) -> IterationTrace:
+             cfg: InexactAPConfig, first: _OddResult | None = None) -> IterationTrace:
     """The cycle loop shared by the drivers: project onto C, then take an odd step.
 
-    ``first`` is cycle 0's ``(odd, residual, gamma, lam)`` for the even
-    iterate ``even``; ``odd_step(even, k, step)`` returns the same tuple for
-    cycle ``k``, given the even half-step ``step`` into it.  ``setM`` (a set
-    oracle or a divergence ball) answers the ``tolerance_met`` test.
+    ``odd_step(even, k, step)`` returns cycle ``k``'s ``(odd, residual,
+    gamma, lam)``, given the even half-step ``step`` into it; cycle 0 takes
+    it from the even iterate ``even`` unless ``first`` supplies it.  With
+    ``strict_gamma`` every gamma ``odd_step`` returns is checked.  ``setM``
+    (a set oracle or a divergence ball) answers the ``tolerance_met`` test.
     """
+    def checked_step(even: Point, k: int, step: float) -> _OddResult:
+        result = odd_step(even, k, step)
+        gamma = result[2]
+        if cfg.strict_gamma and math.isnan(gamma):
+            raise GammaConditionError(
+                f"cycle {k}: strict verification requested but the alignment residual "
+                f"was not measured (measure_gamma is off, or the set has no normal cone)"
+            )
+        if cfg.strict_gamma and gamma > cfg.gamma + 1e-12:
+            raise GammaConditionError(
+                f"cycle {k}: alignment residual {gamma:.6g} exceeds gamma = {cfg.gamma:.6g}"
+            )
+        return result
+
     trace = IterationTrace()
-    odd, res, gamma, lam = first
+    odd, res, gamma, lam = first or checked_step(even, 0, math.nan)
     trace.append(TraceRecord(0, even, odd, math.nan, even.distance(odd), res, gamma, lam))
     gaps: deque[float] = deque(maxlen=cfg.gap_stall_window + 1)
     for k in range(1, cfg.max_iterations + 1):
         prev_even = even
         even = canonical_point(setC.project(odd))
         step = even.distance(odd)
-        odd, res, gamma, lam = odd_step(even, k, step)
+        odd, res, gamma, lam = checked_step(even, k, step)
         gap = even.distance(odd)
         trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam))
         reason = _terminate(cfg, setC, setM, step, gap, even, even.distance(prev_even), gaps)
@@ -228,15 +245,15 @@ def exact_alternating_projections(setC: SetOracle, setM: SetOracle, x0: Point,
 
     Cycle k computes the even iterate by projecting onto the first set and
     the odd iterate by projecting onto the second; multivalued projections
-    are resolved lexicographically.
+    are resolved lexicographically.  No alignment residual is recorded (NaN),
+    so ``strict_gamma`` raises "not measured" at the first step.
     """
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
         odd = canonical_point(setM.project(even))
         return odd, setM.membership_residual(odd), math.nan, math.nan
 
     even = canonical_point(setC.project(x0))
-    return _iterate(setC, setM, even, odd_step(even, 0, math.nan), odd_step,
-                    cfg or InexactAPConfig())
+    return _iterate(setC, setM, even, odd_step, cfg or InexactAPConfig())
 
 
 def inexact_alternating_projections(setC: SetOracle,
@@ -253,8 +270,8 @@ def inexact_alternating_projections(setC: SetOracle,
     ``measure_gamma`` the driver measures the alignment residual: the
     distance from the normalized step direction to the set's normal cone at
     the first point where the segment from the even iterate to the odd one
-    enters the set.  A residual that is not measured is recorded as NaN,
-    unless ``strict_gamma`` demands it.
+    enters the set.  A residual that is not measured is recorded as NaN.
+    ``strict_gamma`` checks every odd step but the supplied ``x1``.
     """
     cfg = cfg or InexactAPConfig()
 
@@ -271,21 +288,10 @@ def inexact_alternating_projections(setC: SetOracle,
                 )
             gamma_meas = (_alignment_residual(m_oracle, even, odd) if cfg.measure_gamma
                           else math.nan)
-        if cfg.strict_gamma:
-            if math.isnan(gamma_meas):
-                raise GammaConditionError(
-                    f"cycle {k}: strict verification requested but the alignment residual "
-                    f"was not measured (measure_gamma is off, or the set has no normal cone)"
-                )
-            if gamma_meas > cfg.gamma + 1e-12:
-                raise GammaConditionError(
-                    f"cycle {k}: alignment residual {gamma_meas:.6g} exceeds "
-                    f"gamma = {cfg.gamma:.6g}"
-                )
         return odd, m_oracle.membership_residual(odd), gamma_meas, math.nan
 
     first = (x1, m_oracle.membership_residual(x1), math.nan, math.nan)
-    return _iterate(setC, m_oracle, x0, first, odd_step, cfg)
+    return _iterate(setC, m_oracle, x0, odd_step, cfg, first)
 
 
 def _alignment_residual(m, even: Point, odd: Point, star: Point | None = None) -> float:
@@ -324,7 +330,8 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     makes the odd step the identity, so runs terminate finitely once the
     iterates reach the ball's interior.  On ``fixed_point`` termination the
     final even iterate is verified to lie in both sets.  The alignment
-    residual is measured at the boundary point of the segment to the anchor.
+    residual is measured at the boundary point of the segment to the anchor;
+    ``strict_gamma`` checks it from cycle 0 on.
     """
     cfg = cfg or InexactAPConfig()
 
@@ -345,8 +352,7 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
                       else math.nan)
         return odd, m.residual(odd), gamma_meas, lam
 
-    even = canonical_point(setC.project(x0))
-    trace = _iterate(setC, m, even, odd_step(even, 0, math.nan), odd_step, cfg)
+    trace = _iterate(setC, m, canonical_point(setC.project(x0)), odd_step, cfg)
     if trace.reason == FIXED_POINT:
         _verify_fixed_point(setC, m, trace.final_even, cfg)
     return trace

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 from pathlib import Path
 from typing import Callable
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import problems
-from .algorithms import (CONSTANT_ONE, CUSTOM, SURFACE, InexactAPConfig,
+from .algorithms import (CUSTOM, LAMBDA_SCHEDULES, SURFACE, InexactAPConfig,
                          RateMeasurementError, exact_alternating_projections,
                          inexact_alternating_projections, measure_rate, predict_rate,
                          regularized_extrapolated_ap)
@@ -163,39 +163,44 @@ ALGORITHMS = {
 }
 
 
+def _key(parse: Callable, default=MISSING):
+    """A config key's field: ``parse`` reads its text; no default makes it required."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment: one field per config key; sweepable keys hold lists."""
+    """Validated experiment: one ``_key`` field (parser, default) per config key."""
 
-    problem: str
-    algorithm: str
-    out: str = "runs"
-    seed: tuple[int, ...] = (0,)
-    epsilon: tuple[float, ...] | None = None
-    epsilon_kappa: tuple[float, ...] | None = None
-    gamma: float = 0.0
-    theta: float = math.pi / 3
-    phi: float | None = None
-    dim: int = 2
-    dim_u: int | None = None
-    dim_v: int | None = None
-    gap: float = 1.0
-    n: int = 12
-    m: int = 8
-    noise: float = 0.05
-    shape: tuple[int, int] = (32, 32)
-    photon_scale: float = 1e4
-    margin: int = 2
-    object: str = "cup"
-    n_restarts: int = 1
-    lambda_schedule: str = SURFACE
-    lambda_values: tuple[float, ...] | None = None
-    max_iter: int = 1000
-    fixed_point_tolerance: float = 1e-7
-    membership_tolerance: float | None = None
-    measure_gamma: bool = True
-    jobs: int = 1
-    instance: str | None = None
+    problem: str = _key(lambda t: _choice(PROBLEMS, "problem")(t))  # PROBLEMS comes below
+    algorithm: str = _key(_choice(ALGORITHMS, "algorithm"))
+    out: str = _key(str, "runs")
+    seed: tuple[int, ...] = _key(_list_of(_parse_int), (0,))
+    epsilon: tuple[float, ...] | None = _key(_list_of(parse_scalar), None)
+    epsilon_kappa: tuple[float, ...] | None = _key(_list_of(parse_scalar), None)
+    gamma: float = _key(parse_scalar, 0.0)
+    theta: float = _key(parse_scalar, math.pi / 3)
+    phi: float | None = _key(parse_scalar, None)
+    dim: int = _key(_parse_int, 2)
+    dim_u: int | None = _key(_parse_int, None)
+    dim_v: int | None = _key(_parse_int, None)
+    gap: float = _key(parse_scalar, 1.0)
+    n: int = _key(_parse_int, 12)
+    m: int = _key(_parse_int, 8)
+    noise: float = _key(parse_scalar, 0.05)
+    shape: tuple[int, int] = _key(_parse_shape, (32, 32))
+    photon_scale: float = _key(parse_scalar, 1e4)
+    margin: int = _key(_parse_int, 2)
+    object: str = _key(_choice(("cup", "random", "smooth"), "object"), "cup")
+    n_restarts: int = _key(_parse_int, 1)
+    lambda_schedule: str = _key(_choice(LAMBDA_SCHEDULES, "lambda_schedule"), SURFACE)
+    lambda_values: tuple[float, ...] | None = _key(_list_of(parse_scalar), None)
+    max_iter: int = _key(_parse_int, 1000)
+    fixed_point_tolerance: float = _key(parse_scalar, 1e-7)
+    membership_tolerance: float | None = _key(parse_scalar, None)
+    measure_gamma: bool = _key(_parse_bool, True)
+    jobs: int = _key(_parse_int, 1)
+    instance: str | None = _key(str, None)
     provided: frozenset = field(default_factory=frozenset, compare=False)
 
     def validate(self) -> None:
@@ -219,22 +224,18 @@ class ExperimentConfig:
                               f"with algorithm {self.algorithm!r}")
 
         # Every key now belongs to this pair, and every default passes these.
-        if self.max_iter < 1 or self.jobs < 1 or self.n_restarts < 1:
-            raise ConfigError("max_iter, jobs, and n_restarts must be positive")
+        if self.jobs < 1 or self.n_restarts < 1:
+            raise ConfigError("jobs and n_restarts must be positive")
         if min(self.seed) < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.fixed_point_tolerance <= 0:
-            raise ConfigError("fixed_point_tolerance must be positive")
-        if self.membership_tolerance is not None and self.membership_tolerance <= 0:
-            raise ConfigError("membership_tolerance must be positive")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError("gamma must lie in [0, 1)")
         if self.lambda_schedule == CUSTOM and not self.lambda_values:
             raise ConfigError("lambda_schedule custom requires lambda_values")
         if self.lambda_schedule != CUSTOM and self.lambda_values:
             raise ConfigError("lambda_values requires lambda_schedule = custom")
-        if self.lambda_values is not None and any(not 0 < v <= 1 for v in self.lambda_values):
-            raise ConfigError("lambda_values must lie in (0, 1]")
+        try:  # the driver's own knobs: gamma, max_iter, tolerances and lambda_values
+            _algorithm_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.dim_u is not None or self.dim_v is not None:
             if self.dim_u is None or self.dim_v is None:
                 raise ConfigError("give both dim_u and dim_v for random subspaces")
@@ -273,37 +274,8 @@ class ExperimentConfig:
             raise ConfigError("problem custom requires an instance file path")
 
 
-_KEY_PARSERS = {
-    "problem": lambda t: _choice(PROBLEMS, "problem")(t),  # PROBLEMS is defined below
-    "algorithm": _choice(ALGORITHMS, "algorithm"),
-    "out": str,
-    "seed": _list_of(_parse_int),
-    "epsilon": _list_of(parse_scalar),
-    "epsilon_kappa": _list_of(parse_scalar),
-    "gamma": parse_scalar,
-    "theta": parse_scalar,
-    "phi": parse_scalar,
-    "dim": _parse_int,
-    "dim_u": _parse_int,
-    "dim_v": _parse_int,
-    "gap": parse_scalar,
-    "n": _parse_int,
-    "m": _parse_int,
-    "noise": parse_scalar,
-    "shape": _parse_shape,
-    "photon_scale": parse_scalar,
-    "margin": _parse_int,
-    "object": _choice(("cup", "random", "smooth"), "object"),
-    "n_restarts": _parse_int,
-    "lambda_schedule": _choice((SURFACE, CONSTANT_ONE, CUSTOM), "lambda_schedule"),
-    "lambda_values": _list_of(parse_scalar),
-    "max_iter": _parse_int,
-    "fixed_point_tolerance": parse_scalar,
-    "membership_tolerance": parse_scalar,
-    "measure_gamma": _parse_bool,
-    "jobs": _parse_int,
-    "instance": str,
-}
+_KEY_PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)
+                if "parse" in f.metadata}
 
 
 def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
@@ -383,8 +355,12 @@ def _random_start(seed: int, dim: int) -> Point:
     return Point(_stream(seed, 0).standard_normal(dim))
 
 
+# A runner's (trace, first set, odd iterates' set, the problem's own summary fields).
+RunResult = tuple[IterationTrace, object, object, dict]
+
+
 def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                       outdir: Path) -> tuple[IterationTrace, dict]:
+                       outdir: Path) -> RunResult:
     if cfg.dim_u is not None:
         setC, setM = problems.two_subspaces(cfg.dim, cfg.dim_u, cfg.dim_v, entry.seed)
     else:
@@ -406,33 +382,26 @@ def _run_two_subspaces(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPCo
         odd_set = RegularizedSet(LinearMap(setM.matrix), np.zeros(len(setM.matrix)),
                                  EuclideanKernel(), entry.epsilon)
         trace = regularized_extrapolated_ap(setC, odd_set, setM, start, acfg)
-        extras["interior"] = interiority_check(odd_set, trace.final_even)
-    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
-    extras["residual_data"] = odd_set.membership_residual(trace.final_even)
     with contextlib.suppress(ValueError):  # no certified rate: eta stays null
         pred = predict_rate(estimate.c_bar, gamma_pred)
         extras.update(eta=pred.eta, predicted_rate=pred.r_linear_rate)
-    return trace, extras
+    return trace, setC, odd_set, extras
 
 
 def _run_parallel_lines(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                        outdir: Path) -> tuple[IterationTrace, dict]:
+                        outdir: Path) -> RunResult:
     start = _random_start(entry.seed, 2)
     if cfg.algorithm == "exact_ap":
         setC, setM = problems.parallel_lines(cfg.gap)
         trace = exact_alternating_projections(setC, setM, start, acfg)
-        extras = {}
     else:
         setC, setM, line = problems.slab_problem(cfg.gap, entry.epsilon)
         trace = regularized_extrapolated_ap(setC, setM, line, start, acfg)
-        extras = {"interior": interiority_check(setM, trace.final_even)}
-    extras["residual_data"] = setM.membership_residual(trace.final_even)
-    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
-    return trace, extras
+    return trace, setC, setM, {}
 
 
 def _run_box_affine(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-                    outdir: Path) -> tuple[IterationTrace, dict]:
+                    outdir: Path) -> RunResult:
     start = _random_start(entry.seed, cfg.n)
     if cfg.algorithm == "exact_ap":
         affine, box, xbar = problems.box_affine(cfg.n, cfg.m, entry.seed)
@@ -442,11 +411,9 @@ def _run_box_affine(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfi
         affine, box, anchor, xbar, epsilon = problems.box_affine_regularized(
             cfg.n, cfg.m, cfg.noise, entry.epsilon_kappa, entry.seed)
         trace = regularized_extrapolated_ap(affine, box, anchor, start, acfg)
-        extras = {"epsilon": epsilon, "interior": interiority_check(box, trace.final_even)}
-    extras["residual_data"] = box.membership_residual(trace.final_even)
-    extras["residual_constraint"] = affine.membership_residual(trace.final_even)
+        extras = {"epsilon": epsilon}
     extras["solution_error"] = trace.final_even.distance(xbar) / max(xbar.norm(), 1e-300)
-    return trace, extras
+    return trace, affine, box, extras
 
 
 def _phase_instance(cfg: ExperimentConfig, seed: int) -> PhaseInstance:
@@ -471,7 +438,7 @@ def _synthesize(cfg: ExperimentConfig, seed: int) -> PhaseInstance:
 
 
 def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
-               outdir: Path) -> tuple[IterationTrace, dict]:
+               outdir: Path) -> RunResult:
     inst = _phase_instance(cfg, entry.seed)
     n = inst.shape[0] * inst.shape[1]
     noise_level = inst.kl_noise_level()
@@ -493,20 +460,14 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
         result = reconstruct(inst, epsilon, acfg, seed=entry.seed,
                              n_restarts=cfg.n_restarts)
         trace, recon, setM = result.trace, result.reconstruction, result.ball
-        extras.update({
-            "epsilon": epsilon,
-            "restarts": result.restarts,
-            # computed by reconstruct for this very reconstruction
-            "aligned_error": result.aligned_error,
-            "interior": (interiority_check(setM, trace.final_even)
-                         if epsilon > 0 else False),
-        })
-
-    extras["residual_data"] = setM.membership_residual(trace.final_even)
-    extras["residual_constraint"] = setC.membership_residual(trace.final_even)
+        # reconstruct computed aligned_error for this very reconstruction
+        extras.update(epsilon=epsilon, restarts=result.restarts,
+                      aligned_error=result.aligned_error)
+        if not epsilon > 0:  # the exact data set has no interior
+            extras["interior"] = False
     export_grid(recon, outdir / "reconstruction")
     export_grid(inst.object_image, outdir / "truth")
-    return trace, extras
+    return trace, setC, setM, extras
 
 
 @dataclass(frozen=True)
@@ -522,7 +483,7 @@ class ProblemSpec:
     keys: tuple[str, ...]
     regularized_keys: tuple[str, ...]
     epsilon_keys: tuple[str, ...]
-    runner: Callable[..., tuple[IterationTrace, dict]]
+    runner: Callable[..., RunResult]
 
     def reads(self, algorithm: str) -> set[str]:
         """The config keys a run of this problem with ``algorithm`` reads."""
@@ -549,7 +510,13 @@ PROBLEMS: dict[str, ProblemSpec] = {
 
 def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
-    trace, extras = PROBLEMS[cfg.problem].runner(cfg, entry, _algorithm_config(cfg), outdir)
+    trace, setC, odd_set, extras = PROBLEMS[cfg.problem].runner(
+        cfg, entry, _algorithm_config(cfg), outdir)
+    final = trace.final_even
+    extras["residual_data"] = odd_set.membership_residual(final)
+    extras["residual_constraint"] = setC.membership_residual(final)
+    if cfg.algorithm == "regularized_extrapolated" and "interior" not in extras:
+        extras["interior"] = interiority_check(odd_set, final)
     try:
         measured_rate = measure_rate(trace)
     except RateMeasurementError:
@@ -724,7 +691,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-_SYNTH_KEYS = ("shape", "photon_scale", "margin", "object", "seed")
+_SYNTH_KEYS = (*PROBLEMS["phase_retrieval"].keys, "seed")
 
 
 def cmd_synth(args) -> int:

@@ -72,8 +72,6 @@ def slab_problem(gap: float, epsilon: float) -> tuple[AffineSet, RegularizedSet,
     consistent exactly when ``eps >= gap^2 / 2``, with nonempty interior
     intersection for strict inequality.
     """
-    if gap < 0:
-        raise ValueError("gap must be nonnegative")
     setC, line_m = parallel_lines(gap)
     fat = RegularizedSet(LinearMap(np.array([[0.0, 1.0]])), np.array([float(gap)]),
                          EuclideanKernel(), float(epsilon))

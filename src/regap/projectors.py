@@ -27,7 +27,7 @@ from .core import (
     _svd_rank,
     canonical_point,
 )
-from .divergences import RegularizedSet, bregman_line_boundary
+from .divergences import FourierIntensityMap, RegularizedSet, bregman_line_boundary
 
 NEWTON_MAX_DIM = 50
 
@@ -254,19 +254,17 @@ class FourierMagnitudeSet(SetOracle):
             raise DimensionMismatchError("shape does not match the intensity length")
         super().__init__(2 * b.size)
         self._magnitude = np.sqrt(b).reshape(self.shape)
+        self._map = FourierIntensityMap(self.shape)
 
     def project(self, x: Point) -> list[Point]:
-        self._check_point(x)
-        X = np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")
+        X = self._map._transform(x)
         mag = np.abs(X)
         phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
         y = np.fft.ifftn(self._magnitude * phase, norm="ortho")
         return [Point.from_complex(y.ravel())]
 
     def membership_residual(self, x: Point) -> float:
-        self._check_point(x)
-        X = np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")
-        return float(np.max(np.abs(np.abs(X).ravel() ** 2 - self.intensity)))
+        return float(np.max(np.abs(self._map.value(x) - self.intensity)))
 
 
 class RegularizedSetOracle(SetOracle):

@@ -15,8 +15,8 @@ from regap.algorithms import (FixedPointError, GammaConditionError, InexactAPCon
 from regap.core import (FIXED_POINT, MAX_ITER, STALLED_GAP, TOLERANCE_MET,
                         IterationTrace, Point, SolverError, TraceRecord,
                         canonical_point)
-from regap.problems import (parallel_lines, perturbed_line, slab_problem,
-                            two_lines, two_subspaces)
+from regap.problems import (box_affine_regularized, parallel_lines, perturbed_line,
+                            slab_problem, two_lines, two_subspaces)
 from regap.projectors import AffineSet
 from regap.regularity import cbar_subspaces
 
@@ -356,6 +356,39 @@ def test_strict_gamma_requires_a_measured_gamma():
     with pytest.raises(GammaConditionError, match="was not measured"):
         inexact_alternating_projections(C, lambda p: oracle.project(p), exact,
                                         even0, odd0, cfg)
+
+
+def test_strict_gamma_checks_the_regularized_driver():
+    # Surface steps on the box-affine pair enter the fattened box far from
+    # normal (gamma up to about 0.5): a zero bound must stop the run.
+    affine, box, anchor, _, _ = box_affine_regularized(12, 6, 0.05, 1.0, 0)
+    x0 = Point(np.random.default_rng(0).standard_normal(12))
+    with pytest.raises(GammaConditionError, match="exceeds gamma = 0"):
+        regularized_extrapolated_ap(affine, box, anchor, x0,
+                                    InexactAPConfig(gamma=0.0, strict_gamma=True))
+    trace = regularized_extrapolated_ap(affine, box, anchor, x0, InexactAPConfig(gamma=0.0))
+    assert max(r.gamma for r in trace.records if math.isfinite(r.gamma)) > 0.1
+    # the slab's surface steps are normal to it, so a small bound passes
+    C, ball, line = slab_problem(1.0, epsilon=0.2)
+    cfg = InexactAPConfig(gamma=1e-6, strict_gamma=True, max_iterations=60,
+                          gap_stall_window=30)
+    assert regularized_extrapolated_ap(C, ball, line, Point(np.array([1.0, 0.0])), cfg).reason \
+        == STALLED_GAP
+
+
+def test_strict_gamma_in_the_regularized_driver_requires_a_measured_gamma():
+    C, ball, line = slab_problem(1.0, epsilon=0.2)
+    cfg = InexactAPConfig(gamma=0.5, strict_gamma=True, measure_gamma=False)
+    with pytest.raises(GammaConditionError, match="cycle 0: .*was not measured"):
+        regularized_extrapolated_ap(C, ball, line, Point(np.array([1.0, 0.0])), cfg)
+
+
+def test_strict_gamma_in_the_exact_driver_is_never_measured():
+    # The exact driver records no alignment residual, so strict mode fails at once.
+    C, M = two_lines(math.pi / 3)
+    cfg = InexactAPConfig(gamma=0.5, strict_gamma=True)
+    with pytest.raises(GammaConditionError, match="cycle 0: .*was not measured"):
+        exact_alternating_projections(C, M, Point(np.array([1.0, 2.0])), cfg)
 
 
 def test_even_iterate_in_set_fixes_odd_iterate():

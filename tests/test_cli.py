@@ -112,15 +112,15 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, keys, text):
 
 # Texts of every kind the parsers meet: finite and non-finite numbers, lists,
 # choices, booleans and junk.
-_VALUE_TEXTS = st.one_of(
+_VALUE_TEXT_KINDS = (
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "pi/0", "nan, 1", "0", "-1",
                      "0.5", "2", "3", "1e-9", "pi/3", "16, 16", "3, 3", "4, 4", "0, 1",
                      "custom", "smooth", "cup", "true", "x.phz"]),
     st.floats().map(repr),
     st.integers(-3, 40).map(str),
     st.lists(st.floats().map(repr), min_size=1, max_size=3).map(", ".join),
-    st.text(max_size=6),
 )
+_VALUE_TEXTS = st.one_of(*_VALUE_TEXT_KINDS, st.text(max_size=6))
 
 
 @settings(max_examples=300, derandomize=True)
@@ -137,6 +137,58 @@ def test_config_from_mapping_yields_finite_config_or_config_error(problem, algor
         value = getattr(cfg, f.name)
         for v in value if isinstance(value, tuple) else (value,):
             assert not isinstance(v, float) or math.isfinite(v), (f.name, value)
+
+
+# Config files run through ``main``: lines of keys the (problem, algorithm) pair
+# reads, of any key or of a sound value, and maybe one malformed line.  problem,
+# algorithm, out, max_iter and jobs are pinned (no worker pool starts), and junk
+# values hold no digits, so no size key asks for a huge run.
+_PINNED_KEYS = {"problem", "algorithm", "out", "max_iter", "jobs"}
+_RUN_VALUE_TEXTS = st.one_of(*_VALUE_TEXT_KINDS,
+                             st.text(st.characters(blacklist_categories=("Nd",)), max_size=6))
+_MALFORMED_LINES = st.sampled_from(["just words", "= 1", "gamma =", "# a comment", "",
+                                    "seed = 1, 1", "max_iter = 3", "Lambda-Schedule = custom",
+                                    "stepsize = 0.1"])
+
+# lines that let regularized, inexact and sweep runs through validation
+_SOUND_LINES = st.sampled_from(["epsilon = 0.5", "epsilon = 0, 0.1", "epsilon_kappa = 1",
+                                "phi = 0.2", "shape = 8, 8", "seed = 0, 1"])
+
+
+def _key_lines(keys):
+    return st.builds("{} = {}".format, st.sampled_from(sorted(set(keys) - _PINNED_KEYS)),
+                     _RUN_VALUE_TEXTS)
+
+
+@st.composite
+def _config_texts(draw):
+    problem = draw(st.sampled_from(sorted(cli.PROBLEMS)))
+    algorithm = draw(st.sampled_from(cli.PROBLEMS[problem].algorithms)
+                     | st.sampled_from(sorted(cli.ALGORITHMS)))
+    reads = cli.PROBLEMS[problem].reads(algorithm)
+    lines = draw(st.lists(st.one_of(_key_lines(reads), _key_lines(cli._KEY_PARSERS),
+                                    _SOUND_LINES),
+                          max_size=3, unique_by=lambda line: line.partition(" =")[0]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_MALFORMED_LINES))
+    return "\n".join([f"problem = {problem}", f"algorithm = {algorithm}", *lines,
+                      "max_iter = 2", ""])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(text=_config_texts())
+def test_config_text_through_main_exits_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(text + f"out = {out}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()
 
 
 def test_unknown_and_missing_keys():
