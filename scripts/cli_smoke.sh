@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Console-script smoke: `regap run` on two tiny configs, `regap report` on
+# Console-script smoke: `regap run` on three small configs, `regap report` on
 # the runs, `regap synth` and a custom run on its instance, and four bad
 # inputs with their documented exit codes.
 #
@@ -34,10 +34,26 @@ epsilon_kappa = 1
 max_iter = 60
 out = $work/phase
 CFG
+cat > "$work/box.cfg" <<CFG
+problem = box_affine
+algorithm = regularized_extrapolated
+lambda_schedule = surface
+n = 40
+m = 20
+epsilon_kappa = 1
+seed = 1, 2
+out = $work/box
+CFG
 $regap run --config "$work/lines.cfg"
 $regap run --config "$work/phase.cfg"
+$regap run --config "$work/box.cfg"
 for summary in "$work/lines/seed1" "$work/lines/seed2" "$work/phase"; do
   python3 -m json.tool "$summary/summary.json" > /dev/null
+done
+# the box runs end on the affine set: its residual is round-off sized
+for summary in "$work/box/seed1" "$work/box/seed2"; do
+  python3 -c 'import json, sys; r = json.load(open(sys.argv[1]))["residual_constraint"]
+sys.exit(None if abs(r) <= 1e-9 else f"residual_constraint {r} above 1e-9")' "$summary/summary.json"
 done
 
 # a non-finite number is a configuration error: exit 2, nothing written

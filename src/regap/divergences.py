@@ -132,8 +132,9 @@ class ForwardMap:
 
     ``value`` evaluates g, ``pullback`` applies the Jacobian adjoint
     Dg(x)^T w in real-storage coordinates, and ``segment`` prepares g along
-    a segment for the boundary solve.  ``is_affine`` enables the closed-form
-    boundary solve for Euclidean kernels.
+    a segment for the boundary solve.  With a Euclidean kernel that solve is
+    a closed form when ``is_affine`` holds and a quartic for ``SquareMap``
+    (its ``segment_polynomial``); other maps feed it the prepared excess.
     """
 
     in_dim: int
@@ -218,15 +219,12 @@ class SquareMap(ForwardMap):
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         return 2.0 * x.data * np.asarray(w, dtype=np.float64)
 
-    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
-        # lerp's arithmetic on the raw storage, without building a Point
+    def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(x², 2·x·d, d²)``, ``d = a − x``, of ``t -> g((1 - t) x + t a)``."""
         self._check(x)
         self._check(a)
-        xd, ad = x.data, a.data
-
-        def along(t: float) -> np.ndarray:
-            return ((1.0 - t) * xd + t * ad) ** 2
-        return along
+        d = a.data - x.data
+        return x.data ** 2, 2.0 * x.data * d, d * d
 
     def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
         return np.diag(2.0 * np.asarray(w, dtype=np.float64))
@@ -251,6 +249,9 @@ class FourierIntensityMap(ForwardMap):
         grid = x.as_complex().reshape(self.shape)
         return np.fft.fftn(grid, norm="ortho")
 
+    def _inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(spectrum, norm="ortho").ravel()
+
     def value(self, x: Point) -> np.ndarray:
         X = self._transform(x)
         return np.abs(X).ravel() ** 2
@@ -258,8 +259,8 @@ class FourierIntensityMap(ForwardMap):
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         X = self._transform(x)
         w = np.asarray(w, dtype=np.float64).reshape(self.shape)
-        grad = np.fft.ifftn(2.0 * w * X, norm="ortho")
-        return np.ascontiguousarray(grad.ravel()).view(np.float64).copy()
+        grad = self._inverse_transform(2.0 * w * X)
+        return np.ascontiguousarray(grad).view(np.float64).copy()
 
     def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
         # The DFT is linear: F((1 - t) x + t a) = X + t (A - X), so two
@@ -384,48 +385,52 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     """First entry of the segment from ``x`` toward ``x0`` into the set.
 
     Returns ``(tau, point)`` with ``tau`` the smallest relaxation in (0, 1]
-    such that ``(1 - tau) x + tau x0`` is a member, located by
-    :func:`~regap.core.first_crossing` (a forward scan plus safeguarded
-    secant refinement of the excess ``residual - (epsilon + MEMBERSHIP_TOL)``)
-    or, for Euclidean kernels with affine maps, by a closed-form quadratic.
-    Requires ``x`` outside the set and ``x0`` a member (for instance
-    a projection onto the data set); a member ``x`` raises
-    ``ValueError``, as does a non-member ``x0`` in the segment search, which
-    tests the ``x0`` end first.  For non-monotone residuals
-    along the segment the first crossing found by the scan is returned, so
-    the result is always a member within the membership tolerance, matching
-    the slack granted to the anchor itself.
-
-    The search evaluates the excess through the map's ``segment`` and the
-    set's prepared divergence, which skip building and re-validating a point
-    per step.  The returned point is re-checked with ``contains``;
-    should rounding in a fast ``segment`` ever disagree, the search is
-    redone with the generic excess.
+    such that ``(1 - tau) x + tau x0`` is a member.  Euclidean kernels with
+    affine maps solve a closed-form quadratic.  Otherwise
+    :func:`~regap.core.first_crossing` (a forward scan plus safeguarded secant
+    refinement) locates the first member of the excess ``residual - (epsilon
+    + MEMBERSHIP_TOL)``: an exact quartic in ``t`` for Euclidean kernels with
+    a ``SquareMap``, else the map's prepared ``segment`` under the set's
+    prepared divergence; neither builds a point per step.  For non-monotone
+    residuals the first crossing found by the scan is returned.  Requires
+    ``x`` outside the set and ``x0`` a member (for instance a projection
+    onto the data set); a member ``x`` raises ``ValueError``, as does a
+    non-member ``x0`` in the segment search, which tests the ``x0`` end
+    first.  The returned point is re-checked with ``contains``; should
+    rounding in the prepared excess ever disagree, the search is redone with
+    the generic excess, so the result is always a member within the
+    membership tolerance granted to the anchor itself.
     """
     if m.residual(x) <= m.epsilon:
         raise ValueError("x is already a member; no boundary crossing to find")
 
     if isinstance(m.kernel, EuclideanKernel) and m.forward.is_affine:
         u = m.forward.value(x) - m.data
-        v = m.forward.value(x0) - m.data
-        d = v - u
-        a = 0.5 * float(d @ d)
-        b = float(u @ d)
-        c = 0.5 * float(u @ u) - m.epsilon
-        if a > 0:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0:
-                sqrt_disc = np.sqrt(disc)
-                tau = (-b - sqrt_disc) / (2.0 * a)
-                if not 0.0 < tau <= 1.0:
-                    tau = (-b + sqrt_disc) / (2.0 * a)
+        d = m.forward.value(x0) - m.data - u
+        a, b, c = 0.5 * float(d @ d), float(u @ d), 0.5 * float(u @ u) - m.epsilon
+        disc = b * b - 4.0 * a * c
+        if a > 0 and disc >= 0:
+            for tau in ((-b - np.sqrt(disc)) / (2.0 * a), (-b + np.sqrt(disc)) / (2.0 * a)):
                 if 0.0 < tau <= 1.0:
                     return float(tau), lerp(x, x0, float(tau))
         # fall through to the segment search on degenerate geometry
 
     bound = m.epsilon + MEMBERSHIP_TOL
-    along = m.forward.segment(x, x0)
-    divergence = m.divergence
+    if isinstance(m.kernel, EuclideanKernel) and isinstance(m.forward, SquareMap):
+        # ½‖p0 + p1 t + p2 t²‖² − bound, expanded once into a quartic in t
+        p0, p1, p2 = m.forward.segment_polynomial(x, x0)
+        p0 = p0 - m.data
+        c0 = 0.5 * float(p0 @ p0) - bound
+        c1, c2 = float(p0 @ p1), 0.5 * float(p1 @ p1) + float(p0 @ p2)
+        c3, c4 = float(p1 @ p2), 0.5 * float(p2 @ p2)
+
+        def fast(t: float) -> float:
+            return c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))
+    else:
+        along, divergence = m.forward.segment(x, x0), m.divergence
+
+        def fast(t: float) -> float:
+            return divergence(along(t)) - bound
 
     def search(excess: Callable[[float], float]) -> tuple[float, Point]:
         tau = float(first_crossing(excess))
@@ -435,8 +440,8 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
         return m.residual(lerp(x, x0, t)) - bound
 
     try:
-        tau, point = search(lambda t: divergence(along(t)) - bound)
-    except ValueError:  # rounding in ``along`` can put the anchor itself outside
+        tau, point = search(fast)
+    except ValueError:  # rounding in ``fast`` can put the anchor itself outside
         if not m.contains(x0):
             raise ValueError("anchor x0 is not a member of the set") from None
         return search(generic)

@@ -260,8 +260,7 @@ class FourierMagnitudeSet(SetOracle):
         X = self._map._transform(x)
         mag = np.abs(X)
         phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
-        y = np.fft.ifftn(self._magnitude * phase, norm="ortho")
-        return [Point.from_complex(y.ravel())]
+        return [Point.from_complex(self._map._inverse_transform(self._magnitude * phase))]
 
     def membership_residual(self, x: Point) -> float:
         return float(np.max(np.abs(self._map.value(x) - self.intensity)))

@@ -492,16 +492,77 @@ def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95))
-def test_square_euclidean_boundary_matches_generic_path(n, seed, frac):
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.floats(-1.0, 2.0))
+def test_square_euclidean_boundary_matches_generic_path(n, seed, frac, k):
+    # x scaled by 10^k: the quartic's coefficients then span up to 10^(4k)
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 2.0, n)
     data[rng.random(n) < 0.2] = 0.0
-    x = Point(3.0 * rng.standard_normal(n))
+    x = Point(10.0 ** k * 3.0 * rng.standard_normal(n))
     x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
     ball = _outside_ball(SquareMap(n), data, EuclideanKernel(), x, x0, frac)
     assume(not ball.contains(x))
     _check_fast_boundary(ball, x, x0, exact_segment=True)
+
+
+class _CountingSquareMap(SquareMap):
+    """Square map that counts its ``value`` calls."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.values = 0
+
+    def value(self, x):
+        self.values += 1
+        return super().value(x)
+
+
+def test_square_euclidean_boundary_evaluates_no_residual_per_probe(monkeypatch):
+    # The quartic stands in for g and d at every probe: a solve evaluates
+    # them only for residual(x) and the contains re-check, and first_crossing
+    # takes as many excess evaluations as on the generic excess.
+    divergences = [0]
+    against = EuclideanKernel.against
+
+    def counted_against(self, y):
+        prepared = against(self, y)
+
+        def counted(z):
+            divergences[0] += 1
+            return prepared(z)
+        return counted
+    monkeypatch.setattr(EuclideanKernel, "against", counted_against)
+
+    evals = []
+
+    def counted_crossing(excess):
+        evals.append(0)
+
+        def counted(t):
+            evals[-1] += 1
+            return excess(t)
+        return first_crossing(counted)
+    monkeypatch.setattr("regap.divergences.first_crossing", counted_crossing)
+
+    rng = np.random.default_rng(3)
+    n = 40
+    data = rng.uniform(0.5, 2.0, n)
+    x = Point(3.0 * rng.standard_normal(n))
+    x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
+    ball = _outside_ball(_CountingSquareMap(n), data, EuclideanKernel(), x, x0, 0.1)
+    ball.forward.values = divergences[0] = 0
+    tau, point = bregman_line_boundary(ball, x, x0)
+    assert ball.forward.values == 2 and divergences[0] == 2
+    assert ball.contains(point)
+
+    probes = []
+
+    def generic(t):
+        probes.append(t)
+        return ball.residual(lerp(x, x0, t)) - (ball.epsilon + MEMBERSHIP_TOL)
+    assert abs(tau - first_crossing(generic)) <= 1e-10
+    assert evals == [len(probes)]
 
 
 @settings(max_examples=60)
@@ -530,11 +591,29 @@ class _SkewedSegment(IdentityMap):
         return lambda t: self.value(lerp(x, a, min(max(t + self.shift, 0.0), 1.0)))
 
 
-@pytest.mark.parametrize("shift", [0.3, -0.5])
-def test_boundary_falls_back_when_the_segment_disagrees(shift):
+class _SkewedPolynomial(SquareMap):
+    """Square map whose segment quartic starts ``shift`` along the segment
+    (``shift > 0``) or ends ``-shift`` short of the anchor (``shift < 0``)."""
+
+    def __init__(self, n, shift):
+        super().__init__(n)
+        self.shift = shift
+
+    def segment_polynomial(self, x, a):
+        return super().segment_polynomial(lerp(x, a, max(self.shift, 0.0)),
+                                          lerp(x, a, 1.0 + min(self.shift, 0.0)))
+
+
+@pytest.mark.parametrize("skewed, kernel, shift", [
+    pytest.param(_SkewedSegment, KullbackLeiblerKernel, 0.3, id="0.3"),
+    pytest.param(_SkewedSegment, KullbackLeiblerKernel, -0.5, id="-0.5"),
+    pytest.param(_SkewedPolynomial, EuclideanKernel, 0.3, id="quartic-0.3"),
+    pytest.param(_SkewedPolynomial, EuclideanKernel, -0.5, id="quartic--0.5"),
+])
+def test_boundary_falls_back_when_the_segment_disagrees(skewed, kernel, shift):
     # +0.3 enters the ball too early (the re-check catches it); -0.5 misses
     # the anchor at t = 1 (the scan refuses).  Both end on the generic answer.
-    ball = RegularizedSet(_SkewedSegment(3, shift), np.ones(3), KullbackLeiblerKernel(), 0.05)
+    ball = RegularizedSet(skewed(3, shift), np.ones(3), kernel(), 0.05)
     x, anchor = Point(np.array([2.0, 3.0, 5.0])), Point(np.ones(3))
     tau, point = bregman_line_boundary(ball, x, anchor)
     assert tau == _reference_boundary(ball, x, anchor)
