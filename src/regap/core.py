@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -131,6 +132,12 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
     return min(candidates, key=lambda p: tuple(p.data.tolist()))
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_grid(scan: int) -> tuple[float, ...]:
+    """The scan's cell ends ``1/scan, 2/scan, ..., 1``, built once per ``scan``."""
+    return tuple(np.linspace(0.0, 1.0, scan + 1)[1:].tolist())
+
+
 def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
     """Smallest member ``t`` in ``(0, 1]``, where ``t`` is a member iff ``excess(t) <= 0``.
 
@@ -155,7 +162,7 @@ def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
         raise ValueError("the upper endpoint is not a member")
     a, fa = 0.0, math.nan  # lower end: 0 or a non-member
     b, fb = 1.0, f_hi      # upper end: always a member
-    for t in np.linspace(0.0, 1.0, scan + 1)[1:].tolist():
+    for t in _scan_grid(scan):
         ft = f_hi if t == 1.0 else float(excess(t))
         if ft <= 0.0:
             b, fb = t, ft

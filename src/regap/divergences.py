@@ -234,7 +234,14 @@ class SquareMap(ForwardMap):
 
 
 class FourierIntensityMap(ForwardMap):
-    """Squared modulus of the unitary DFT of a complex grid."""
+    """Squared modulus of the unitary DFT of a complex grid.
+
+    ``_transform`` remembers its last ``(point, spectrum)`` pair, keyed on
+    ``Point`` identity as ``RegularizedSet.residual`` is: asking again for
+    the identical ``Point`` costs no FFT, so the sets that share one map
+    (a phase ball and its anchor set) share each iterate's spectrum.  The
+    spectrum is read-only, so no caller can change the remembered value.
+    """
 
     in_kind = COMPLEX
 
@@ -243,11 +250,17 @@ class FourierIntensityMap(ForwardMap):
         n = int(np.prod(self.shape))
         self.out_dim = n
         self.in_dim = 2 * n
+        self._last_transform: tuple[Point, np.ndarray] | None = None
 
     def _transform(self, x: Point) -> np.ndarray:
+        last = self._last_transform
+        if last is not None and last[0] is x:
+            return last[1]
         self._check(x)
-        grid = x.as_complex().reshape(self.shape)
-        return np.fft.fftn(grid, norm="ortho")
+        spectrum = np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")
+        spectrum.setflags(write=False)
+        self._last_transform = (x, spectrum)
+        return spectrum
 
     def _inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(spectrum, norm="ortho").ravel()

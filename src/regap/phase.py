@@ -207,7 +207,9 @@ def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, s
     n = n1 * n2
     setC = SupportNonnegSet(instance.forced_zero, n, kind=COMPLEX)
     m = divergence_ball(instance, epsilon)
-    unreg = FourierMagnitudeSet(instance.observed.ravel(), instance.shape)
+    # on the ball's map, so that the anchor projection reuses the interior
+    # test's spectrum of each iterate
+    unreg = FourierMagnitudeSet(instance.observed.ravel(), instance.shape, m.forward)
 
     streams = np.random.SeedSequence(seed).spawn(max(1, n_restarts))
     best: ReconstructionResult | None = None

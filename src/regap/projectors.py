@@ -240,11 +240,13 @@ class FourierMagnitudeSet(SetOracle):
     ``project`` replaces each DFT coefficient's modulus by sqrt(b_k), taken
     once at construction, while keeping its phase; coefficients at exactly
     zero get phase 1.  Because F is unitary this is an exact Euclidean
-    projection.
+    projection.  ``forward_map`` (a fresh map of ``shape`` by default) does
+    the transforms; passing a divergence ball's map shares its memo.
     """
 
     kind = COMPLEX
-    def __init__(self, intensity, shape=None):
+
+    def __init__(self, intensity, shape=None, forward_map: FourierIntensityMap | None = None):
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
         if np.any(b < 0):
             raise ValueError("intensities must be nonnegative")
@@ -254,7 +256,9 @@ class FourierMagnitudeSet(SetOracle):
             raise DimensionMismatchError("shape does not match the intensity length")
         super().__init__(2 * b.size)
         self._magnitude = np.sqrt(b).reshape(self.shape)
-        self._map = FourierIntensityMap(self.shape)
+        self._map = FourierIntensityMap(self.shape) if forward_map is None else forward_map
+        if self._map.shape != self.shape:
+            raise DimensionMismatchError("forward map shape does not match the intensity shape")
 
     def project(self, x: Point) -> list[Point]:
         X = self._map._transform(x)

@@ -18,7 +18,7 @@ from regap.divergences import (CLIP_FLOOR, EuclideanKernel, FourierIntensityMap,
                                IdentityMap, KernelDomainError, KullbackLeiblerKernel,
                                LinearMap, RegularizedSet, SquareMap,
                                bregman_line_boundary)
-from regap.phase import box_support, synthesize
+from regap.phase import box_support, reconstruct, synthesize
 from regap.projectors import AffineSet, FourierMagnitudeSet, SupportNonnegSet
 
 
@@ -359,50 +359,115 @@ def test_residual_memo_answers_only_the_identical_point():
     assert first == m.kernel.evaluate(m.forward.value(p), data)
 
 
-def _surface_8x8(forward_map):
-    """An 8x8 phase instance: ``(C, ball, unregularized set, start)``."""
-    shape = (8, 8)
-    instance = synthesize(shape, box_support(shape, 2), 1e3, seed=3)
-    observed = instance.observed.ravel()
-    m = RegularizedSet(forward_map(shape), observed, KullbackLeiblerKernel(),
-                       instance.kl_noise_level())
-    setC = SupportNonnegSet(instance.forced_zero, observed.size, kind=COMPLEX)
-    unreg = FourierMagnitudeSet(observed, shape)
-    start = np.zeros(shape)
-    start[instance.support] = np.random.default_rng(0).uniform(0.0, 1.0, 16)
-    return setC, m, unreg, Point.from_complex(start.ravel().astype(np.complex128))
-
-
-def test_surface_cycle_transform_count(monkeypatch):
-    setC, m, unreg, x0 = _surface_8x8(_CountingFourierMap)
-
+def _counting_ffts(monkeypatch) -> list[int]:
+    """Count ``np.fft.fftn`` and ``ifftn`` calls into the returned one-item list."""
     ffts = [0]
     for name in ("fftn", "ifftn"):
         def counted(*args, _fft=getattr(np.fft, name), **kwargs):
             ffts[0] += 1
             return _fft(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    return ffts
+
+
+def test_transform_memo_answers_only_the_identical_point(monkeypatch):
+    rng = np.random.default_rng(5)
+    fmap = FourierIntensityMap((4, 4))
+    a = Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    b = Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    ffts = _counting_ffts(monkeypatch)
+    spectrum = fmap._transform(a)
+    assert fmap._transform(a) is spectrum
+    assert ffts[0] == 1
+    twin = Point(a.data, a.kind)
+    fresh = fmap._transform(twin)
+    assert fresh is not spectrum and fresh.tobytes() == spectrum.tobytes()
+    assert ffts[0] == 2
+    fmap._transform(a)
+    fmap._transform(b)
+    again = fmap._transform(a)  # A, B, A: B displaced A
+    assert ffts[0] == 5
+    assert again is not spectrum and again.tobytes() == spectrum.tobytes()
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.0
+    assert again.tobytes() == spectrum.tobytes()
+
+
+def _surface_8x8(forward_map):
+    """An 8x8 phase instance: ``(C, ball, unregularized set, start)``.
+
+    The unregularized set transforms on the ball's map, as in
+    ``phase.reconstruct``, so both read one spectrum memo.
+    """
+    shape = (8, 8)
+    instance = synthesize(shape, box_support(shape, 2), 1e3, seed=3)
+    observed = instance.observed.ravel()
+    m = RegularizedSet(forward_map(shape), observed, KullbackLeiblerKernel(),
+                       instance.kl_noise_level())
+    setC = SupportNonnegSet(instance.forced_zero, observed.size, kind=COMPLEX)
+    unreg = FourierMagnitudeSet(observed, shape, m.forward)
+    start = np.zeros(shape)
+    start[instance.support] = np.random.default_rng(0).uniform(0.0, 1.0, 16)
+    return setC, m, unreg, Point.from_complex(start.ravel().astype(np.complex128))
+
+
+def _surface_cycle_cost(monkeypatch, measure_gamma: bool) -> tuple[int, int]:
+    """FFTs and ``value`` calls of the third surface cycle on the 8x8 instance."""
+    setC, m, unreg, x0 = _surface_8x8(_CountingFourierMap)
+    ffts = _counting_ffts(monkeypatch)
 
     def run(cycles):
         ffts[0] = m.forward.values = 0
         trace = regularized_extrapolated_ap(
-            setC, m, unreg, x0, InexactAPConfig(max_iterations=cycles, measure_gamma=False))
+            setC, m, unreg, x0,
+            InexactAPConfig(max_iterations=cycles, measure_gamma=measure_gamma))
         assert trace.reason == "max_iter"
         assert all(0.0 < r.lam < 1.0 for r in trace.records)  # every odd step hits the boundary
         return ffts[0], m.forward.values
 
     (f2, v2), (f3, v3) = run(2), run(3)
+    return f3 - f2, v3 - v2
+
+
+def test_surface_cycle_transform_count(monkeypatch):
     # One surface cycle, by hand:
     #   the support projection onto C                    0
-    #   residual(even), the interior test                1 (value)
-    #   the anchor projection onto |F x|^2 = b           2 (fftn + ifftn)
-    #   boundary solve: residual(even) again             0 (memo)
-    #   boundary solve: segment(even, anchor)            2 (two fftn; its t = 1
-    #                                                       end tests the anchor)
-    #   boundary solve: contains(boundary point)         1 (value)
-    #   residual(odd) for the trace                      0 (memo)
-    assert f3 - f2 == 6
-    assert v3 - v2 == 2
+    #   residual(even), the interior test                1 (value: fftn of even)
+    #   the anchor projection onto |F x|^2 = b           1 (even's spectrum from
+    #                                                       the memo; one ifftn)
+    #   boundary solve: residual(even) again             0 (residual memo)
+    #   boundary solve: segment(even, anchor)            1 (F even from the memo,
+    #                                                       fftn of the anchor; its
+    #                                                       t = 1 end tests the anchor)
+    #   boundary solve: contains(boundary point)         1 (value: fftn of the point)
+    #   residual(odd) for the trace                      0 (residual memo)
+    assert _surface_cycle_cost(monkeypatch, measure_gamma=False) == (4, 2)
+
+
+def test_surface_cycle_transform_count_with_gamma(monkeypatch):
+    # As above, plus the alignment residual at the boundary point, which
+    # is the odd iterate: normal_cone_at reads the residual memo, and
+    # residual_gradient's value and pullback take the point's spectrum from
+    # the transform memo, so only the pullback's ifftn is new (9 per cycle
+    # before the memo).
+    assert _surface_cycle_cost(monkeypatch, measure_gamma=True) == (5, 3)
+
+
+def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
+    # phase.reconstruct builds its anchor set on the ball's map, so a surface
+    # cycle there costs the 4 FFTs counted above, not 5.
+    instance = synthesize((8, 8), box_support((8, 8), 2), 1e3, seed=3)
+    ffts = _counting_ffts(monkeypatch)
+
+    def run(cycles):
+        ffts[0] = 0
+        cfg = InexactAPConfig(max_iterations=cycles, measure_gamma=False)
+        trace = reconstruct(instance, instance.kl_noise_level(), cfg, seed=0).trace
+        assert trace.reason == "max_iter"
+        assert all(0.0 < r.lam < 1.0 for r in trace.records)
+        return ffts[0]
+
+    assert run(3) - run(2) == 4
 
 
 class _CountingSegmentMap(FourierIntensityMap):

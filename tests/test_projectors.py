@@ -11,7 +11,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 from regap.core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point,
                         RayCone, ZeroCone, canonical_point)
-from regap.divergences import (EuclideanKernel, IdentityMap,
+from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap,
                                KullbackLeiblerKernel, LinearMap,
                                RegularizedSet, SquareMap)
 from regap.projectors import (AffineSet, BoxMagnitudeSet, FourierMagnitudeSet,
@@ -307,6 +307,8 @@ def test_fourier_set_validation():
         FourierMagnitudeSet([-1.0, 0.0])
     with pytest.raises(DimensionMismatchError):
         FourierMagnitudeSet(np.ones(6), shape=(2, 2))
+    with pytest.raises(DimensionMismatchError):
+        FourierMagnitudeSet(np.ones(16), (2, 8), FourierIntensityMap((4, 4)))
 
 
 # ---------------------------------------------------------------------------
