@@ -38,16 +38,27 @@ class EuclideanKernel:
         return self.against(y)(z)
 
     def against(self, y) -> Callable[[np.ndarray], float]:
-        """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data."""
+        """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data,
+        with ``gradient`` and ``segment_excess`` as for KL (here a quartic)."""
         y = _as_array(y)
 
         def distance(z) -> float:
             d = _as_array(z) - y
             return 0.5 * float(d @ d)
+
+        def segment_excess(p, bound: float) -> Callable[[float], float]:
+            # ½‖p0 − y + p1 t + p2 t²‖² − bound, expanded once into a quartic in t
+            p0, p1, p2 = p[0] - y, p[1], p[2]
+            c0 = 0.5 * float(p0 @ p0) - bound
+            c1, c2 = float(p0 @ p1), 0.5 * float(p1 @ p1) + float(p0 @ p2)
+            c3, c4 = float(p1 @ p2), 0.5 * float(p2 @ p2)
+            return lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))
+
+        distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
         return distance
 
     def gradient_in_first_arg(self, z, y) -> np.ndarray:
-        return _as_array(z) - _as_array(y)
+        return self.against(y).gradient(z)
 
     def hessian_in_first_arg(self, z, y) -> np.ndarray:
         return np.eye(_as_array(z).size)
@@ -88,13 +99,18 @@ class KullbackLeiblerKernel:
 
         ``y`` is checked, clipped and logged once; each call checks ``z`` and
         adds the clipped entries of ``y`` to ``clip_count``, as ``evaluate``
-        does per call.
+        does per call.  So do the callable's ``gradient(z)`` and each probe
+        of its ``segment_excess(p, bound)``, ``t -> d(z(t), y) - bound`` on
+        ``z(t) = p0 + p1 t + p2 t^2``, clamped at 0 as it may round below.
+        A probe takes only ``sum z log z``: ``sum z (log y + 1)`` is three
+        moments taken once per segment, and ``sum y`` is taken once here.
         """
         y = _as_array(y)
         self._check_nonneg(y, "second")
         small = y < CLIP_FLOOR
         n_small = int(np.count_nonzero(small))
         log_y = np.log(np.where(small, CLIP_FLOOR, y))
+        weight, total = log_y + 1.0, float(y.sum())
 
         def divergence(z) -> float:
             z = _as_array(z)
@@ -109,14 +125,36 @@ class KullbackLeiblerKernel:
             terms += y
             terms -= z
             return float(terms.sum())
+
+        def gradient(z) -> np.ndarray:
+            z = _as_array(z)
+            self._check_nonneg(z, "first")
+            self.clip_count += n_small
+            return np.log(self._clip(z)) - log_y
+
+        def segment_excess(p, bound: float) -> Callable[[float], float]:
+            p0, p1, p2 = p
+            k0, k1, k2 = (float(weight @ pj) for pj in p)
+            c0 = total - k0 - bound
+            z, log_z = np.empty_like(p0), np.empty_like(p0)
+
+            def excess(t: float) -> float:
+                np.multiply(p2, t, out=z)
+                np.add(z, p1, out=z)
+                np.multiply(z, t, out=z)
+                np.add(z, p0, out=z)
+                np.maximum(z, 0.0, out=z)
+                # log at max(z, CLIP_FLOOR): 0*log(0) = 0, and < 1e-297 off below
+                np.log(np.maximum(z, CLIP_FLOOR, out=log_z), out=log_z)
+                self.clip_count += n_small
+                return float(z @ log_z) + c0 - t * (k1 + t * k2)
+            return excess
+
+        divergence.gradient, divergence.segment_excess = gradient, segment_excess
         return divergence
 
     def gradient_in_first_arg(self, z, y) -> np.ndarray:
-        z = _as_array(z)
-        y = _as_array(y)
-        self._check_nonneg(z, "first")
-        self._check_nonneg(y, "second")
-        return np.log(self._clip(z)) - np.log(self._clip(y))
+        return self.against(y).gradient(z)
 
     def hessian_in_first_arg(self, z, y) -> np.ndarray:
         z = self._clip(_as_array(z))
@@ -133,8 +171,9 @@ class ForwardMap:
     ``value`` evaluates g, ``pullback`` applies the Jacobian adjoint
     Dg(x)^T w in real-storage coordinates, and ``segment`` prepares g along
     a segment for the boundary solve.  With a Euclidean kernel that solve is
-    a closed form when ``is_affine`` holds and a quartic for ``SquareMap``
-    (its ``segment_polynomial``); other maps feed it the prepared excess.
+    a closed form when ``is_affine`` holds.  The quadratic maps give instead
+    ``segment_polynomial(x, a)``, ``(p0, p1, p2)`` with ``g = p0 + p1 t + p2
+    t^2``, which the kernel's prepared divergence answers directly.
     """
 
     in_dim: int
@@ -275,24 +314,16 @@ class FourierIntensityMap(ForwardMap):
         grad = self._inverse_transform(2.0 * w * X)
         return np.ascontiguousarray(grad).view(np.float64).copy()
 
-    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
-        # The DFT is linear: F((1 - t) x + t a) = X + t (A - X), so two
-        # transforms serve the whole segment.  The intensity is evaluated as
-        # re^2 + im^2 in real arithmetic, which skips the complex modulus
-        # (a hypot per entry) and is nonnegative by construction.
+    def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(|X|², 2·Re(X·conj D), |D|²)`` of ``t -> g((1 - t) x + t a)``.
+
+        The DFT is linear, ``F((1 - t) x + t a) = X + t D`` with ``X = F x``
+        and ``D = F a − X``, so the two memoized spectra serve the segment.
+        """
         X = self._transform(x).ravel()
         D = self._transform(a).ravel() - X
-        xr, xi = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
-        dr, di = np.ascontiguousarray(D.real), np.ascontiguousarray(D.imag)
-
-        def along(t: float) -> np.ndarray:
-            re = xr + t * dr
-            im = xi + t * di
-            re *= re
-            im *= im
-            re += im
-            return re
-        return along
+        xr, xi, dr, di = X.real, X.imag, D.real, D.imag
+        return xr * xr + xi * xi, 2.0 * (xr * dr + xi * di), dr * dr + di * di
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +390,13 @@ class RegularizedSet:
         return value
 
     def residual_gradient(self, x: Point) -> Point:
-        w = self.kernel.gradient_in_first_arg(self.forward.value(x), self.data)
+        w = self.divergence.gradient(self.forward.value(x))
         return Point(self.forward.pullback(x, w), self.kind)
 
     def residual_hessian(self, x: Point) -> np.ndarray:
         z = self.forward.value(x)
         jac = self.forward.jacobian(x)
-        w = self.kernel.gradient_in_first_arg(z, self.data)
+        w = self.divergence.gradient(z)
         hess = jac.T @ self.kernel.hessian_in_first_arg(z, self.data) @ jac
         return hess + self.forward.second_order_correction(x, w)
 
@@ -402,17 +433,18 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     affine maps solve a closed-form quadratic.  Otherwise
     :func:`~regap.core.first_crossing` (a forward scan plus safeguarded secant
     refinement) locates the first member of the excess ``residual - (epsilon
-    + MEMBERSHIP_TOL)``: an exact quartic in ``t`` for Euclidean kernels with
-    a ``SquareMap``, else the map's prepared ``segment`` under the set's
-    prepared divergence; neither builds a point per step.  For non-monotone
-    residuals the first crossing found by the scan is returned.  Requires
-    ``x`` outside the set and ``x0`` a member (for instance a projection
-    onto the data set); a member ``x`` raises ``ValueError``, as does a
-    non-member ``x0`` in the segment search, which tests the ``x0`` end
-    first.  The returned point is re-checked with ``contains``; should
-    rounding in the prepared excess ever disagree, the search is redone with
-    the generic excess, so the result is always a member within the
-    membership tolerance granted to the anchor itself.
+    + MEMBERSHIP_TOL)``: the prepared divergence's ``segment_excess`` on the
+    map's ``segment_polynomial`` where it has one, else the map's prepared
+    ``segment`` under the prepared divergence; neither builds a point per
+    step.  For non-monotone residuals the first crossing found by the scan
+    is returned.  Requires ``x`` outside the set and ``x0`` a member (for
+    instance a projection onto the data set); a member ``x`` raises
+    ``ValueError``, as does a non-member ``x0`` in the segment search,
+    which tests the ``x0`` end first.  The returned point is re-checked
+    with ``contains``; should rounding in the prepared excess ever
+    disagree, the search is redone with the generic excess, so the result
+    is always a member within the membership tolerance granted to the
+    anchor itself.
     """
     if m.residual(x) <= m.epsilon:
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -429,16 +461,9 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
         # fall through to the segment search on degenerate geometry
 
     bound = m.epsilon + MEMBERSHIP_TOL
-    if isinstance(m.kernel, EuclideanKernel) and isinstance(m.forward, SquareMap):
-        # ½‖p0 + p1 t + p2 t²‖² − bound, expanded once into a quartic in t
-        p0, p1, p2 = m.forward.segment_polynomial(x, x0)
-        p0 = p0 - m.data
-        c0 = 0.5 * float(p0 @ p0) - bound
-        c1, c2 = float(p0 @ p1), 0.5 * float(p1 @ p1) + float(p0 @ p2)
-        c3, c4 = float(p1 @ p2), 0.5 * float(p2 @ p2)
-
-        def fast(t: float) -> float:
-            return c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))
+    polynomial = getattr(m.forward, "segment_polynomial", None)
+    if polynomial is not None:
+        fast = m.divergence.segment_excess(polynomial(x, x0), bound)
     else:
         along, divergence = m.forward.segment(x, x0), m.divergence
 

@@ -39,8 +39,9 @@ class NewtonConvergenceError(SolverError):
 class AffineSet(SetOracle):
     """Affine subspace {x : A x = b} with full row rank A.
 
-    The Cholesky factor L of A A^T = L L^T is computed once and reused by
-    every projection.
+    With the thin QR factorization A^T = Q R, the set is {x : Q^T x = c},
+    c = R^-T b, so the projection is ``x - Q (Q^T x - c)``; Q and c are
+    computed once.
     """
 
     convex = True
@@ -55,23 +56,22 @@ class AffineSet(SetOracle):
         super().__init__(a.shape[1])
         self.matrix = a
         self.rhs = b
-        # The SVD rank rule of core.null_space; Cholesky alone accepts an
+        # The SVD rank rule of core.null_space, then a Cholesky of A A^T that
+        # refuses A too ill-conditioned for it; Cholesky alone accepts an
         # exactly rank-deficient A whose last pivot rounds to a tiny positive.
         if _svd_rank(np.linalg.svd(a, compute_uv=False), a.shape) < a.shape[0]:
             raise ValueError("matrix must have full row rank")
         try:
-            self._chol = np.linalg.cholesky(a @ a.T)
+            np.linalg.cholesky(a @ a.T)
         except np.linalg.LinAlgError as exc:
             raise ValueError("matrix must have full row rank") from exc
-        q, _ = np.linalg.qr(a.T)
-        self._normal_basis = q
+        q, r = np.linalg.qr(a.T)
+        self._normal_basis, self._offset = q, np.linalg.solve(r.T, b)
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        r = self.matrix @ x.data - self.rhs
-        w = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, r))
-        y = x.data - self.matrix.T @ w
-        return [Point(y)]
+        q = self._normal_basis
+        return [Point(x.data - q @ (q.T @ x.data - self._offset))]
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
@@ -134,11 +134,10 @@ class SupportNonnegSet(SetOracle):
         self.n_logical = int(n)
         super().__init__(2 * self.n_logical if kind == COMPLEX else self.n_logical)
         mask = np.zeros(self.n_logical, dtype=bool)
-        idx = np.asarray(sorted({int(i) for i in forced_zero}), dtype=int)
+        idx = np.asarray(forced_zero, dtype=int)  # repeated indices are harmless
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_logical):
             raise ValueError("forced-zero index out of range")
-        if idx.size:
-            mask[idx] = True
+        mask[idx] = True
         self.forced_zero = mask
 
     def _parts(self, x: Point) -> tuple[np.ndarray, np.ndarray | None]:

@@ -1,5 +1,6 @@
 """Divergence kernels, forward maps, fattened sets, and boundary search."""
 
+import functools
 import math
 import warnings
 
@@ -165,6 +166,28 @@ def test_kl_divergence_matches_xlogy_reference(pairs):
             negative[len(negative) // 2] = -1e-3
             with pytest.raises(KernelDomainError):
                 evaluate(negative)
+
+
+def kl_gradient_reference(z, y):
+    """The KL gradient as taken per call before it read the prepared data:
+    both arguments clipped at ``CLIP_FLOOR`` and logged."""
+    clip = lambda v: np.where(v < CLIP_FLOOR, CLIP_FLOOR, v)  # noqa: E731
+    return np.log(clip(z)) - np.log(clip(y)), int(np.count_nonzero(z < CLIP_FLOOR)
+                                                  + np.count_nonzero(y < CLIP_FLOOR))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_KL_ENTRY, _KL_ENTRY), min_size=1, max_size=40))
+def test_kl_prepared_gradient_is_bit_identical_and_clips_as_often(pairs):
+    z, y = (np.array(v) for v in zip(*pairs))
+    expected, n_clipped = kl_gradient_reference(z, y)
+    k = KullbackLeiblerKernel()
+    ball = RegularizedSet(IdentityMap(z.size), y, k, 1.0)  # g = id: the gradient is w
+    for gradient in (k.against(y).gradient, lambda v: k.gradient_in_first_arg(v, y),
+                     lambda v: ball.residual_gradient(Point(v)).data):
+        before = k.clip_count
+        assert np.array_equal(gradient(z), expected)
+        assert k.clip_count - before == n_clipped
 
 
 # ---------------------------------------------------------------------------
@@ -470,32 +493,51 @@ def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
     assert run(3) - run(2) == 4
 
 
-class _CountingSegmentMap(FourierIntensityMap):
-    """Fourier intensity map that counts the excess evaluations of each boundary solve."""
+def _counting_crossings(monkeypatch) -> list[int]:
+    """Count the excess evaluations of each boundary solve's ``first_crossing``.
 
-    def __init__(self, shape):
-        super().__init__(shape)
-        self.solves = []
+    The returned list gains one entry per ``first_crossing`` call.
+    """
+    evals = []
 
-    def segment(self, x, a):
-        along = super().segment(x, a)
-        self.solves.append(0)
+    def counted_crossing(excess):
+        evals.append(0)
 
         def counted(t):
-            self.solves[-1] += 1
-            return along(t)
+            evals[-1] += 1
+            return excess(t)
+        return first_crossing(counted)
+    monkeypatch.setattr("regap.divergences.first_crossing", counted_crossing)
+    return evals
+
+
+def _counting_divergences(monkeypatch, kernel) -> list[int]:
+    """Count calls of every divergence ``kernel.against`` prepares from now on."""
+    calls = [0]
+    against = kernel.against
+
+    def counted_against(self, y):
+        prepared = against(self, y)
+
+        @functools.wraps(prepared)  # keeps its gradient and segment_excess
+        def counted(z):
+            calls[0] += 1
+            return prepared(z)
         return counted
+    monkeypatch.setattr(kernel, "against", counted_against)
+    return calls
 
 
-def test_surface_boundary_solve_evaluation_count():
+def test_surface_boundary_solve_evaluation_count(monkeypatch):
     # A solve evaluates the upper end, scans the ceil(64 tau) grid points up
     # to the first member, then refines: a handful of secant steps where
-    # bisection to 1e-12 took about 35.
-    setC, m, unreg, x0 = _surface_8x8(_CountingSegmentMap)
+    # bisection to 1e-12 took about 35.  One first_crossing per solve: no
+    # solve falls back to the generic excess.
+    setC, m, unreg, x0 = _surface_8x8(FourierIntensityMap)
+    solves = _counting_crossings(monkeypatch)
     trace = regularized_extrapolated_ap(
         setC, m, unreg, x0, InexactAPConfig(max_iterations=40, measure_gamma=False))
     scans = [math.ceil(64 * r.lam) for r in trace.records if 0.0 < r.lam < 1.0]
-    solves = m.forward.solves
     assert len(solves) == len(scans) and scans.count(1) > 10
     assert all(n <= 14 for n, cells in zip(solves, scans) if cells == 1)
     assert all(n - cells <= 13 for n, cells in zip(solves, scans))
@@ -514,7 +556,12 @@ def _check_fast_boundary(m, x, x0, exact_segment):
     assert abs(tau - _reference_boundary(m, x, x0)) <= 1e-10
     assert m.contains(point)
 
-    along = m.forward.segment(x, x0)
+    # exact: the map's prepared segment; else its segment polynomial
+    if exact_segment:
+        along = m.forward.segment(x, x0)
+    else:
+        p0, p1, p2 = m.forward.segment_polynomial(x, x0)
+        along = lambda t: p0 + t * (p1 + t * p2)  # noqa: E731
     clips = lambda: getattr(m.kernel, "clip_count", 0)  # noqa: E731
     for t in (0.0, tau, 0.5 * tau, 0.37, 1.0):
         got, ref = along(t), m.forward.value(lerp(x, x0, t))
@@ -556,6 +603,65 @@ def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
     assert ball.kernel.clip_count > 0
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.floats(-2.0, 3.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_kl_segment_excess_matches_prepared_divergence(n1, n2, seed, through_zero, k, ts):
+    # Grids scaled by 10^k.  With x0 = -x the segment's spectrum X + t D
+    # vanishes at t = 1/2, so every z log z there is 0 log 0.
+    rng = np.random.default_rng(seed)
+    fmap, n = FourierIntensityMap((n1, n2)), n1 * n2
+    grid = lambda: Point.from_complex(  # noqa: E731
+        10.0 ** k * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    x, y = grid(), fmap.value(grid())
+    x0 = Point(-x.data, COMPLEX) if through_zero else grid()
+    y[rng.random(n) < 0.3] = 0.0  # zeros in the data: KL clips them
+    y[rng.random(n) < 0.2] = 1e-310
+    kernel, bound = KullbackLeiblerKernel(), 0.25
+    prepared = kernel.against(y)
+    p = fmap.segment_polynomial(x, x0)
+    excess = prepared.segment_excess(p, bound)
+    log_y = np.log(np.where(y < CLIP_FLOOR, CLIP_FLOOR, y))
+    for t in ts + [0.0, 0.5, 1.0]:
+        z = fmap.value(lerp(x, x0, t))
+        if through_zero and t == 0.5:
+            assert not z.any()
+        before = kernel.clip_count
+        expected = prepared(z) - bound
+        mid = kernel.clip_count
+        got = excess(t)
+        assert kernel.clip_count - mid == mid - before == np.count_nonzero(y < CLIP_FLOOR)
+        # rounding scale: the reference's terms, plus each expanded entry
+        # M = |p0| + t |p1| + t^2 |p2| times the logs it meets
+        size = np.abs(p[0]) + t * np.abs(p[1]) + t * t * np.abs(p[2])
+        log_size = np.log(size, out=np.zeros_like(size), where=size > 0)
+        scale = kl_reference(z, y)[1] + np.sum(size * (np.abs(log_y) + np.abs(log_size) + 1.0))
+        assert abs(got - expected) <= 1e-13 * scale
+
+
+def test_kl_fourier_boundary_evaluates_no_residual_per_probe(monkeypatch):
+    # As for the square-Euclidean quartic: the segment polynomial and the
+    # KL moments stand in for g and d at every probe, so a solve evaluates
+    # them only for residual(x) and the contains re-check.
+    divergences = _counting_divergences(monkeypatch, KullbackLeiblerKernel)
+    evals = _counting_crossings(monkeypatch)
+
+    rng = np.random.default_rng(4)
+    shape = (8, 8)
+    obj = rng.uniform(0.0, 1.0, shape)
+    data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
+    data[rng.random(data.size) < 0.3] = 0.0
+    x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
+    x0 = canonical_point(FourierMagnitudeSet(data, shape).project(x))
+    ball = _outside_ball(_CountingFourierMap(shape), data, KullbackLeiblerKernel(), x, x0, 0.1)
+    ball.forward.values = divergences[0] = 0
+    tau, point = bregman_line_boundary(ball, x, x0)
+    assert ball.forward.values == 2 and divergences[0] == 2
+    assert len(evals) == 1 and evals[0] > 2
+    assert ball.contains(point)
+    assert abs(tau - _reference_boundary(ball, x, x0)) <= 1e-10
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
        st.floats(-1.0, 2.0))
@@ -567,6 +673,21 @@ def test_square_euclidean_boundary_matches_generic_path(n, seed, frac, k):
     x = Point(10.0 ** k * 3.0 * rng.standard_normal(n))
     x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
     ball = _outside_ball(SquareMap(n), data, EuclideanKernel(), x, x0, frac)
+    assume(not ball.contains(x))
+    _check_fast_boundary(ball, x, x0, exact_segment=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.floats(-1.0, 2.0))
+def test_square_kl_boundary_matches_generic_path(n, seed, frac, k):
+    # KL on a SquareMap takes the same polynomial branch as the Fourier map
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 2.0, n)
+    data[rng.random(n) < 0.2] = 0.0
+    x = Point(10.0 ** k * 3.0 * rng.standard_normal(n))
+    x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
+    ball = _outside_ball(SquareMap(n), data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
     _check_fast_boundary(ball, x, x0, exact_segment=True)
 
@@ -587,28 +708,8 @@ def test_square_euclidean_boundary_evaluates_no_residual_per_probe(monkeypatch):
     # The quartic stands in for g and d at every probe: a solve evaluates
     # them only for residual(x) and the contains re-check, and first_crossing
     # takes as many excess evaluations as on the generic excess.
-    divergences = [0]
-    against = EuclideanKernel.against
-
-    def counted_against(self, y):
-        prepared = against(self, y)
-
-        def counted(z):
-            divergences[0] += 1
-            return prepared(z)
-        return counted
-    monkeypatch.setattr(EuclideanKernel, "against", counted_against)
-
-    evals = []
-
-    def counted_crossing(excess):
-        evals.append(0)
-
-        def counted(t):
-            evals[-1] += 1
-            return excess(t)
-        return first_crossing(counted)
-    monkeypatch.setattr("regap.divergences.first_crossing", counted_crossing)
+    divergences = _counting_divergences(monkeypatch, EuclideanKernel)
+    evals = _counting_crossings(monkeypatch)
 
     rng = np.random.default_rng(3)
     n = 40

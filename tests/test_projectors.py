@@ -79,6 +79,33 @@ def test_affine_projection_matches_cholesky_reference(m, extra, seed):
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
+def affine_projection_by_cholesky_solves(A, b, x):
+    """The projection before the QR form: two general solves with the
+    Cholesky factor of A A^T."""
+    chol = np.linalg.cholesky(A @ A.T)
+    w = np.linalg.solve(chol.T, np.linalg.solve(chol, A @ x - b))
+    return x - A.T @ w
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0), st.floats(-3.0, 3.0))
+def test_affine_qr_projection_matches_cholesky_solves(m, extra, seed, spread, k):
+    # singular values 10^-spread .. 1 times a random scale; x and b times 10^k
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m + extra, m + extra)))
+    sv = 10.0 ** rng.uniform(-spread, 0.0, m)
+    sv[0] = 1.0
+    A = (u * sv * 10.0 ** rng.uniform(-2.0, 2.0)) @ v[:, :m].T
+    b = 10.0 ** k * rng.standard_normal(m)
+    x = 10.0 ** k * rng.standard_normal(m + extra)
+    expected = affine_projection_by_cholesky_solves(A, b, x)
+    got = AffineSet(A, b).project(Point(x))[0].data
+    size = max(np.max(np.abs(x)), np.max(np.abs(expected)))
+    assert np.max(np.abs(got - expected)) <= 1e-13 * (sv.max() / sv.min()) ** 2 * size
+
+
 def test_affine_rejects_rank_deficiency_and_bad_shapes():
     with pytest.raises(ValueError):
         AffineSet(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
@@ -151,6 +178,32 @@ def test_support_projection_is_nearest_member(seed):
         member = np.abs(rng.standard_normal(n)) * rng.uniform(0, 4)
         member[s.forced_zero] = 0.0
         assert x.distance(Point(member)) >= d_star - 1e-12
+
+
+def support_mask_reference(forced_zero, n):
+    """The forced-zero mask as built before, through a sorted Python set."""
+    idx = np.asarray(sorted({int(i) for i in forced_zero}), dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError("forced-zero index out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+@pytest.mark.parametrize("forced_zero", [
+    [3, 1, 3, 1], (4, 0, 4), np.array([2, 2, 0]), np.arange(5)[::-1], [], range(5),
+    [-1], [5], [0, 7, 0], np.array([-3, 2]),
+])
+def test_support_mask_matches_set_reference(forced_zero):
+    # duplicate and unsorted indices give the same mask; negative and
+    # out-of-range ones the same error
+    try:
+        expected = support_mask_reference(forced_zero, 5)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            SupportNonnegSet(forced_zero, 5)
+    else:
+        assert np.array_equal(SupportNonnegSet(forced_zero, 5).forced_zero, expected)
 
 
 def test_support_normal_cone_signs():
