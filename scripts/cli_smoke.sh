@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Console-script smoke: `regap run` on three small configs, `regap report` on
+# Console-script smoke: `regap run` on five small configs, `regap report` on
 # the runs, `regap synth` and a custom run on its instance, and four bad
 # inputs with their documented exit codes.
 #
@@ -44,11 +44,36 @@ epsilon_kappa = 1
 seed = 1, 2
 out = $work/box
 CFG
+# the Euclidean ball around a line: the boundary solve's closed form
+cat > "$work/parallel.cfg" <<CFG
+problem = parallel_lines
+algorithm = regularized_extrapolated
+gap = 1
+epsilon = 1
+seed = 1, 2
+out = $work/parallel
+CFG
+# exact AP onto the Fourier-magnitude set, which builds its own DFT map
+cat > "$work/phase_exact.cfg" <<CFG
+problem = phase_retrieval
+algorithm = exact_ap
+object = smooth
+shape = 16, 16
+photon_scale = 1e3
+max_iter = 50
+out = $work/phase_exact
+CFG
 $regap run --config "$work/lines.cfg"
 $regap run --config "$work/phase.cfg"
 $regap run --config "$work/box.cfg"
-for summary in "$work/lines/seed1" "$work/lines/seed2" "$work/phase"; do
+$regap run --config "$work/parallel.cfg"
+$regap run --config "$work/phase_exact.cfg"
+for summary in "$work/lines/seed1" "$work/lines/seed2" "$work/phase" "$work/phase_exact"; do
   python3 -m json.tool "$summary/summary.json" > /dev/null
+done
+for summary in "$work/parallel/seed1" "$work/parallel/seed2"; do
+  python3 -c 'import json, sys; r = json.load(open(sys.argv[1]))["reason"]
+sys.exit(None if r == "fixed_point" else f"reason {r}, expected fixed_point")' "$summary/summary.json"
 done
 # the box runs end on the affine set: its residual is round-off sized
 for summary in "$work/box/seed1" "$work/box/seed2"; do

@@ -43,7 +43,7 @@ from .algorithms import (CUSTOM, LAMBDA_SCHEDULES, SURFACE, InexactAPConfig,
                          regularized_extrapolated_ap)
 from .core import (COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError,
                    atomic_open, canonical_point, null_space)
-from .divergences import EuclideanKernel, LinearMap, RegularizedSet
+from .divergences import EuclideanKernel, FourierIntensityMap, LinearMap, RegularizedSet
 from .phase import (PhaseInstance, aligned_error, box_support, cup_object, export_grid,
                     interiority_check, load_instance, loose_support, reconstruct,
                     save_instance, smooth_object, synthesize)
@@ -446,7 +446,7 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
     setC = SupportNonnegSet(inst.forced_zero, n, kind=COMPLEX)
 
     if cfg.algorithm == "exact_ap":
-        setM = FourierMagnitudeSet(inst.observed.ravel(), inst.shape)
+        setM = FourierMagnitudeSet(inst.observed.ravel(), FourierIntensityMap(inst.shape))
         rng = _stream(entry.seed, 1)
         start_img = np.zeros(inst.shape)
         start_img[inst.support] = rng.uniform(0.0, 1.0, size=int(inst.support.sum()))

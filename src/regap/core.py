@@ -93,10 +93,6 @@ class Point:
     def norm(self) -> float:
         return float(np.linalg.norm(self._data))
 
-    def inner(self, other: "Point") -> float:
-        self._check_compatible(other)
-        return float(self._data @ other._data)
-
     def distance(self, other: "Point") -> float:
         self._check_compatible(other)
         return float(np.linalg.norm(self._data - other._data))

@@ -57,9 +57,6 @@ class EuclideanKernel:
         distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
         return distance
 
-    def gradient_in_first_arg(self, z, y) -> np.ndarray:
-        return self.against(y).gradient(z)
-
     def hessian_in_first_arg(self, z, y) -> np.ndarray:
         return np.eye(_as_array(z).size)
 
@@ -114,8 +111,7 @@ class KullbackLeiblerKernel:
 
         def divergence(z) -> float:
             z = _as_array(z)
-            if (z < 0).any():
-                raise KernelDomainError("negative component in the first argument")
+            self._check_nonneg(z, "first")
             self.clip_count += n_small
             # z*log(z/y) as z*log(z) - z*log(yc), with 0*log(0) = 0: the log
             # is taken on the positive entries of z only.
@@ -153,9 +149,6 @@ class KullbackLeiblerKernel:
         divergence.gradient, divergence.segment_excess = gradient, segment_excess
         return divergence
 
-    def gradient_in_first_arg(self, z, y) -> np.ndarray:
-        return self.against(y).gradient(z)
-
     def hessian_in_first_arg(self, z, y) -> np.ndarray:
         z = self._clip(_as_array(z))
         return np.diag(1.0 / z)
@@ -168,12 +161,11 @@ class KullbackLeiblerKernel:
 class ForwardMap:
     """Differentiable map g from the ambient space into the data space.
 
-    ``value`` evaluates g, ``pullback`` applies the Jacobian adjoint
-    Dg(x)^T w in real-storage coordinates, and ``segment`` prepares g along
-    a segment for the boundary solve.  With a Euclidean kernel that solve is
-    a closed form when ``is_affine`` holds.  The quadratic maps give instead
-    ``segment_polynomial(x, a)``, ``(p0, p1, p2)`` with ``g = p0 + p1 t + p2
-    t^2``, which the kernel's prepared divergence answers directly.
+    ``value`` evaluates g and ``pullback`` applies the Jacobian adjoint
+    Dg(x)^T w in real-storage coordinates.  ``segment_polynomial(x, a)``
+    gives ``(p0, p1, p2)`` with ``g((1 - t) x + t a) = p0 + p1 t + p2 t^2``,
+    which the boundary solve hands to the kernel's prepared divergence;
+    affine maps (``is_affine``) inherit it, quadratic maps override it.
     """
 
     in_dim: int
@@ -187,13 +179,12 @@ class ForwardMap:
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def segment(self, x: Point, a: Point) -> Callable[[float], np.ndarray]:
-        """``t -> g((1 - t) x + t a)``, prepared once per segment.
-
-        This generic version evaluates ``value(lerp(x, a, t))`` and is the
-        reference that overrides must reproduce.
-        """
-        return lambda t: self.value(lerp(x, a, t))
+    def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(g(x), g(a) − g(x), 0)``, exact for affine maps only."""
+        if not self.is_affine:
+            raise NotImplementedError(f"{type(self).__name__} has no segment polynomial")
+        gx = self.value(x)
+        return gx, self.value(a) - gx, np.zeros_like(gx)
 
     def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
         """Matrix sum_k w_k * Hess(g_k)(x); zero for affine maps."""
@@ -433,18 +424,17 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     affine maps solve a closed-form quadratic.  Otherwise
     :func:`~regap.core.first_crossing` (a forward scan plus safeguarded secant
     refinement) locates the first member of the excess ``residual - (epsilon
-    + MEMBERSHIP_TOL)``: the prepared divergence's ``segment_excess`` on the
-    map's ``segment_polynomial`` where it has one, else the map's prepared
-    ``segment`` under the prepared divergence; neither builds a point per
-    step.  For non-monotone residuals the first crossing found by the scan
-    is returned.  Requires ``x`` outside the set and ``x0`` a member (for
-    instance a projection onto the data set); a member ``x`` raises
-    ``ValueError``, as does a non-member ``x0`` in the segment search,
-    which tests the ``x0`` end first.  The returned point is re-checked
-    with ``contains``; should rounding in the prepared excess ever
-    disagree, the search is redone with the generic excess, so the result
-    is always a member within the membership tolerance granted to the
-    anchor itself.
+    + MEMBERSHIP_TOL)``, taken as the prepared divergence's ``segment_excess``
+    on the map's ``segment_polynomial`` without building a point per step; a
+    map with no polynomial raises ``NotImplementedError``.  For non-monotone
+    residuals the first crossing found by the scan is returned.  Requires
+    ``x`` outside the set and ``x0`` a member (for instance a projection onto
+    the data set); a member ``x`` raises ``ValueError``, as does a non-member
+    ``x0`` in the segment search, which tests the ``x0`` end first.  The
+    returned point is re-checked with ``contains``; should rounding in the
+    prepared excess ever disagree, the search is redone with the generic
+    excess ``residual(lerp(...))``, so the result is always a member within
+    the membership tolerance granted to the anchor itself.
     """
     if m.residual(x) <= m.epsilon:
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -461,14 +451,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
         # fall through to the segment search on degenerate geometry
 
     bound = m.epsilon + MEMBERSHIP_TOL
-    polynomial = getattr(m.forward, "segment_polynomial", None)
-    if polynomial is not None:
-        fast = m.divergence.segment_excess(polynomial(x, x0), bound)
-    else:
-        along, divergence = m.forward.segment(x, x0), m.divergence
-
-        def fast(t: float) -> float:
-            return divergence(along(t)) - bound
+    fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0), bound)
 
     def search(excess: Callable[[float], float]) -> tuple[float, Point]:
         tau = float(first_crossing(excess))

@@ -167,7 +167,8 @@ def synthesize(shape: tuple[int, int], support: np.ndarray, photon_scale: float,
             raise ValueError("object must be nonnegative")
         if np.any(object_image[~support] != 0):
             raise ValueError("object must vanish outside the support")
-    intensity = np.abs(np.fft.fftn(object_image, norm="ortho")) ** 2
+    intensity = FourierIntensityMap(shape).value(
+        Point.from_complex(object_image.ravel().astype(np.complex128))).reshape(shape)
     observed = rng.poisson(photon_scale * intensity).astype(np.float64) / photon_scale
     return PhaseInstance(object_image=object_image, noiseless_intensity=intensity,
                          observed=observed, support=support,
@@ -209,7 +210,7 @@ def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, s
     m = divergence_ball(instance, epsilon)
     # on the ball's map, so that the anchor projection reuses the interior
     # test's spectrum of each iterate
-    unreg = FourierMagnitudeSet(instance.observed.ravel(), instance.shape, m.forward)
+    unreg = FourierMagnitudeSet(instance.observed.ravel(), m.forward)
 
     streams = np.random.SeedSequence(seed).spawn(max(1, n_restarts))
     best: ReconstructionResult | None = None

@@ -228,9 +228,9 @@ def project_affine(s: AffineSet, x: Point) -> Point:
     return s.project(x)[0]
 
 
-def project_fourier_magnitude(intensity, x: Point, shape=None) -> Point:
-    """Projection onto {x : |F x|^2 = b} for the unitary DFT F."""
-    return FourierMagnitudeSet(intensity, shape).project(x)[0]
+def project_fourier_magnitude(intensity, x: Point, shape) -> Point:
+    """Projection onto {x : |F x|^2 = b} for the unitary DFT F on ``shape`` grids."""
+    return FourierMagnitudeSet(intensity, FourierIntensityMap(shape)).project(x)[0]
 
 
 class FourierMagnitudeSet(SetOracle):
@@ -239,25 +239,23 @@ class FourierMagnitudeSet(SetOracle):
     ``project`` replaces each DFT coefficient's modulus by sqrt(b_k), taken
     once at construction, while keeping its phase; coefficients at exactly
     zero get phase 1.  Because F is unitary this is an exact Euclidean
-    projection.  ``forward_map`` (a fresh map of ``shape`` by default) does
-    the transforms; passing a divergence ball's map shares its memo.
+    projection.  ``forward_map`` fixes the grid shape and does the
+    transforms; passing a divergence ball's map shares its memo.
     """
 
     kind = COMPLEX
 
-    def __init__(self, intensity, shape=None, forward_map: FourierIntensityMap | None = None):
+    def __init__(self, intensity, forward_map: FourierIntensityMap):
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
         if np.any(b < 0):
             raise ValueError("intensities must be nonnegative")
+        if b.size != forward_map.out_dim:
+            raise DimensionMismatchError(
+                f"intensity length {b.size} does not match the map range {forward_map.out_dim}")
         self.intensity = b
-        self.shape = tuple(int(s) for s in shape) if shape is not None else (b.size,)
-        if int(np.prod(self.shape)) != b.size:
-            raise DimensionMismatchError("shape does not match the intensity length")
-        super().__init__(2 * b.size)
-        self._magnitude = np.sqrt(b).reshape(self.shape)
-        self._map = FourierIntensityMap(self.shape) if forward_map is None else forward_map
-        if self._map.shape != self.shape:
-            raise DimensionMismatchError("forward map shape does not match the intensity shape")
+        super().__init__(forward_map.in_dim)
+        self._magnitude = np.sqrt(b).reshape(forward_map.shape)
+        self._map = forward_map
 
     def project(self, x: Point) -> list[Point]:
         X = self._map._transform(x)

@@ -23,7 +23,6 @@ def test_point_basic_properties():
     assert p.dim == 2 and p.kind == REAL
     assert p.norm() == 5.0
     assert p.distance(Point(np.array([0.0, 0.0]))) == 5.0
-    assert p.inner(Point(np.array([1.0, 1.0]))) == 7.0
 
 
 def test_point_rejects_bad_input():

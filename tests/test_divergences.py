@@ -76,7 +76,7 @@ def test_euclidean_kernel_matches_half_squared_norm():
     for _ in range(10):
         z, y = rng.standard_normal(6), rng.standard_normal(6)
         assert k.evaluate(z, y) == pytest.approx(0.5 * np.sum((z - y) ** 2), rel=1e-14)
-        assert np.allclose(k.gradient_in_first_arg(z, y), z - y)
+        assert np.allclose(k.against(y).gradient(z), z - y)
         assert np.allclose(k.hessian_in_first_arg(z, y), np.eye(6))
 
 
@@ -101,7 +101,7 @@ def test_kl_gradient_and_hessian_match_finite_differences():
     k = KullbackLeiblerKernel()
     y = rng.uniform(0.5, 2.0, 4)
     z = rng.uniform(0.5, 2.0, 4)
-    g = k.gradient_in_first_arg(z, y)
+    g = k.against(y).gradient(z)
     fd = finite_difference_gradient(lambda v: k.evaluate(v, y), z)
     assert np.allclose(g, fd, atol=1e-6)
     hess = k.hessian_in_first_arg(z, y)
@@ -183,8 +183,7 @@ def test_kl_prepared_gradient_is_bit_identical_and_clips_as_often(pairs):
     expected, n_clipped = kl_gradient_reference(z, y)
     k = KullbackLeiblerKernel()
     ball = RegularizedSet(IdentityMap(z.size), y, k, 1.0)  # g = id: the gradient is w
-    for gradient in (k.against(y).gradient, lambda v: k.gradient_in_first_arg(v, y),
-                     lambda v: ball.residual_gradient(Point(v)).data):
+    for gradient in (k.against(y).gradient, lambda v: ball.residual_gradient(Point(v)).data):
         before = k.clip_count
         assert np.array_equal(gradient(z), expected)
         assert k.clip_count - before == n_clipped
@@ -428,7 +427,7 @@ def _surface_8x8(forward_map):
     m = RegularizedSet(forward_map(shape), observed, KullbackLeiblerKernel(),
                        instance.kl_noise_level())
     setC = SupportNonnegSet(instance.forced_zero, observed.size, kind=COMPLEX)
-    unreg = FourierMagnitudeSet(observed, shape, m.forward)
+    unreg = FourierMagnitudeSet(observed, m.forward)
     start = np.zeros(shape)
     start[instance.support] = np.random.default_rng(0).uniform(0.0, 1.0, 16)
     return setC, m, unreg, Point.from_complex(start.ravel().astype(np.complex128))
@@ -459,7 +458,7 @@ def test_surface_cycle_transform_count(monkeypatch):
     #   the anchor projection onto |F x|^2 = b           1 (even's spectrum from
     #                                                       the memo; one ifftn)
     #   boundary solve: residual(even) again             0 (residual memo)
-    #   boundary solve: segment(even, anchor)            1 (F even from the memo,
+    #   boundary solve: segment_polynomial(even, anchor) 1 (F even from the memo,
     #                                                       fftn of the anchor; its
     #                                                       t = 1 end tests the anchor)
     #   boundary solve: contains(boundary point)         1 (value: fftn of the point)
@@ -551,24 +550,32 @@ def _reference_boundary(m, x, x0):
     return first_crossing(lambda t: m.residual(lerp(x, x0, t)) - (m.epsilon + MEMBERSHIP_TOL))
 
 
-def _check_fast_boundary(m, x, x0, exact_segment):
+def _check_segment_polynomial(fmap, x, a, ts):
+    """``fmap.segment_polynomial(x, a)`` against ``value(lerp(x, a, t))``.
+
+    It matches g to 1e-12 relative, or to 8 ulps of its rounding scale
+    ``|p0| + t |p1| + t^2 |p2|`` where that is larger: near a zero of a
+    square map's segment the coefficients dwarf g itself.
+    """
+    p0, p1, p2 = fmap.segment_polynomial(x, a)
+    for t in ts:
+        got, ref = p0 + t * (p1 + t * p2), fmap.value(lerp(x, a, t))
+        size = np.abs(p0) + t * np.abs(p1) + t * t * np.abs(p2)
+        assert np.linalg.norm(got - ref) <= max(1e-12 * np.linalg.norm(ref),
+                                                8 * np.finfo(float).eps * np.linalg.norm(size))
+    return p0, p1, p2
+
+
+def _check_fast_boundary(m, x, x0):
     tau, point = bregman_line_boundary(m, x, x0)
     assert abs(tau - _reference_boundary(m, x, x0)) <= 1e-10
     assert m.contains(point)
 
-    # exact: the map's prepared segment; else its segment polynomial
-    if exact_segment:
-        along = m.forward.segment(x, x0)
-    else:
-        p0, p1, p2 = m.forward.segment_polynomial(x, x0)
-        along = lambda t: p0 + t * (p1 + t * p2)  # noqa: E731
+    ts = (0.0, tau, 0.5 * tau, 0.37, 1.0)
+    _check_segment_polynomial(m.forward, x, x0, ts)
     clips = lambda: getattr(m.kernel, "clip_count", 0)  # noqa: E731
-    for t in (0.0, tau, 0.5 * tau, 0.37, 1.0):
-        got, ref = along(t), m.forward.value(lerp(x, x0, t))
-        if exact_segment:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    for t in ts:
+        ref = m.forward.value(lerp(x, x0, t))
 
         # the prepared divergence is bit-identical and clips as often
         start = clips()
@@ -596,10 +603,10 @@ def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
     data[rng.random(data.size) < 0.3] = 0.0  # zeros in the data: KL clips them
     data[rng.integers(data.size)] = 0.0
     x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
-    x0 = canonical_point(FourierMagnitudeSet(data, shape).project(x))
+    x0 = canonical_point(FourierMagnitudeSet(data, FourierIntensityMap(shape)).project(x))
     ball = _outside_ball(FourierIntensityMap(shape), data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
-    _check_fast_boundary(ball, x, x0, exact_segment=False)
+    _check_fast_boundary(ball, x, x0)
     assert ball.kernel.clip_count > 0
 
 
@@ -652,7 +659,7 @@ def test_kl_fourier_boundary_evaluates_no_residual_per_probe(monkeypatch):
     data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
     data[rng.random(data.size) < 0.3] = 0.0
     x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
-    x0 = canonical_point(FourierMagnitudeSet(data, shape).project(x))
+    x0 = canonical_point(FourierMagnitudeSet(data, FourierIntensityMap(shape)).project(x))
     ball = _outside_ball(_CountingFourierMap(shape), data, KullbackLeiblerKernel(), x, x0, 0.1)
     ball.forward.values = divergences[0] = 0
     tau, point = bregman_line_boundary(ball, x, x0)
@@ -674,7 +681,7 @@ def test_square_euclidean_boundary_matches_generic_path(n, seed, frac, k):
     x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
     ball = _outside_ball(SquareMap(n), data, EuclideanKernel(), x, x0, frac)
     assume(not ball.contains(x))
-    _check_fast_boundary(ball, x, x0, exact_segment=True)
+    _check_fast_boundary(ball, x, x0)
 
 
 @settings(max_examples=60)
@@ -689,7 +696,7 @@ def test_square_kl_boundary_matches_generic_path(n, seed, frac, k):
     x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
     ball = _outside_ball(SquareMap(n), data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
-    _check_fast_boundary(ball, x, x0, exact_segment=True)
+    _check_fast_boundary(ball, x, x0)
 
 
 class _CountingSquareMap(SquareMap):
@@ -731,34 +738,68 @@ def test_square_euclidean_boundary_evaluates_no_residual_per_probe(monkeypatch):
     assert evals == [len(probes)]
 
 
+class _CountingLinearMap(LinearMap):
+    """Linear map that counts its ``value`` calls."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.values = 0
+
+    def value(self, x):
+        self.values += 1
+        return super().value(x)
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 0.95))
-def test_linear_kl_boundary_uses_generic_segment(rows, cols, seed, frac):
+def test_linear_kl_boundary_uses_the_affine_polynomial(rows, cols, seed, frac):
+    # A linear map inherits (g(x), g(a) - g(x), 0): a solve evaluates g for
+    # the polynomial's two ends and the contains re-check, and never per
+    # probe (residual(x) is remembered from the membership test above).
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.1, 1.0, (rows, cols))
     x0 = Point(rng.uniform(0.5, 1.5, cols))
     x = Point(x0.data + rng.uniform(0.5, 5.0, cols))
-    forward = LinearMap(A)
-    assert type(forward).segment is ForwardMap.segment
+    forward = _CountingLinearMap(A)
+    assert type(forward).segment_polynomial is ForwardMap.segment_polynomial
     ball = _outside_ball(forward, A @ x0.data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
-    _check_fast_boundary(ball, x, x0, exact_segment=True)
+    forward.values = 0
+    bregman_line_boundary(ball, x, x0)
+    assert forward.values == 3
+    _check_fast_boundary(ball, x, x0)
 
 
-class _SkewedSegment(IdentityMap):
-    """Identity map whose prepared segment is off by ``shift`` in ``t``."""
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_affine_segment_polynomial_is_linear_in_t(rows, cols, seed, ts):
+    rng = np.random.default_rng(seed)
+    x, a = Point(rng.standard_normal(cols)), Point(rng.standard_normal(cols))
+    for fmap in (IdentityMap(cols), LinearMap(rng.standard_normal((rows, cols)))):
+        _, _, p2 = _check_segment_polynomial(fmap, x, a, ts + [0.0, 1.0])
+        assert not p2.any()
 
-    def __init__(self, n, shift):
-        super().__init__(n)
-        self.shift = shift
 
-    def segment(self, x, a):
-        return lambda t: self.value(lerp(x, a, min(max(t + self.shift, 0.0), 1.0)))
+class _CubeMap(ForwardMap):
+    """Componentwise cube: neither affine nor given a segment polynomial."""
+
+    def __init__(self, n):
+        self.in_dim = self.out_dim = n
+
+    def value(self, x):
+        return x.data ** 3
+
+
+def test_boundary_refuses_a_map_without_a_segment_polynomial():
+    ball = RegularizedSet(_CubeMap(2), np.zeros(2), EuclideanKernel(), 0.5)
+    with pytest.raises(NotImplementedError, match="_CubeMap"):
+        bregman_line_boundary(ball, Point(np.array([2.0, 2.0])), Point(np.zeros(2)))
 
 
 class _SkewedPolynomial(SquareMap):
-    """Square map whose segment quartic starts ``shift`` along the segment
+    """Square map whose segment polynomial starts ``shift`` along the segment
     (``shift > 0``) or ends ``-shift`` short of the anchor (``shift < 0``)."""
 
     def __init__(self, n, shift):
@@ -770,16 +811,16 @@ class _SkewedPolynomial(SquareMap):
                                           lerp(x, a, 1.0 + min(self.shift, 0.0)))
 
 
-@pytest.mark.parametrize("skewed, kernel, shift", [
-    pytest.param(_SkewedSegment, KullbackLeiblerKernel, 0.3, id="0.3"),
-    pytest.param(_SkewedSegment, KullbackLeiblerKernel, -0.5, id="-0.5"),
-    pytest.param(_SkewedPolynomial, EuclideanKernel, 0.3, id="quartic-0.3"),
-    pytest.param(_SkewedPolynomial, EuclideanKernel, -0.5, id="quartic--0.5"),
+@pytest.mark.parametrize("kernel, shift", [
+    pytest.param(KullbackLeiblerKernel, 0.3, id="0.3"),
+    pytest.param(KullbackLeiblerKernel, -0.5, id="-0.5"),
+    pytest.param(EuclideanKernel, 0.3, id="quartic-0.3"),
+    pytest.param(EuclideanKernel, -0.5, id="quartic--0.5"),
 ])
-def test_boundary_falls_back_when_the_segment_disagrees(skewed, kernel, shift):
+def test_boundary_falls_back_when_the_segment_disagrees(kernel, shift):
     # +0.3 enters the ball too early (the re-check catches it); -0.5 misses
     # the anchor at t = 1 (the scan refuses).  Both end on the generic answer.
-    ball = RegularizedSet(skewed(3, shift), np.ones(3), kernel(), 0.05)
+    ball = RegularizedSet(_SkewedPolynomial(3, shift), np.ones(3), kernel(), 0.05)
     x, anchor = Point(np.array([2.0, 3.0, 5.0])), Point(np.ones(3))
     tau, point = bregman_line_boundary(ball, x, anchor)
     assert tau == _reference_boundary(ball, x, anchor)
