@@ -331,7 +331,9 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     iterates reach the ball's interior.  On ``fixed_point`` termination the
     final even iterate is verified to lie in both sets.  The alignment
     residual is measured at the boundary point of the segment to the anchor;
-    ``strict_gamma`` checks it from cycle 0 on.
+    ``strict_gamma`` checks it from cycle 0 on.  A boundary point's residual
+    may be taken on a spectrum its map combined (``segment_point``); an even
+    iterate's never is.
     """
     cfg = cfg or InexactAPConfig()
 

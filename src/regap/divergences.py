@@ -107,15 +107,15 @@ class KullbackLeiblerKernel:
         small = y < CLIP_FLOOR
         n_small = int(np.count_nonzero(small))
         log_y = np.log(np.where(small, CLIP_FLOOR, y))
-        weight, total = log_y + 1.0, float(y.sum())
+        weight, total, buffer = log_y + 1.0, float(y.sum()), np.empty_like(y)
 
         def divergence(z) -> float:
             z = _as_array(z)
             self._check_nonneg(z, "first")
             self.clip_count += n_small
-            # z*log(z/y) as z*log(z) - z*log(yc), with 0*log(0) = 0: the log
-            # is taken on the positive entries of z only.
-            terms = np.log(z, out=np.zeros_like(z), where=z > 0)
+            # z*log(z/y) as z*log(z) - z*log(yc).  The log is taken at z floored
+            # at the smallest subnormal 5e-324: exact for z > 0, 0*log(0) = -0.0.
+            terms = np.log(np.maximum(z, 5e-324, out=buffer), out=buffer)
             terms *= z
             terms -= z * log_y
             terms += y
@@ -178,6 +178,10 @@ class ForwardMap:
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def segment_point(self, x: Point, a: Point, t: float) -> Point:
+        """The point ``(1 - t) x + t a``; a map may remember its image with it."""
+        return lerp(x, a, t)
 
     def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coefficients ``(g(x), g(a) − g(x), 0)``, exact for affine maps only."""
@@ -266,11 +270,16 @@ class SquareMap(ForwardMap):
 class FourierIntensityMap(ForwardMap):
     """Squared modulus of the unitary DFT of a complex grid.
 
-    ``_transform`` remembers its last ``(point, spectrum)`` pair, keyed on
-    ``Point`` identity as ``RegularizedSet.residual`` is: asking again for
-    the identical ``Point`` costs no FFT, so the sets that share one map
-    (a phase ball and its anchor set) share each iterate's spectrum.  The
-    spectrum is read-only, so no caller can change the remembered value.
+    The map owns every transform: ``spectrum(x)`` is ``F x``,
+    ``from_spectrum(Y)`` builds the point ``F^-1 Y``, and
+    ``segment_point(x, a, t)`` builds ``(1 - t) x + t a`` with the spectrum
+    ``(1 - t) F x + t F a`` by linearity.  Each remembers its ``(point,
+    spectrum)`` pair; the memo holds the last two, keyed on ``Point``
+    identity as ``RegularizedSet.residual`` is.  So a phase ball and the
+    anchor set on its map share each iterate's spectrum, and the anchor and
+    the boundary point take no forward FFT; a spectrum no FFT took differs
+    from ``F`` of its point by rounding only.  Spectra are read-only, so no
+    caller can change a remembered value.
     """
 
     in_kind = COMPLEX
@@ -280,27 +289,43 @@ class FourierIntensityMap(ForwardMap):
         n = int(np.prod(self.shape))
         self.out_dim = n
         self.in_dim = 2 * n
-        self._last_transform: tuple[Point, np.ndarray] | None = None
+        self._memo: list[tuple[Point, np.ndarray]] = []
 
-    def _transform(self, x: Point) -> np.ndarray:
-        last = self._last_transform
-        if last is not None and last[0] is x:
-            return last[1]
-        self._check(x)
-        spectrum = np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")
+    def _remember(self, x: Point, spectrum: np.ndarray) -> np.ndarray:
         spectrum.setflags(write=False)
-        self._last_transform = (x, spectrum)
+        self._memo = [*self._memo[-1:], (x, spectrum)]
         return spectrum
+
+    def spectrum(self, x: Point) -> np.ndarray:
+        """The unitary DFT ``F x`` on the grid, read-only."""
+        for point, spectrum in self._memo:
+            if point is x:
+                return spectrum
+        self._check(x)
+        return self._remember(x, np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho"))
+
+    def from_spectrum(self, spectrum: np.ndarray) -> Point:
+        """The point ``F^-1 Y`` of the spectrum ``Y``, remembered with a copy of ``Y``."""
+        spectrum = np.array(spectrum, dtype=np.complex128).reshape(self.shape)
+        point = Point.from_complex(self._inverse_transform(spectrum))
+        self._remember(point, spectrum)
+        return point
+
+    def segment_point(self, x: Point, a: Point, t: float) -> Point:
+        X, A, t = self.spectrum(x), self.spectrum(a), float(t)
+        point = lerp(x, a, t)
+        self._remember(point, (1.0 - t) * X + t * A)
+        return point
 
     def _inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(spectrum, norm="ortho").ravel()
 
     def value(self, x: Point) -> np.ndarray:
-        X = self._transform(x)
+        X = self.spectrum(x)
         return np.abs(X).ravel() ** 2
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
-        X = self._transform(x)
+        X = self.spectrum(x)
         w = np.asarray(w, dtype=np.float64).reshape(self.shape)
         grad = self._inverse_transform(2.0 * w * X)
         return np.ascontiguousarray(grad).view(np.float64).copy()
@@ -311,8 +336,8 @@ class FourierIntensityMap(ForwardMap):
         The DFT is linear, ``F((1 - t) x + t a) = X + t D`` with ``X = F x``
         and ``D = F a − X``, so the two memoized spectra serve the segment.
         """
-        X = self._transform(x).ravel()
-        D = self._transform(a).ravel() - X
+        X = self.spectrum(x).ravel()
+        D = self.spectrum(a).ravel() - X
         xr, xi, dr, di = X.real, X.imag, D.real, D.imag
         return xr * xr + xi * xi, 2.0 * (xr * dr + xi * di), dr * dr + di * di
 
@@ -455,7 +480,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
 
     def search(excess: Callable[[float], float]) -> tuple[float, Point]:
         tau = float(first_crossing(excess))
-        return tau, lerp(x, x0, tau)
+        return tau, m.forward.segment_point(x, x0, tau)
 
     def generic(t: float) -> float:
         return m.residual(lerp(x, x0, t)) - bound

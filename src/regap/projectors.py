@@ -240,7 +240,10 @@ class FourierMagnitudeSet(SetOracle):
     once at construction, while keeping its phase; coefficients at exactly
     zero get phase 1.  Because F is unitary this is an exact Euclidean
     projection.  ``forward_map`` fixes the grid shape and does the
-    transforms; passing a divergence ball's map shares its memo.
+    transforms: the projection reads ``spectrum(x)`` and returns
+    ``from_spectrum(Y)``, so the map remembers the projection's spectrum
+    ``Y`` with it.  Passing a divergence ball's map shares its memo, and
+    the ball then reads the anchor's spectrum without a forward FFT.
     """
 
     kind = COMPLEX
@@ -258,10 +261,10 @@ class FourierMagnitudeSet(SetOracle):
         self._map = forward_map
 
     def project(self, x: Point) -> list[Point]:
-        X = self._map._transform(x)
+        X = self._map.spectrum(x)
         mag = np.abs(X)
         phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
-        return [Point.from_complex(self._map._inverse_transform(self._magnitude * phase))]
+        return [self._map.from_spectrum(self._magnitude * phase)]
 
     def membership_residual(self, x: Point) -> float:
         return float(np.max(np.abs(self._map.value(x) - self.intensity)))
