@@ -319,19 +319,20 @@ class RunEntry:
 
 
 def sweep_entries(cfg: ExperimentConfig) -> list[RunEntry]:
-    eps_values = cfg.epsilon if cfg.epsilon is not None else (None,)
-    kappa_values = cfg.epsilon_kappa if cfg.epsilon_kappa is not None else (None,)
-    entries = []
-    for eps, kappa, seed in product(eps_values, kappa_values, cfg.seed):
-        parts = []
-        if len(eps_values) > 1:
-            parts.append(f"eps{eps:g}")
-        if len(kappa_values) > 1:
-            parts.append(f"kap{kappa:g}")
-        if len(cfg.seed) > 1:
-            parts.append(f"seed{seed}")
-        entries.append(RunEntry("_".join(parts) or None, eps, kappa, seed))
-    return entries
+    """One entry per combination of the swept values.  Each key given more
+    than one value adds a part to the label, which names the entry's
+    directory; two values of one key with the same part are a ``ConfigError``."""
+    axes = []
+    for key, fmt in (("epsilon", "eps{:g}"), ("epsilon_kappa", "kap{:g}"), ("seed", "seed{}")):
+        values = getattr(cfg, key) or (None,)
+        parts = [fmt.format(v) for v in values] if len(values) > 1 else [""]
+        for j, part in enumerate(parts):
+            if part in parts[:j]:
+                raise ConfigError(f"{key} values {values[parts.index(part)]!r} and "
+                                  f"{values[j]!r} share the run label {part!r}")
+        axes.append(zip(values, parts))
+    return [RunEntry("_".join(p for p in (e, k, s) if p) or None, eps, kappa, seed)
+            for (eps, e), (kappa, k), (seed, s) in product(*axes)]
 
 
 def _algorithm_config(cfg: ExperimentConfig) -> InexactAPConfig:

@@ -355,18 +355,17 @@ class RegularizedSet:
     property of (g, d, b) that the caller must ensure; it is not checked.
 
     ``forward``, ``data`` and ``kernel`` are fixed after construction: the
-    kernel's divergence against ``data`` is prepared once, on first use, and
-    ``residual`` remembers its last ``(point, value)`` pair so that asking
-    again for the identical ``Point`` (whose storage is read-only) costs
-    nothing.
+    kernel's divergence against ``data`` is prepared once, as ``divergence``,
+    when the ball is built, and ``residual`` remembers its last ``(point,
+    value)`` pair so that asking again for the identical ``Point`` (whose
+    storage is read-only) costs nothing.
     """
 
     forward: ForwardMap
     data: np.ndarray
     kernel: object
     epsilon: float
-    _divergence: Callable[[np.ndarray], float] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    divergence: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
     _last_residual: tuple[Point, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -381,6 +380,7 @@ class RegularizedSet:
             raise ValueError("data entries must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        self.divergence = self.kernel.against(self.data)
 
     @property
     def dim(self) -> int:
@@ -389,13 +389,6 @@ class RegularizedSet:
     @property
     def kind(self) -> str:
         return self.forward.in_kind
-
-    @property
-    def divergence(self) -> Callable[[np.ndarray], float]:
-        """The prepared ``z -> d(z, b)``, built on first use."""
-        if self._divergence is None:
-            self._divergence = self.kernel.against(self.data)
-        return self._divergence
 
     def residual(self, x: Point) -> float:
         last = self._last_residual

@@ -317,10 +317,11 @@ def load_instance(path) -> PhaseInstance:
     """Read a container written by :func:`save_instance`.
 
     Raises ``ValueError`` naming the file and the offending field when the
-    magic, the byte length implied by the header, the object image (finite)
-    or the intensities (finite, nonnegative, summing to at most 1e300) are
-    wrong.  By Parseval an intensity sum is the squared norm of every image a
-    run builds from it, so the bound keeps those norms finite.
+    magic, the grid (at least one pixel), the byte length implied by the
+    header, the object image (finite, not identically zero) or the
+    intensities (finite, nonnegative, summing to at most 1e300) are wrong.
+    By Parseval an intensity sum is the squared norm of every image a run
+    builds from it, so the bound keeps those norms finite.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -331,6 +332,8 @@ def load_instance(path) -> PhaseInstance:
         raise ValueError(f"{path}: header: file ends after {len(raw)} bytes")
     n1, n2, seed, scale = struct.unpack_from("<IIQd", raw, 8)
     n = n1 * n2
+    if n == 0:
+        raise ValueError(f"{path}: shape: a {n1}x{n2} grid has no pixels")
     expected = off + n + 3 * 8 * n
     if len(raw) != expected:
         raise ValueError(f"{path}: shape: a {n1}x{n2} instance takes {expected} bytes, "
@@ -344,6 +347,8 @@ def load_instance(path) -> PhaseInstance:
     obj, intensity, observed = (a.reshape(n1, n2) for a in arrays)
     if not np.all(np.isfinite(obj)):
         raise ValueError(f"{path}: object image: entries must be finite")
+    if not np.any(obj):
+        raise ValueError(f"{path}: object image: entries are all zero")
     for field, values in (("noiseless intensity", intensity), ("observed intensity", observed)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: {field}: entries must be finite")

@@ -123,8 +123,9 @@ class HalfspaceSet(SetOracle):
 class SupportNonnegSet(SetOracle):
     """Real nonnegative vectors vanishing on a forced-zero index set.
 
-    For complex storage the projection takes the real part first; imaginary
-    parts are normal to the set, so they map to zero.
+    The set is a coordinate cone of the storage: the mask ``zero`` holds the
+    forced-zero real parts and, for complex storage, every imaginary part;
+    the other coordinates are nonnegative.
     """
 
     convex = True
@@ -132,50 +133,31 @@ class SupportNonnegSet(SetOracle):
     def __init__(self, forced_zero, n: int, kind: str = REAL):
         self.kind = kind
         self.n_logical = int(n)
-        super().__init__(2 * self.n_logical if kind == COMPLEX else self.n_logical)
+        stride = 2 if kind == COMPLEX else 1
+        super().__init__(stride * self.n_logical)
         mask = np.zeros(self.n_logical, dtype=bool)
         idx = np.asarray(forced_zero, dtype=int)  # repeated indices are harmless
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_logical):
             raise ValueError("forced-zero index out of range")
         mask[idx] = True
         self.forced_zero = mask
-
-    def _parts(self, x: Point) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.kind == COMPLEX:
-            c = x.as_complex()
-            return c.real.copy(), c.imag.copy()
-        return x.data.copy(), None
+        self.zero = np.ones(self.dim, dtype=bool)  # every imaginary part is zero
+        self.zero[::stride] = mask
+        self.zero.setflags(write=False)  # every normal cone shares it as its free mask
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        re, _ = self._parts(x)
-        re = np.maximum(re, 0.0)
-        re[self.forced_zero] = 0.0
-        if self.kind == COMPLEX:
-            return [Point.from_complex(re.astype(np.complex128))]
-        return [Point(re)]
+        return [Point(np.where(self.zero, 0.0, np.maximum(x.data, 0.0)), self.kind)]
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
-        re, im = self._parts(x)
-        worst = max(float(np.max(-re, initial=0.0)),
-                    float(np.max(np.abs(re[self.forced_zero]), initial=0.0)))
-        if im is not None:
-            worst = max(worst, float(np.max(np.abs(im), initial=0.0)))
-        return worst
+        worst = float(np.max(np.where(self.zero, np.abs(x.data), -x.data)))
+        return max(0.0, worst)  # max keeps the first of equals, so -0.0 reads +0.0
 
     def normal_cone_at(self, x: Point) -> SignedProductCone:
         if not self.contains(x):
             raise ValueError("base point is not a member of the set")
-        re, _ = self._parts(x)
-        stride = 2 if self.kind == COMPLEX else 1
-        free = np.zeros(self.dim, dtype=bool)
-        nonpos = np.zeros(self.dim, dtype=bool)
-        free[::stride] = self.forced_zero
-        if self.kind == COMPLEX:
-            free[1::2] = True  # imaginary parts
-        nonpos[::stride] = ~self.forced_zero & (re <= MEMBERSHIP_TOL)
-        return SignedProductCone(free, nonpos)
+        return SignedProductCone(self.zero, ~self.zero & (x.data <= MEMBERSHIP_TOL))
 
 
 class BoxMagnitudeSet(SetOracle):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from regap.algorithms import StepConditionError
 from regap.cli import (ConfigError, ExperimentConfig, config_from_mapping,
                        main, parse_config_text, parse_scalar, sweep_entries)
 from regap.divergences import KullbackLeiblerKernel
-from regap.phase import save_instance
+from regap.phase import box_support, save_instance, synthesize
 
 
 def run_cli(*argv):
@@ -335,6 +336,23 @@ def test_sweep_entries_labels():
     kappas = cfg_of(problem="box_affine", algorithm="regularized_extrapolated",
                     epsilon_kappa="0.5, 1.5")
     assert [e.label for e in sweep_entries(kappas)] == ["kap0.5", "kap1.5"]
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("epsilon = 0.5000001, 0.5000002", "epsilon values 0.5000001 and 0.5000002 share the run "
+                                       "label 'eps0.5'"),
+    ("epsilon = 0.5, 0.25, 0.5", "epsilon values 0.5 and 0.5 share the run label 'eps0.5'"),
+    ("epsilon = 0.5\nseed = 1, 1", "seed values 1 and 1 share the run label 'seed1'"),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_values_with_one_label_are_a_config_error(tmp_path, capsys, sweep, message, jobs):
+    # two entries with one label would write one directory
+    out = tmp_path / "sweep"
+    cfg = write_config(tmp_path, "problem = parallel_lines\nalgorithm = regularized_extrapolated\n"
+                                 f"{sweep}\njobs = {jobs}\nout = {out}\n")
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +845,33 @@ def test_custom_run_rejects_bad_instance_data(tmp_path, capsys, corrupt, field):
     err = capsys.readouterr().err
     assert "io error" in err and "inst.phz" in err and field in err
     assert "Traceback" not in err
+    assert not (tmp_path / "z" / "summary.json").exists()
+
+
+def _custom_run(tmp_path, inst_path):
+    cfg = write_config(tmp_path, "problem = custom\nalgorithm = regularized_extrapolated\n"
+                                 f"instance = {inst_path}\nepsilon_kappa = 1.0\nmax_iter = 5\n"
+                                 f"out = {tmp_path / 'z'}\n")
+    return run_cli("run", "--config", str(cfg))
+
+
+def test_custom_run_rejects_an_empty_grid(tmp_path, capsys):
+    inst_path = tmp_path / "inst.phz"
+    inst_path.write_bytes(b"PHZINST1" + struct.pack("<IIQd", 0, 5, 0, 1e3))
+    assert _custom_run(tmp_path, inst_path) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "inst.phz: shape" in err and "0x5" in err
+    assert not (tmp_path / "z" / "summary.json").exists()
+
+
+def test_custom_run_rejects_an_identically_zero_object(tmp_path, capsys):
+    support = box_support((16, 16), 6)
+    inst_path = tmp_path / "inst.phz"
+    save_instance(synthesize((16, 16), support, 1e3, 0, object_image=np.zeros((16, 16))),
+                  inst_path)
+    assert _custom_run(tmp_path, inst_path) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "inst.phz: object image" in err and "all zero" in err
     assert not (tmp_path / "z" / "summary.json").exists()
 
 

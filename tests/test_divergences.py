@@ -283,6 +283,12 @@ def test_regularized_set_validation():
         RegularizedSet(IdentityMap(2), np.array([np.nan, 0.0]), EuclideanKernel(), 1.0)
 
 
+def test_kl_ball_on_negative_data_fails_when_built():
+    # the ball prepares its divergence at construction, not at its first residual
+    with pytest.raises(KernelDomainError, match="second argument"):
+        RegularizedSet(IdentityMap(3), np.array([1.0, -0.5, 2.0]), KullbackLeiblerKernel(), 0.1)
+
+
 def test_residual_and_membership():
     ball = RegularizedSet(IdentityMap(2), np.zeros(2), EuclideanKernel(), 0.5)
     inside = Point(np.array([0.5, 0.5]))   # residual 0.25

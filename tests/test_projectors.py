@@ -251,6 +251,71 @@ def test_support_normal_cone_masks_match_per_coordinate_reference(seed, kind):
     assert np.array_equal(cone.free, free) and np.array_equal(cone.nonpos, nonpos)
 
 
+class SupportByParts:
+    """The support set's projection and residual on complex parts, one branch per kind."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def parts(self, x):
+        if self.s.kind == COMPLEX:
+            c = x.as_complex()
+            return c.real.copy(), c.imag.copy()
+        return x.data.copy(), None
+
+    def project(self, x):
+        re, _ = self.parts(x)
+        re = np.maximum(re, 0.0)
+        re[self.s.forced_zero] = 0.0
+        if self.s.kind == COMPLEX:
+            return Point.from_complex(re.astype(np.complex128))
+        return Point(re)
+
+    def membership_residual(self, x):
+        re, im = self.parts(x)
+        worst = max(float(np.max(-re, initial=0.0)),
+                    float(np.max(np.abs(re[self.s.forced_zero]), initial=0.0)))
+        if im is not None:
+            worst = max(worst, float(np.max(np.abs(im), initial=0.0)))
+        return worst
+
+
+_SUPPORT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-10, -5e-10, MEMBERSHIP_TOL - 5e-10, MEMBERSHIP_TOL,
+                     MEMBERSHIP_TOL + 5e-10, -MEMBERSHIP_TOL - 5e-10]),
+    st.floats(-1e12, 1e12, allow_nan=False, allow_subnormal=True))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([REAL, COMPLEX]), st.integers(1, 8), st.data())
+def test_support_set_on_storage_matches_the_per_kind_formulas(kind, n, data):
+    index_sets = st.one_of(st.just([]), st.just(list(range(n))),
+                           st.lists(st.integers(0, n - 1), max_size=2 * n))
+    s = SupportNonnegSet(data.draw(index_sets), n, kind)
+    ref = SupportByParts(s)
+    dim = 2 * n if kind == COMPLEX else n
+    x = Point(data.draw(st.lists(_SUPPORT_ENTRIES, min_size=dim, max_size=dim)), kind)
+    p = s.project(x)[0]
+    assert p.kind == kind and p.data.tobytes() == ref.project(x).data.tobytes()
+    assert s.membership_residual(x) == ref.membership_residual(x)
+    for y in (x, p):
+        if s.contains(y):
+            cone = s.normal_cone_at(y)
+            free, nonpos = support_cone_masks_by_coordinate(s, y)
+            assert np.array_equal(cone.free, free) and np.array_equal(cone.nonpos, nonpos)
+
+
+@pytest.mark.parametrize("kind", [REAL, COMPLEX])
+def test_support_membership_residual_of_a_member_is_positive_zero(kind):
+    s = SupportNonnegSet([1], 3, kind)
+    values = [2.0, 0.0, 0.0]
+    member = Point(values) if kind == REAL else Point.from_complex(np.array(values, complex))
+    r = s.membership_residual(member)
+    assert r == 0.0 and math.copysign(1.0, r) == 1.0
+    r = s.membership_residual(s.project(Point(-member.data, kind))[0])
+    assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Magnitude sets
 
