@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import InexactAPConfig, regularized_extrapolated_ap
-from .core import COMPLEX, IterationTrace, Point, atomic_open
-from .divergences import FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
+from .core import COMPLEX, MEMBERSHIP_TOL, IterationTrace, Point, atomic_open
+from .divergences import EPS, FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
 from .projectors import FourierMagnitudeSet, SupportNonnegSet
 
 MAGIC = b"PHZINST1"
@@ -270,7 +270,27 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
 
 
 def interiority_check(m: RegularizedSet, x: Point) -> bool:
-    """True when 20 random perturbations of ``x`` of norm 1e-6 (seed 0) stay members."""
+    """True when 20 random perturbations of ``x`` of norm 1e-6 (seed 0) stay members.
+
+    The verdict is certified, with no random draw (and no transform when
+    the map remembers the spectrum of ``x``), when the map answers
+    ``value_bounds``, the prepared divergence answers ``upper`` (a Fourier
+    intensity map and a KL kernel do) and the residual's upper bound over
+    every ``y`` with ``‖y − x‖ <= r`` is at most ``epsilon +
+    MEMBERSHIP_TOL``: each perturbation the sampling would draw then stays
+    a member, so the sampling would say True.  Otherwise (a point at the
+    boundary, a map without bounds or a kernel without ``upper``) the 20
+    perturbations are drawn and tested.
+
+    Rounding: ``r = 1e-6 + (dim + 4)·eps·(1e-6 + ‖x‖)`` covers the
+    rounding of each drawn direction's norm (at most ``dim·eps`` of it)
+    and of ``x + d`` (``eps·‖x + d‖``); ``value_bounds`` covers the FFT
+    error of the spectrum of ``x`` and of each perturbed point's, and
+    ``upper`` the rounding of the KL terms and sums, both of the bound
+    and of the sampled residuals.
+    """
+    if _certified_interior(m, x):
+        return True
     rng = np.random.default_rng(np.random.SeedSequence(0))
     for _ in range(20):
         d = rng.standard_normal(x.dim)
@@ -278,6 +298,16 @@ def interiority_check(m: RegularizedSet, x: Point) -> bool:
         if not m.contains(Point(x.data + d, x.kind)):
             return False
     return True
+
+
+def _certified_interior(m: RegularizedSet, x: Point) -> bool:
+    """True when the residual bound over the perturbation ball proves ``x`` interior."""
+    upper = getattr(m.divergence, "upper", None)
+    if upper is None:
+        return False
+    radius = 1e-6 + (x.dim + 4) * EPS * (1e-6 + x.norm())
+    bounds = m.forward.value_bounds(x, radius)
+    return bounds is not None and upper(*bounds) <= m.epsilon + MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +348,9 @@ def load_instance(path) -> PhaseInstance:
 
     Raises ``ValueError`` naming the file and the offending field when the
     magic, the grid (at least one pixel), the byte length implied by the
-    header, the object image (finite, not identically zero) or the
-    intensities (finite, nonnegative, summing to at most 1e300) are wrong.
+    header, the support (at least one pixel set), the object image (finite,
+    not identically zero, zero outside the support) or the intensities
+    (finite, nonnegative, summing to at most 1e300) are wrong.
     By Parseval an intensity sum is the squared norm of every image a run
     builds from it, so the bound keeps those norms finite.
     """
@@ -345,10 +376,15 @@ def load_instance(path) -> PhaseInstance:
         arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy())
         off += 8 * n
     obj, intensity, observed = (a.reshape(n1, n2) for a in arrays)
+    support = support.reshape(n1, n2)
+    if not support.any():
+        raise ValueError(f"{path}: support: the mask has no pixel set")
     if not np.all(np.isfinite(obj)):
         raise ValueError(f"{path}: object image: entries must be finite")
     if not np.any(obj):
         raise ValueError(f"{path}: object image: entries are all zero")
+    if np.any(obj[~support]):
+        raise ValueError(f"{path}: object image: entries outside the support must be zero")
     for field, values in (("noiseless intensity", intensity), ("observed intensity", observed)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: {field}: entries must be finite")
@@ -359,7 +395,7 @@ def load_instance(path) -> PhaseInstance:
         if total > 1e300:
             raise ValueError(f"{path}: {field}: entries sum to {total:.3g}, above 1e300")
     return PhaseInstance(object_image=obj, noiseless_intensity=intensity,
-                         observed=observed, support=support.reshape(n1, n2),
+                         observed=observed, support=support,
                          photon_scale=float(scale), seed=int(seed))
 
 

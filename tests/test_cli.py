@@ -875,6 +875,27 @@ def test_custom_run_rejects_an_identically_zero_object(tmp_path, capsys):
     assert not (tmp_path / "z" / "summary.json").exists()
 
 
+def test_custom_run_rejects_an_empty_support(tmp_path, capsys):
+    inst = smooth_instance(3, shape=(16, 16))
+    inst.support = np.zeros((16, 16), dtype=bool)
+    save_instance(inst, tmp_path / "inst.phz")
+    assert _custom_run(tmp_path, tmp_path / "inst.phz") == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "inst.phz: support" in err
+    assert not (tmp_path / "z" / "summary.json").exists()
+
+
+def test_custom_run_rejects_an_object_outside_its_support(tmp_path, capsys):
+    inst = smooth_instance(3, shape=(16, 16))
+    assert not inst.support[0, 0]
+    inst.object_image[0, 0] = 1.0
+    save_instance(inst, tmp_path / "inst.phz")
+    assert _custom_run(tmp_path, tmp_path / "inst.phz") == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "inst.phz: object image" in err and "outside the support" in err
+    assert not (tmp_path / "z" / "summary.json").exists()
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite number {constant} in strict JSON")

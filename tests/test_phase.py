@@ -9,17 +9,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter as scipy_gaussian_filter
 
 from conftest import noiseless_instance, smooth_instance
+from regap import problems
 from regap.algorithms import InexactAPConfig
-from regap.core import FIXED_POINT, MAX_ITER, STALLED_GAP, Point
-from regap.phase import (PhaseInstance, aligned_error, box_support, cup_object,
-                         divergence_ball, export_grid, gaussian_filter,
+from regap.core import FIXED_POINT, MAX_ITER, STALLED_GAP, Point, canonical_point, lerp
+from regap.divergences import (FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet,
+                               bregman_line_boundary)
+from regap.phase import (PhaseInstance, _certified_interior, aligned_error, box_support,
+                         cup_object, divergence_ball, export_grid, gaussian_filter,
                          interiority_check, load_instance, loose_support, reconstruct,
                          save_instance, smooth_object, synthesize)
+from regap.projectors import FourierMagnitudeSet
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +347,89 @@ def test_interiority_check_distinguishes_interior_from_boundary():
     boundary_odd = surf.trace.records[0].odd  # pinned to the ball's surface
     assert ball.residual(boundary_odd) == pytest.approx(eps, abs=1e-8)
     assert not interiority_check(ball, boundary_odd)
+
+
+def _sampled_interiority(m, x) -> bool:
+    """The sampling verdict alone: 20 perturbations of norm 1e-6 from seed 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    for _ in range(20):
+        d = rng.standard_normal(x.dim)
+        d *= 1e-6 / np.linalg.norm(d)
+        if not m.contains(Point(x.data + d, x.kind)):
+            return False
+    return True
+
+
+def _counting_transforms_and_draws(monkeypatch) -> dict[str, int]:
+    """Count FFTs (``fftn``, ``ifftn``) and random generators made."""
+    counts = {"fft": 0, "rng": 0}
+
+    def counted(original, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+    monkeypatch.setattr(np.random, "default_rng", counted(np.random.default_rng, "rng"))
+    return counts
+
+
+def test_interiority_check_certifies_a_deep_interior_point_without_sampling(monkeypatch):
+    inst = smooth_instance(0, shape=(16, 16))
+    eps = inst.kl_noise_level()
+    cfg = InexactAPConfig(max_iterations=300, fixed_point_tolerance=1e-7,
+                          lambda_schedule="constant_one", measure_gamma=False)
+    res = reconstruct(inst, eps, cfg, seed=0)
+    assert res.trace.reason == FIXED_POINT
+    final, ball = res.trace.final_even, res.ball
+    assert ball.residual(final) < 0.97 * eps  # well inside the ball
+    counts = _counting_transforms_and_draws(monkeypatch)
+    assert interiority_check(ball, final)
+    # the residual and the spectrum of the final iterate are remembered
+    assert counts == {"fft": 0, "rng": 0}
+    assert _sampled_interiority(ball, final)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_interiority_check_samples_a_ball_without_bounds(monkeypatch, kappa):
+    # A SquareMap has no value_bounds and a Euclidean kernel no upper: the
+    # verdict is the sampled one, whether the planted point is on the
+    # boundary (kappa = 1) or inside (kappa = 2).
+    _, ball, _, xbar, _ = problems.box_affine_regularized(12, 6, 0.1, kappa, seed=3)
+    counts = _counting_transforms_and_draws(monkeypatch)
+    verdict = interiority_check(ball, xbar)
+    assert counts["rng"] == 1
+    assert verdict == _sampled_interiority(ball, xbar) == (kappa == 2.0)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 16), st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
+       st.integers(-3, 3), st.floats(0.0, 0.5), st.floats(0.01, 0.9))
+def test_certified_interior_implies_the_sampled_verdict(n1, n2, seed, k, depth, ratio):
+    # Points at relative depth 0 to 0.5 from the ball's boundary toward the
+    # anchor, on a KL ball around noisy intensities with zero entries, at
+    # scales 10^-3 to 10^3.  Whenever the bound certifies a point, the
+    # sampling says True too, and interiority_check always gives the
+    # sampled verdict.
+    rng = np.random.default_rng(seed)
+    shape = (n1, n2)
+    truth = 10.0 ** k * rng.uniform(0.0, 1.0, shape)
+    data = np.abs(np.fft.fftn(truth, norm="ortho")).ravel() ** 2
+    data *= rng.uniform(0.5, 1.5, data.size)
+    data[rng.random(data.size) < 0.2] = 0.0
+    fmap = FourierIntensityMap(shape)
+    start = Point.from_complex(
+        10.0 ** k * rng.uniform(0.0, 1.0, data.size).astype(np.complex128))
+    start_residual = KullbackLeiblerKernel().evaluate(fmap.value(start), data)
+    ball = RegularizedSet(fmap, data, KullbackLeiblerKernel(), ratio * start_residual)
+    anchor = canonical_point(FourierMagnitudeSet(data, fmap).project(start))
+    assume(ball.residual(start) > ball.epsilon and ball.contains(anchor))
+    _, boundary = bregman_line_boundary(ball, start, anchor)
+    point = lerp(boundary, anchor, depth)
+    sampled = _sampled_interiority(ball, point)
+    assert not _certified_interior(ball, point) or sampled
+    assert interiority_check(ball, point) == sampled
 
 
 def test_trace_memory_does_not_grow_with_cycles():
