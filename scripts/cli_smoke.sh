@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke: `regap run` on five small configs, `regap report` on
-# the runs, `regap synth` and a custom run on its instance, and four bad
-# inputs with their documented exit codes.
+# the runs, `regap synth` and a custom run on its instance, and five bad
+# inputs with their documented exit codes (one is a report of a run
+# directory given twice).
 #
 # usage: scripts/cli_smoke.sh [WORKDIR]
 #
@@ -97,6 +98,12 @@ test ! -e "$work/nan"
 $regap report "$work/lines/seed1" "$work/lines/seed2" --out "$work/report/table.csv"
 test -s "$work/report/table.csv"
 test -s "$work/report/table_rates.csv"
+
+# two run directories with one run id are a configuration error: exit 2, no table
+status=0
+$regap report "$work/lines/seed1" "$work/lines/seed1" --out "$work/twice/table.csv" || status=$?
+test "$status" -eq 2
+test ! -e "$work/twice"
 
 # a summary.json that is valid JSON but not an object is an input error: exit 4
 mkdir -p "$work/broken"

@@ -591,15 +591,20 @@ def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
     """Collect runs into a long-format series table and a rates summary.
 
     Returns the path of the rates file (the table path gains ``_rates``
-    before its extension).
+    before its extension).  Two directories with one run id are a
+    ``ConfigError``, raised before anything is written.
     """
     rows = []
     rates = []
+    owners: dict[str, Path] = {}
     for run_dir in run_dirs:
         series, summary = _read_run_dir(run_dir)
-        run_id = summary.get("run") or run_dir.name
+        run_id = str(summary.get("run") or run_dir.name)
         if run_id == "run":
             run_id = run_dir.name
+        if run_id in owners:
+            raise ConfigError(f"{owners[run_id]} and {run_dir} share the run id {run_id!r}")
+        owners[run_id] = run_dir
         rows.extend((run_id, k, step) for k, step in series)
         rates.append({
             "run": run_id,

@@ -58,9 +58,6 @@ class EuclideanKernel:
         distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
         return distance
 
-    def hessian_in_first_arg(self, z, y) -> np.ndarray:
-        return np.eye(_as_array(z).size)
-
 
 class KullbackLeiblerKernel:
     """Kullback-Leibler divergence, the Bregman distance of t*log(t) - t.
@@ -71,19 +68,12 @@ class KullbackLeiblerKernel:
     ``CLIP_FLOOR`` are clipped to it before the logarithm, and each clipped
     entry adds one to ``clip_count`` per evaluation; stored data is never
     modified.  Negative entries in either argument are a hard domain error.
-    The gradient and Hessian also clip and count zeros of ``z``, where
-    ``log(z)`` and ``1/z`` have no such convention.
+    The gradient also clips and counts zeros of ``z``, where ``log(z)`` has
+    no such convention.
     """
 
     def __init__(self):
         self.clip_count = 0
-
-    def _clip(self, v: np.ndarray) -> np.ndarray:
-        small = v < CLIP_FLOOR
-        if np.any(small):
-            self.clip_count += int(np.count_nonzero(small))
-            v = np.where(small, CLIP_FLOOR, v)
-        return v
 
     def _check_nonneg(self, v: np.ndarray, slot: str) -> None:
         if np.any(v < 0):
@@ -147,8 +137,8 @@ class KullbackLeiblerKernel:
         def gradient(z) -> np.ndarray:
             z = _as_array(z)
             self._check_nonneg(z, "first")
-            self.clip_count += n_small
-            return np.log(self._clip(z)) - log_y
+            self.clip_count += n_small + int(np.count_nonzero(z < CLIP_FLOOR))
+            return np.log(np.maximum(z, CLIP_FLOOR)) - log_y
 
         def segment_excess(p, bound: float) -> Callable[[float], float]:
             p0, p1, p2 = p
@@ -171,10 +161,6 @@ class KullbackLeiblerKernel:
         divergence.gradient, divergence.segment_excess = gradient, segment_excess
         divergence.upper = upper
         return divergence
-
-    def hessian_in_first_arg(self, z, y) -> np.ndarray:
-        z = self._clip(_as_array(z))
-        return np.diag(1.0 / z)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +206,6 @@ class ForwardMap:
         gx = self.value(x)
         return gx, self.value(a) - gx, np.zeros_like(gx)
 
-    def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
-        """Matrix sum_k w_k * Hess(g_k)(x); zero for affine maps."""
-        return np.zeros((self.in_dim, self.in_dim))
-
-    def jacobian(self, x: Point) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no dense Jacobian")
-
     def _check(self, x: Point) -> None:
         if x.dim != self.in_dim or x.kind != self.in_kind:
             raise DimensionMismatchError(
@@ -248,9 +227,6 @@ class IdentityMap(ForwardMap):
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         return np.asarray(w, dtype=np.float64).copy()
 
-    def jacobian(self, x: Point) -> np.ndarray:
-        return np.eye(self.in_dim)
-
 
 class LinearMap(ForwardMap):
     is_affine = True
@@ -265,9 +241,6 @@ class LinearMap(ForwardMap):
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ np.asarray(w, dtype=np.float64)
-
-    def jacobian(self, x: Point) -> np.ndarray:
-        return self.matrix.copy()
 
 
 class SquareMap(ForwardMap):
@@ -289,12 +262,6 @@ class SquareMap(ForwardMap):
         self._check(a)
         d = a.data - x.data
         return x.data ** 2, 2.0 * x.data * d, d * d
-
-    def second_order_correction(self, x: Point, w: np.ndarray) -> np.ndarray:
-        return np.diag(2.0 * np.asarray(w, dtype=np.float64))
-
-    def jacobian(self, x: Point) -> np.ndarray:
-        return np.diag(2.0 * x.data)
 
 
 class FourierIntensityMap(ForwardMap):
@@ -454,13 +421,6 @@ class RegularizedSet:
     def residual_gradient(self, x: Point) -> Point:
         w = self.divergence.gradient(self.forward.value(x))
         return Point(self.forward.pullback(x, w), self.kind)
-
-    def residual_hessian(self, x: Point) -> np.ndarray:
-        z = self.forward.value(x)
-        jac = self.forward.jacobian(x)
-        w = self.divergence.gradient(z)
-        hess = jac.T @ self.kernel.hessian_in_first_arg(z, self.data) @ jac
-        return hess + self.forward.second_order_correction(x, w)
 
     def contains(self, x: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.residual(x) <= self.epsilon + tol

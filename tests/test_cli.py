@@ -716,6 +716,20 @@ def test_report_corrupt_trace(tmp_path, capsys):
         (run / name).write_text(intact[name])
 
 
+def test_report_refuses_runs_that_share_a_run_id(tmp_path, capsys):
+    sweep = "problem = parallel_lines\nalgorithm = exact_ap\ngap = 1.0\nmax_iter = 50\n"
+    a = make_run(tmp_path, "a", sweep + "seed = 1, 2\n")
+    b = make_run(tmp_path, "b", sweep + "seed = 1, 3\n")
+    table = tmp_path / "cmp.csv"
+    for first, second in [(a / "seed1", b / "seed1"), (a / "seed1", a / "seed1")]:
+        capsys.readouterr()
+        assert run_cli("report", str(first), str(second), "--out", str(table)) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "'seed1'" in err
+        assert not table.exists() and not (tmp_path / "cmp_rates.csv").exists()
+    assert run_cli("report", str(a / "seed1"), str(b / "seed3"), "--out", str(table)) == 0
+
+
 # ---------------------------------------------------------------------------
 # synth verb and custom instances
 

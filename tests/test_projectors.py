@@ -480,6 +480,25 @@ def test_exact_projection_matches_slsqp_on_general_instances():
     assert checked >= 8
 
 
+def test_exact_projection_on_a_fourier_kl_ball_is_a_kkt_point():
+    # Complex storage, dim 18.  The ball is nonconvex, so the Newton point
+    # is a KKT point; it need not be the nearest one.
+    rng = np.random.default_rng(3)
+    fmap = FourierIntensityMap((3, 3))
+    truth = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    ball = RegularizedSet(fmap, fmap.value(Point.from_complex(truth)),
+                          KullbackLeiblerKernel(), 0.5)
+    x = Point.from_complex(truth + 1.5 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)))
+    assert x.dim == 18 and not ball.contains(x)
+    p = project_regularized_exact(ball, x)
+    assert ball.residual(p) == pytest.approx(ball.epsilon, abs=1e-9)
+    grad, step = ball.residual_gradient(p).data, x.data - p.data
+    eta = float(step @ grad) / float(grad @ grad)
+    assert eta >= 0.0
+    assert np.allclose(step, eta * grad, rtol=0.0, atol=1e-9)
+    assert np.array_equal(RegularizedSetOracle(ball).project(x)[0].data, p.data)
+
+
 def test_exact_projection_refusals():
     ball0 = RegularizedSet(IdentityMap(2), np.zeros(2), EuclideanKernel(), 0.0)
     with pytest.raises(ValueError, match="epsilon"):
