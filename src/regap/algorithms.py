@@ -297,18 +297,28 @@ def inexact_alternating_projections(setC: SetOracle,
 def _alignment_residual(m, even: Point, odd: Point, star: Point | None = None) -> float:
     """Distance of the unit step from ``even`` to ``odd`` to m's normal cone at ``star``.
 
-    ``m`` is a set oracle or a divergence ball; ``star`` defaults to where the
-    segment from ``even``, a non-member, enters it.  NaN when m has no cone there.
+    ``m`` is a set oracle or a divergence ball; NaN when m has no cone at
+    ``star``.  A ball needs ``star`` passed in; for a set oracle it defaults
+    to where the segment from ``even``, a non-member, enters the set, found
+    on the set's ``segment_residual`` so that only ``star`` itself is built.
+    Should a closed form's rounding disagree with ``contains`` on ``star``
+    or ``odd``, the search is redone on the generic default.
     """
     gap = even.distance(odd)
     if gap == 0.0:
         return 0.0
     if star is None:
-        def excess(s: float) -> float:
-            return m.membership_residual(lerp(even, odd, s)) - MEMBERSHIP_TOL
+        def search(residual: Callable[[float], float]) -> Point:
+            # on a convex set the members of the segment form one interval ending at odd
+            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, scan=1 if m.convex else 64)
+            return lerp(even, odd, s)
 
-        # on a convex set the members of the segment form one interval ending at odd
-        star = lerp(even, odd, first_crossing(excess, scan=1 if m.convex else 64))
+        try:
+            star = search(m.segment_residual(even, odd))
+        except ValueError:  # the closed form put odd itself outside
+            star = None
+        if star is None or not m.contains(star):
+            star = search(SetOracle.segment_residual(m, even, odd))
     try:
         cone = m.normal_cone_at(star)
     except NormalConeUnavailableError:

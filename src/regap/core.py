@@ -351,6 +351,14 @@ class SetOracle:
     def contains(self, x: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(x) <= tol
 
+    def segment_residual(self, x: Point, y: Point) -> Callable[[float], float]:
+        """``s -> membership_residual((1 - s) x + s y)``, one search's probe.
+
+        This default builds each probe's point with :func:`lerp`; it is the
+        reference a closed-form override is tested against.
+        """
+        return lambda s: self.membership_residual(lerp(x, y, s))
+
     def normal_cone_at(self, x: Point) -> NormalCone:
         raise NormalConeUnavailableError(
             f"{type(self).__name__} exposes no analytic normal cone"

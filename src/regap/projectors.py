@@ -77,6 +77,14 @@ class AffineSet(SetOracle):
         self._check_point(x)
         return float(np.linalg.norm(self.matrix @ x.data - self.rhs))
 
+    def segment_residual(self, x: Point, y: Point):
+        """``s -> ||r0 + s d||`` with ``r0 = A x - b``, ``d = A y - b - r0``, formed once."""
+        self._check_point(x)
+        self._check_point(y)
+        r0 = self.matrix @ x.data - self.rhs
+        d = self.matrix @ y.data - self.rhs - r0
+        return lambda s: float(np.linalg.norm(r0 + s * d))
+
     def normal_cone_at(self, x: Point) -> SubspaceCone:
         if not self.contains(x):
             raise ValueError("base point is not a member of the set")

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regap.algorithms
+import regap.core
 from regap.algorithms import (FixedPointError, GammaConditionError, InexactAPConfig,
                               RateMeasurementError, StepConditionError,
                               exact_alternating_projections,
                               inexact_alternating_projections, measure_rate,
                               predict_rate, regularized_extrapolated_ap)
 from regap.core import (FIXED_POINT, MAX_ITER, STALLED_GAP, TOLERANCE_MET,
-                        IterationTrace, Point, SolverError, TraceRecord,
-                        canonical_point)
+                        IterationTrace, Point, SetOracle, SolverError, TraceRecord,
+                        canonical_point, lerp)
 from regap.problems import (box_affine_regularized, parallel_lines, perturbed_line,
                             slab_problem, two_lines, two_subspaces)
 from regap.projectors import AffineSet
@@ -307,15 +309,89 @@ class _CountingAffineSet(AffineSet):
         return super().membership_residual(x)
 
 
-def test_inexact_cycle_membership_count():
-    # Per cycle: the interior test of even, the alignment search (the upper
-    # end, the lower end and two secant probes: an affine set is convex, so
-    # no scan), the normal cone's membership check and residual(odd).
+def test_inexact_cycle_membership_count(monkeypatch):
+    # Per cycle: the interior test of even, the membership re-check of the
+    # alignment search's entry point, the normal cone's membership check and
+    # residual(odd).  The search probes the affine set's closed-form segment
+    # residual, which measures no point and builds none: its one lerp is
+    # the entry point it returns.
+    lerps = []
+
+    def counted_lerp(x, y, t):
+        lerps.append(t)
+        return lerp(x, y, t)
+    for module in (regap.core, regap.algorithms):
+        monkeypatch.setattr(module, "lerp", counted_lerp)
     exact = perturbed_line(math.pi / 4, 0.3)[2]
     counted = _CountingAffineSet(exact.matrix, exact.rhs)
     trace = _run_perturbed(math.pi / 4, 0.3, m_oracle=counted)
     assert trace.reason == FIXED_POINT and len(trace) > 10
-    assert counted.residuals <= 8 * len(trace)
+    assert counted.residuals <= 4 * len(trace)
+    assert len(lerps) <= len(trace)
+
+
+class _DefaultSegmentAffineSet(AffineSet):
+    """Affine set that answers ``segment_residual`` with SetOracle's generic default."""
+
+    segment_residual = SetOracle.segment_residual
+
+
+class _MisreportingAffineSet(AffineSet):
+    """Affine set whose closed-form segment residual reads ``offset`` off.
+
+    It records the base point of every normal cone it is asked for.
+    """
+
+    def __init__(self, matrix, rhs, offset):
+        super().__init__(matrix, rhs)
+        self.offset = offset
+        self.bases = []
+
+    def segment_residual(self, x, y):
+        closed = super().segment_residual(x, y)
+        return lambda s: max(closed(s) + self.offset, 0.0)
+
+    def normal_cone_at(self, x):
+        self.bases.append(x)
+        return super().normal_cone_at(x)
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_alignment_search_rechecks_the_closed_form_entry_point(offset, iterates):
+    # Read 1e-6 low, the search stops short of the set, and the re-check
+    # with contains must redo it on built points; read 1e-6 high, odd itself
+    # looks outside and the search must fall back at once.  Either way every
+    # cone's base is a member and every record, gamma included, is the
+    # reference run's.
+    exact = perturbed_line(math.pi / 4, 0.3)[2]
+    off = _MisreportingAffineSet(exact.matrix, exact.rhs, offset)
+    trace = _run_perturbed(math.pi / 4, 0.3, m_oracle=off)
+    reference = _run_perturbed(math.pi / 4, 0.3)
+    assert len(off.bases) > 10
+    assert all(AffineSet.contains(off, p) for p in off.bases)
+    assert_same_records(trace, reference, iterates)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perturbed_line(math.pi / 4, 0.3),
+    lambda: two_subspaces(8, 3, 4, seed=2),
+])
+def test_closed_form_segment_residual_keeps_every_record(build, iterates):
+    # The same inexact run on AffineSet's closed form and on the generic
+    # lerp-and-measure default: an affine set's normal cone does not depend
+    # on its base point, so every record, gamma included, is equal.
+    sets = build()  # (C, inexact oracle, M) or (C, M)
+    C, M = sets[0], sets[-1]
+    approx = sets[1].project if len(sets) == 3 else M.project
+    x0 = Point(np.random.default_rng(5).standard_normal(C.dim))
+    even0 = canonical_point(C.project(x0))
+    odd0 = canonical_point(approx(even0))
+    cfg = InexactAPConfig(gamma=0.5, max_iterations=500, fixed_point_tolerance=1e-12)
+    runs = [inexact_alternating_projections(C, approx, m, even0, odd0, cfg)
+            for m in (M, _DefaultSegmentAffineSet(M.matrix, M.rhs))]
+    assert runs[0].reason == FIXED_POINT and len(runs[0]) > 5
+    assert sum(r.gap > 0.0 for r in runs[0].records[1:]) > 5
+    assert_same_records(*runs, iterates)
 
 
 def test_perturbed_rate_matches_trigonometric_contraction():

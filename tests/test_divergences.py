@@ -81,7 +81,7 @@ def test_kl_two_log_two_minus_one():
     assert KullbackLeiblerKernel().evaluate([2.0], [1.0]) == pytest.approx(expected, abs=1e-12)
 
 
-def test_kl_gradient_and_hessian_match_finite_differences():
+def test_kl_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     k = KullbackLeiblerKernel()
     y = rng.uniform(0.5, 2.0, 4)
@@ -279,7 +279,7 @@ def test_residual_and_membership():
     assert not ball.contains(outside)
 
 
-def test_residual_gradient_and_hessian_match_finite_differences():
+def test_residual_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     cases = [
         RegularizedSet(LinearMap(rng.standard_normal((2, 4))), rng.standard_normal(2),

@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import NonlinearConstraint, minimize
 
 from regap.core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point,
-                        RayCone, ZeroCone, canonical_point)
+                        RayCone, SetOracle, ZeroCone, canonical_point)
 from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap,
                                KullbackLeiblerKernel, LinearMap,
                                RegularizedSet, SquareMap)
@@ -104,6 +104,37 @@ def test_affine_qr_projection_matches_cholesky_solves(m, extra, seed, spread, k)
     got = AffineSet(A, b).project(Point(x))[0].data
     size = max(np.max(np.abs(x)), np.max(np.abs(expected)))
     assert np.max(np.abs(got - expected)) <= 1e-13 * (sv.max() / sv.min()) ** 2 * size
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.booleans())
+def test_affine_segment_residual_matches_generic_default(data, seed, k, member_end):
+    # The closed form ||r0 + s d|| against SetOracle's lerp-and-measure
+    # default, on segments of scale 10^k; with member_end the far end is a
+    # member, as in the alignment search.  ||r0|| + s ||d|| alone is too
+    # narrow a scale: near a member end both sides cancel, and each rounds
+    # at the size of the products it forms, ||A|| times the point, plus ||b||.
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, min(n, 6)))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (u * rng.uniform(0.5, 2.0, m)) @ v[:, :m].T
+    s = AffineSet(A, 10.0 ** k * rng.standard_normal(m))
+    x = Point(10.0 ** k * rng.standard_normal(n))
+    y = Point(10.0 ** k * rng.standard_normal(n))
+    if member_end:
+        y = s.project(y)[0]
+    fast, generic = s.segment_residual(x, y), SetOracle.segment_residual(s, x, y)
+    r0 = A @ x.data - s.rhs
+    d = A @ y.data - s.rhs - r0
+    for t in (0.0, 1.0, 0.5, 1.0 - 2.0 ** -30, *rng.uniform(0.0, 1.0, 4)):
+        t = float(t)
+        scale = (np.linalg.norm(A) * ((1.0 - t) * x.norm() + t * y.norm())
+                 + np.linalg.norm(s.rhs) + np.linalg.norm(r0) + t * np.linalg.norm(d))
+        assert abs(fast(t) - generic(t)) <= 8 * np.finfo(float).eps * scale
+    with pytest.raises(DimensionMismatchError):
+        s.segment_residual(x, Point(np.zeros(n + 1)))
 
 
 def test_affine_rejects_rank_deficiency_and_bad_shapes():
