@@ -179,7 +179,7 @@ def _within_step(length: float, step: float) -> bool:
     return length <= step * (1 + 1e-12) + 1e-15
 
 
-def _terminate(cfg: InexactAPConfig, setC: SetOracle, setM, step: float, gap: float,
+def _terminate(cfg: InexactAPConfig, setC: SetOracle, setM: SetOracle, step: float, gap: float,
                even: Point, even_change: float, gaps: deque[float]) -> str | None:
     if max(step, gap) <= cfg.fixed_point_tolerance:
         return FIXED_POINT
@@ -197,7 +197,7 @@ def _terminate(cfg: InexactAPConfig, setC: SetOracle, setM, step: float, gap: fl
     return None
 
 
-def _iterate(setC: SetOracle, setM, even: Point,
+def _iterate(setC: SetOracle, setM: SetOracle, even: Point,
              odd_step: Callable[[Point, int, float], _OddResult],
              cfg: InexactAPConfig, first: _OddResult | None = None) -> IterationTrace:
     """The cycle loop shared by the drivers: project onto C, then take an odd step.
@@ -206,7 +206,7 @@ def _iterate(setC: SetOracle, setM, even: Point,
     gamma, lam)``, given the even half-step ``step`` into it; cycle 0 takes
     it from the even iterate ``even`` unless ``first`` supplies it.  With
     ``strict_gamma`` every gamma ``odd_step`` returns is checked.  ``setM``
-    (a set oracle or a divergence ball) answers the ``tolerance_met`` test.
+    answers the ``tolerance_met`` test.
     """
     def checked_step(even: Point, k: int, step: float) -> _OddResult:
         result = odd_step(even, k, step)
@@ -294,13 +294,12 @@ def inexact_alternating_projections(setC: SetOracle,
     return _iterate(setC, m_oracle, x0, odd_step, cfg, first)
 
 
-def _alignment_residual(m, even: Point, odd: Point, star: Point | None = None) -> float:
+def _alignment_residual(m: SetOracle, even: Point, odd: Point, star: Point | None = None) -> float:
     """Distance of the unit step from ``even`` to ``odd`` to m's normal cone at ``star``.
 
-    ``m`` is a set oracle or a divergence ball; NaN when m has no cone at
-    ``star``.  A ball needs ``star`` passed in; for a set oracle it defaults
-    to where the segment from ``even``, a non-member, enters the set, found
-    on the set's ``segment_residual`` so that only ``star`` itself is built.
+    NaN when ``m`` has no cone at ``star``.  ``star`` defaults to where the
+    segment from ``even``, a non-member, enters the set, found on the set's
+    ``segment_residual`` so that only ``star`` itself is built.
     Should a closed form's rounding disagree with ``contains`` on ``star``
     or ``odd``, the search is redone on the generic default.
     """

@@ -2,9 +2,10 @@
 
 Exact projectors exist for affine subspaces, halfspaces, componentwise
 magnitude ("box corner") sets, Fourier-magnitude sets, and the nonnegative
-support cone.  Projections onto a divergence ball are available exactly via a
-small-scale KKT Newton solve, or approximately by walking the segment toward
-a projection onto the data set {x : g(x) = b} until the ball boundary is hit.
+support cone.  A divergence ball projects itself exactly, by the small-scale
+KKT Newton solve of :mod:`regap.divergences`, whose names this module
+re-exports; ``project_regularized_approx`` walks the segment toward a
+projection onto the data set {x : g(x) = b} until the ball boundary is hit.
 """
 
 from __future__ import annotations
@@ -16,24 +17,17 @@ from .core import (
     MEMBERSHIP_TOL,
     REAL,
     DimensionMismatchError,
-    NormalCone,
     Point,
     RayCone,
     SetOracle,
     SignedProductCone,
-    SolverError,
     SubspaceCone,
     ZeroCone,
     _svd_rank,
     canonical_point,
 )
-from .divergences import FourierIntensityMap, RegularizedSet, bregman_line_boundary
-
-NEWTON_MAX_DIM = 50
-
-
-class NewtonConvergenceError(SolverError):
-    """The KKT Newton solve did not converge within the iteration cap."""
+from .divergences import (NEWTON_MAX_DIM, FourierIntensityMap, NewtonConvergenceError,
+                          RegularizedSet, bregman_line_boundary, project_regularized_exact)
 
 
 class AffineSet(SetOracle):
@@ -260,103 +254,9 @@ class FourierMagnitudeSet(SetOracle):
         return float(np.max(np.abs(self._map.value(x) - self.intensity)))
 
 
-class RegularizedSetOracle(SetOracle):
-    """Set-oracle facade over a divergence ball.
-
-    ``project`` is the KKT Newton solve of :func:`project_regularized_exact`
-    (small instances, smooth maps); membership and normal cones are the
-    ball's own.
-    """
-
-    def __init__(self, m: RegularizedSet):
-        super().__init__(m.dim)
-        self.m = m
-        self.kind = m.kind
-
-    def project(self, x: Point) -> list[Point]:
-        self._check_point(x)
-        return [x if self.m.contains(x) else project_regularized_exact(self.m, x)]
-
-    def membership_residual(self, x: Point) -> float:
-        return self.m.membership_residual(x)
-
-    def normal_cone_at(self, x: Point) -> NormalCone:
-        return self.m.normal_cone_at(x)
-
-
-def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
-    """Euclidean projection onto a divergence ball via its KKT system.
-
-    Solves ``(y - x) + eta * grad_r(y) = 0`` and ``r(y) = epsilon`` for the
-    boundary residual ``r`` with a damped Newton method (initial multiplier
-    1, step halving, at most 100 steps to a KKT residual of 1e-11, measured
-    with exact gradients).  The Newton matrix takes central differences of
-    ``residual_gradient``, step ``1e-6 * (1 + |y_j|)`` per coordinate, and
-    symmetrizes them: each step costs ``2 * dim`` gradients, and any map
-    with a ``pullback`` serves.  A small-scale reference oracle: ambient
-    dimension is capped at ``NEWTON_MAX_DIM``.  On a nonconvex ball
-    (``SquareMap``, Fourier intensity) it returns a KKT point, which need
-    not be the nearest.  Refuses ``epsilon = 0``, where the multiplier
-    blows up because the constraint gradient vanishes on the data set
-    {x : g(x) = b}.
-    """
-    if m.epsilon <= 0:
-        raise ValueError("exact projection requires epsilon > 0")
-    if m.dim > NEWTON_MAX_DIM:
-        raise ValueError(f"ambient dimension {m.dim} exceeds {NEWTON_MAX_DIM}")
-    if m.residual(x) <= m.epsilon:
-        raise ValueError("x is already a member; the projection is x itself")
-
-    dim = m.dim
-    target = x.data
-    max_iter, tol = 100, 1e-11
-
-    def kkt(z: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-        p = Point(z, m.kind)
-        grad = m.residual_gradient(p).data
-        top = z - target + eta * grad
-        bottom = m.residual(p) - m.epsilon
-        return np.concatenate([top, [bottom]]), grad
-
-    def curvature(z: np.ndarray) -> np.ndarray:
-        h = 1e-6 * (1.0 + np.abs(z))
-        diffs = [m.residual_gradient(Point(z + e, m.kind)).data
-                 - m.residual_gradient(Point(z - e, m.kind)).data for e in np.diag(h)]
-        hess = np.column_stack(diffs) / (2.0 * h)
-        return 0.5 * (hess + hess.T)
-
-    z = target.copy()
-    eta = 1.0
-    f, grad = kkt(z, eta)
-    fnorm = np.linalg.norm(f)
-    for _ in range(max_iter):
-        if np.max(np.abs(f)) <= tol and eta >= -1e-10:
-            return Point(z, m.kind)
-        jac = np.zeros((dim + 1, dim + 1))
-        jac[:dim, :dim] = np.eye(dim) + eta * curvature(z)
-        jac[:dim, dim] = grad
-        jac[dim, :dim] = grad
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        t = 1.0
-        while t >= 2.0 ** -30:
-            z_new = z + t * step[:dim]
-            eta_new = eta + t * step[dim]
-            f_new, grad_new = kkt(z_new, eta_new)
-            fnorm_new = np.linalg.norm(f_new)
-            if fnorm_new <= (1.0 - 1e-4 * t) * fnorm:
-                break
-            t *= 0.5
-        else:
-            raise NewtonConvergenceError("line search failed to reduce the KKT residual")
-        z, eta, f, grad, fnorm = z_new, eta_new, f_new, grad_new, fnorm_new
-    if np.max(np.abs(f)) <= tol and eta >= -1e-10:
-        return Point(z, m.kind)
-    raise NewtonConvergenceError(
-        f"KKT residual {np.max(np.abs(f)):.3e} after {max_iter} iterations"
-    )
+def RegularizedSetOracle(m: RegularizedSet) -> RegularizedSet:
+    """The divergence ball ``m`` itself, already a set oracle; kept for the acceptance tests."""
+    return m
 
 
 def project_regularized_approx(m: RegularizedSet, data_set: SetOracle,

@@ -484,6 +484,49 @@ def test_run_parallel_lines_stall_summary(tmp_path):
     assert summary["residual_data"] == pytest.approx(1.0)
 
 
+def _run_summary(tmp_path, text):
+    cfg = write_config(tmp_path, text + f"out = {tmp_path / 'run'}\n")
+    assert run_cli("run", "--config", str(cfg)) == 0
+    return json.loads((tmp_path / "run" / "summary.json").read_text())
+
+
+def test_run_readme_quick_start_on_the_euclidean_ball(tmp_path):
+    # the README quick start: regularized two_subspaces runs on a LinearMap ball
+    summary = _run_summary(tmp_path, (
+        "problem = two_subspaces\n"
+        "algorithm = regularized_extrapolated\n"
+        "theta = pi/3\n"
+        "epsilon = 0.05\n"
+        "max_iter = 200\n"))
+    assert summary["reason"] == "fixed_point"
+    assert summary["c_bar"] == pytest.approx(math.cos(math.pi / 3), abs=1e-12)
+    assert summary["measured_rate"] == pytest.approx(summary["c_bar"], abs=0.02)
+    assert summary["measured_rate"] <= summary["predicted_rate"] + 1e-12
+
+
+def test_run_random_subspaces_exact_ap(tmp_path):
+    summary = _run_summary(tmp_path, (
+        "problem = two_subspaces\n"
+        "algorithm = exact_ap\n"
+        "dim = 6\n"
+        "dim_u = 2\n"
+        "dim_v = 3\n"
+        "seed = 1\n"))
+    assert summary["reason"] == "fixed_point"
+    assert summary["measured_rate"] <= summary["c_bar"]
+
+
+def test_run_parallel_lines_inside_a_wide_slab(tmp_path):
+    # epsilon = 0.6 > gap²/2: the slab around one line reaches the other
+    summary = _run_summary(tmp_path, (
+        "problem = parallel_lines\n"
+        "algorithm = regularized_extrapolated\n"
+        "gap = 1\n"
+        "epsilon = 0.6\n"))
+    assert summary["reason"] == "fixed_point"
+    assert summary["interior"] is True
+
+
 def test_run_box_affine_regularized(tmp_path):
     text = (
         "problem = box_affine\n"
@@ -528,6 +571,26 @@ def test_run_phase_smoke(tmp_path):
     for stem in ("reconstruction", "truth"):
         assert (out / f"{stem}.npy").exists()
         assert (out / f"{stem}.pgm").exists()
+
+
+def test_run_phase_interior_verdict_near_the_boundary(tmp_path):
+    # A constant_one 64x64 entry of the benchmark's sweep family whose fixed
+    # point lies only 5e-5·epsilon inside its ball (epsilon = 262.55, margin
+    # 0.013).  It is truly interior: with ‖∇r‖ ≈ 845 a 1e-6 step moves the
+    # residual by about 8.5e-4, so the verdict is True however it is reached.
+    summary = _run_summary(tmp_path, (
+        "problem = phase_retrieval\n"
+        "algorithm = regularized_extrapolated\n"
+        "object = smooth\n"
+        "shape = 64, 64\n"
+        "photon_scale = 1e3\n"
+        "epsilon_kappa = 1\n"
+        "lambda_schedule = constant_one\n"
+        "measure_gamma = false\n"
+        "max_iter = 300\n"
+        "seed = 216109\n"))
+    assert summary["reason"] == "fixed_point"
+    assert summary["interior"] is True
 
 
 def test_run_phase_prepares_one_kl_ball(tmp_path, monkeypatch):

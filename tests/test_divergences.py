@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -737,6 +737,7 @@ def _outside_ball(forward, data, kernel, x, x0, frac):
 @settings(max_examples=60)
 @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 0.95))
+@example(2, 2, 3028, 0.5)  # 3 of 4 data entries zero: ‖g‖ ≈ 5.6e-6 against coefficients ≈ 5
 def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
     rng = np.random.default_rng(seed)
     shape = (n1, n2)
@@ -748,7 +749,7 @@ def test_fourier_kl_boundary_matches_generic_path(n1, n2, seed, frac):
     x0 = canonical_point(FourierMagnitudeSet(data, FourierIntensityMap(shape)).project(x))
     ball = _outside_ball(FourierIntensityMap(shape), data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
-    _check_fast_boundary(ball, x, x0)
+    _check_fast_boundary(ball, x, x0, ulps=8)
     assert ball.kernel.clip_count > 0
 
 

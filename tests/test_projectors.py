@@ -15,8 +15,7 @@ from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap
                                KullbackLeiblerKernel, LinearMap,
                                RegularizedSet, SquareMap)
 from regap.projectors import (AffineSet, BoxMagnitudeSet, FourierMagnitudeSet,
-                              HalfspaceSet, NewtonConvergenceError,
-                              RegularizedSetOracle, SupportNonnegSet,
+                              HalfspaceSet, NewtonConvergenceError, SupportNonnegSet,
                               project_affine, project_fourier_magnitude,
                               project_regularized_approx, project_regularized_exact)
 
@@ -527,7 +526,7 @@ def test_exact_projection_on_a_fourier_kl_ball_is_a_kkt_point():
     eta = float(step @ grad) / float(grad @ grad)
     assert eta >= 0.0
     assert np.allclose(step, eta * grad, rtol=0.0, atol=1e-9)
-    assert np.array_equal(RegularizedSetOracle(ball).project(x)[0].data, p.data)
+    assert np.array_equal(ball.project(x)[0].data, p.data)
 
 
 def test_exact_projection_refusals():
@@ -594,7 +593,7 @@ def test_approx_rejects_members():
 
 
 # ---------------------------------------------------------------------------
-# Oracle facade
+# The ball as a set oracle
 
 def test_regularized_oracle_modes_and_normal_cones():
     rng = np.random.default_rng(19)
@@ -602,21 +601,20 @@ def test_regularized_oracle_modes_and_normal_cones():
     b = rng.standard_normal(2)
     ball = RegularizedSet(LinearMap(A), b, EuclideanKernel(), 0.3)
     affine = AffineSet(A, b)
-    exact_oracle = RegularizedSetOracle(ball)
 
     x = Point(rng.standard_normal(4) * 4)
-    pe = exact_oracle.project(x)[0]
+    pe = ball.project(x)[0]
     pa, _ = project_regularized_approx(ball, affine, x)
     assert np.allclose(pe.data, pa.data, atol=1e-9)
 
-    inside = exact_oracle.project(x)[0]
-    assert exact_oracle.project(inside)[0] is inside  # members are fixed
+    inside = ball.project(x)[0]
+    assert ball.project(inside)[0] is inside  # members are fixed
 
-    assert isinstance(exact_oracle.normal_cone_at(pe), RayCone)
+    assert isinstance(ball.normal_cone_at(pe), RayCone)
     deep = Point(affine.project(Point(np.zeros(4)))[0].data)
-    assert isinstance(exact_oracle.normal_cone_at(deep), ZeroCone)
+    assert isinstance(ball.normal_cone_at(deep), ZeroCone)
     with pytest.raises(ValueError):
-        exact_oracle.normal_cone_at(Point(pe.data * 50))
+        ball.normal_cone_at(Point(pe.data * 50))
 
 
 def test_regularized_oracle_projection_is_the_kkt_solve():
@@ -626,12 +624,11 @@ def test_regularized_oracle_projection_is_the_kkt_solve():
     for _ in range(5):
         x = Point(rng.standard_normal(4) * 3)
         assert not ball.contains(x)
-        (exact,) = RegularizedSetOracle(ball).project(x)
+        (exact,) = ball.project(x)
         assert np.array_equal(exact.data, project_regularized_exact(ball, x).data)
 
 
 def test_regularized_oracle_membership_residual():
     ball = RegularizedSet(IdentityMap(1), np.zeros(1), EuclideanKernel(), 0.5)
-    oracle = RegularizedSetOracle(ball)
-    assert oracle.membership_residual(Point(np.array([0.5]))) == 0.0
-    assert oracle.membership_residual(Point(np.array([2.0]))) == pytest.approx(1.5)
+    assert ball.membership_residual(Point(np.array([0.5]))) == 0.0
+    assert ball.membership_residual(Point(np.array([2.0]))) == pytest.approx(1.5)

@@ -8,7 +8,7 @@ import pytest
 from regap.core import Point, RayCone, SubspaceCone, ZeroCone
 from regap.divergences import EuclideanKernel, IdentityMap, RegularizedSet
 from regap.problems import two_lines, two_subspaces
-from regap.projectors import HalfspaceSet, RegularizedSetOracle, SupportNonnegSet
+from regap.projectors import HalfspaceSet, SupportNonnegSet
 from regap.regularity import (RegularityEstimate, cbar_sampled, cbar_subspaces)
 
 
@@ -103,20 +103,18 @@ def test_sampled_matches_subspaces_for_crossing_lines():
 
 def test_sampled_interior_point_is_exactly_zero():
     ball = RegularizedSet(IdentityMap(2), np.zeros(2), EuclideanKernel(), 0.5)
-    oracle = RegularizedSetOracle(ball)
     half = HalfspaceSet(np.array([1.0, 0.0]), 5.0)
     x = Point(np.zeros(2))  # interior to both
-    assert cbar_sampled(oracle, half, x, n_samples=100, seed=0).c_bar == 0.0
+    assert cbar_sampled(ball, half, x, n_samples=100, seed=0).c_bar == 0.0
 
 
 def test_sampled_tangent_ball_and_halfspace_reach_one():
     # Unit ball touching the halfspace x1 >= 1 externally at (1, 0): there
     # the outward normals oppose exactly.
     ball = RegularizedSet(IdentityMap(2), np.zeros(2), EuclideanKernel(), 0.5)
-    oracle = RegularizedSetOracle(ball)
     half = HalfspaceSet(np.array([-1.0, 0.0]), -1.0)
     contact = Point(np.array([1.0, 0.0]))
-    est = cbar_sampled(oracle, half, contact, n_samples=50, seed=0)
+    est = cbar_sampled(ball, half, contact, n_samples=50, seed=0)
     assert est.c_bar == pytest.approx(1.0, abs=1e-12)
 
 
@@ -206,8 +204,7 @@ def cbar_per_sample(setC, setM, xbar, n_samples, seed):
 
 
 def _unit_ball():
-    return RegularizedSetOracle(RegularizedSet(IdentityMap(2), np.zeros(2),
-                                               EuclideanKernel(), 0.5))
+    return RegularizedSet(IdentityMap(2), np.zeros(2), EuclideanKernel(), 0.5)
 
 
 @pytest.mark.parametrize("build, seed", [
