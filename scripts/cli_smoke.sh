@@ -81,6 +81,13 @@ for summary in "$work/box/seed1" "$work/box/seed2"; do
   python3 -c 'import json, sys; r = json.load(open(sys.argv[1]))["residual_constraint"]
 sys.exit(None if abs(r) <= 1e-9 else f"residual_constraint {r} above 1e-9")' "$summary/summary.json"
 done
+# the interior verdict: the parallel runs stop inside their ball, the box
+# runs end on its boundary
+for expect in "true parallel/seed1" "true parallel/seed2" "false box/seed1" "false box/seed2"; do
+  python3 -c 'import json, sys; v = json.load(open(sys.argv[1]))["interior"]
+sys.exit(None if v == (sys.argv[2] == "true") else f"interior {v}, expected {sys.argv[2]}")' \
+    "$work/${expect#* }/summary.json" "${expect%% *}"
+done
 
 # a non-finite number is a configuration error: exit 2, nothing written
 cat > "$work/nan.cfg" <<CFG

@@ -464,8 +464,6 @@ def _run_phase(cfg: ExperimentConfig, entry: RunEntry, acfg: InexactAPConfig,
         # reconstruct computed aligned_error for this very reconstruction
         extras.update(epsilon=epsilon, restarts=result.restarts,
                       aligned_error=result.aligned_error)
-        if not epsilon > 0:  # the exact data set has no interior
-            extras["interior"] = False
     export_grid(recon, outdir / "reconstruction")
     export_grid(inst.object_image, outdir / "truth")
     return trace, setC, setM, extras
@@ -516,7 +514,7 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
     final = trace.final_even
     extras["residual_data"] = odd_set.membership_residual(final)
     extras["residual_constraint"] = setC.membership_residual(final)
-    if cfg.algorithm == "regularized_extrapolated" and "interior" not in extras:
+    if cfg.algorithm == "regularized_extrapolated":
         extras["interior"] = interiority_check(odd_set, final)
     try:
         measured_rate = measure_rate(trace)

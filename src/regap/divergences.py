@@ -20,7 +20,6 @@ from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Normal
                    first_crossing, lerp)
 
 CLIP_FLOOR = 1e-300
-EPS = 2.0 ** -52  # float64 machine epsilon
 NEWTON_MAX_DIM = 50  # largest ambient dimension project_regularized_exact accepts
 
 
@@ -94,7 +93,6 @@ class KullbackLeiblerKernel:
         ``z(t) = p0 + p1 t + p2 t^2``, clamped at 0 as it may round below.
         A probe takes only ``sum z log z``: ``sum z (log y + 1)`` is three
         moments taken once per segment, and ``sum y`` is taken once here.
-        Its ``upper(lo, hi)`` bounds the divergence over a box of ``z``.
         """
         y = _as_array(y)
         self._check_nonneg(y, "second")
@@ -103,38 +101,18 @@ class KullbackLeiblerKernel:
         log_y = np.log(np.where(small, CLIP_FLOOR, y))
         weight, total, buffer = log_y + 1.0, float(y.sum()), np.empty_like(y)
 
-        def terms(z, out: np.ndarray) -> np.ndarray:
+        def divergence(z) -> float:
             z = _as_array(z)
             self._check_nonneg(z, "first")
             self.clip_count += n_small
             # z*log(z/y) as z*log(z) - z*log(yc).  The log is taken at z floored
             # at the smallest subnormal 5e-324: exact for z > 0, 0*log(0) = -0.0.
-            out = np.log(np.maximum(z, 5e-324, out=out), out=out)
-            out *= z
-            out -= z * log_y
-            out += y
-            out -= z
-            return out
-
-        def divergence(z) -> float:
-            return float(terms(z, buffer).sum())
-
-        def upper(lo, hi) -> float:
-            """At least ``divergence(z)``, as computed, for every ``lo <= z <= hi``.
-
-            Each term is convex in its ``z_i`` (``log_y`` is fixed), so it is
-            largest at an end of ``[lo_i, hi_i]``.  The sum of the larger
-            ends' terms is raised by ``4·(n + 8)·eps·s``, where ``s`` sums
-            ``hi·(|log hi| + |log y| + 1) + y + 1/e`` and bounds the size of
-            every term on the interval: that covers the rounding of each
-            term (a few eps of its parts) and of each sum (``n·eps`` of the
-            summed sizes), both here and in ``divergence(z)``.
-            """
-            hi = _as_array(hi)
-            most = np.maximum(terms(lo, np.empty_like(y)), terms(hi, buffer), out=buffer)
-            size = np.abs(np.log(np.maximum(hi, 5e-324))) + np.abs(log_y) + 1.0
-            scale = float(hi @ size) + total + y.size / np.e
-            return float(most.sum()) + 4.0 * (y.size + 8) * EPS * scale
+            terms = np.log(np.maximum(z, 5e-324, out=buffer), out=buffer)
+            terms *= z
+            terms -= z * log_y
+            terms += y
+            terms -= z
+            return float(terms.sum())
 
         def gradient(z) -> np.ndarray:
             z = _as_array(z)
@@ -161,7 +139,6 @@ class KullbackLeiblerKernel:
             return excess
 
         divergence.gradient, divergence.segment_excess = gradient, segment_excess
-        divergence.upper = upper
         return divergence
 
 
@@ -193,13 +170,6 @@ class ForwardMap:
     def segment_point(self, x: Point, a: Point, t: float) -> Point:
         """The point ``(1 - t) x + t a``; a map may remember its image with it."""
         return lerp(x, a, t)
-
-    def value_bounds(self, x: Point, radius: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Componentwise ``(lo, hi)`` around ``value(y)`` for ``‖y − x‖ <= radius``.
-
-        ``None`` here: a map without bounds leaves its callers to sample.
-        """
-        return None
 
     def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coefficients ``(g(x), g(a) − g(x), 0)``, exact for affine maps only."""
@@ -316,29 +286,6 @@ class FourierIntensityMap(ForwardMap):
         self._remember(point, (1.0 - t) * X + t * A)
         return point
 
-    def value_bounds(self, x: Point, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise ``(lo, hi)`` with ``lo <= value(y) <= hi`` for ``‖y − x‖ <= radius``.
-
-        The DFT is unitary, so each ``|(F y)_i|`` lies within ``radius`` of
-        ``a_i = |(F x)_i|``: ``lo = max(a − r, 0)²`` and ``hi = (a + r)²``,
-        on the remembered spectrum of ``x`` (no transform when ``x`` has
-        one).  The bounds hold for ``value(y)`` as computed, on a fresh FFT
-        of ``y``: ``r`` is ``radius`` plus ``64·eps·(log2 n + 1)·(‖x‖ +
-        radius)``, several times the worst-case error of a radix-2 FFT
-        (about ``3.4·eps·log2 n`` of the norm, Higham, Accuracy and
-        Stability of Numerical Algorithms, §24.1) for each of the two
-        spectra, plus the rounding of ``|·|²`` and of ``lo`` and ``hi``.
-        That takes the remembered spectrum to be within FFT rounding of
-        ``F x``, as it is when an FFT or ``from_spectrum`` gave it; a
-        ``segment_point`` spectrum is within it unless the point is far
-        shorter than the segment's ends.
-        """
-        a = np.abs(self.spectrum(x)).ravel()
-        r = radius + 64.0 * EPS * (np.log2(self.out_dim) + 1.0) * (x.norm() + radius)
-        lo = np.maximum(a - r, 0.0)
-        a += r
-        return np.square(lo, out=lo), np.square(a, out=a)
-
     def _inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(spectrum, norm="ortho").ravel()
 
@@ -381,11 +328,13 @@ class RegularizedSet(SetOracle):
     It is a set oracle: ``project`` keeps a member and otherwise returns the
     KKT Newton point of :func:`project_regularized_exact` (small instances).
 
-    ``forward``, ``data`` and ``kernel`` are fixed after construction: the
-    kernel's divergence against ``data`` is prepared once, as ``divergence``,
-    when the ball is built, and ``residual`` remembers its last ``(point,
-    value)`` pair so that asking again for the identical ``Point`` (whose
-    storage is read-only) costs nothing.
+    ``forward``, ``data``, ``kernel`` and ``epsilon`` are fixed after
+    construction: the kernel's divergence against ``data`` is prepared once,
+    as ``divergence``, when the ball is built, and ``residual`` remembers its
+    last ``(point, value)`` pair so that asking again for the identical
+    ``Point`` (whose storage is read-only) costs nothing.  ``band`` is
+    ``max(MEMBERSHIP_TOL, 1e-6 * epsilon)``: a point whose residual is below
+    ``epsilon - band`` is interior, and the normal cone there is {0}.
     """
 
     def __init__(self, forward: ForwardMap, data, kernel, epsilon: float):
@@ -402,6 +351,7 @@ class RegularizedSet(SetOracle):
             raise ValueError("data entries must be finite")
         if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        self.band = max(MEMBERSHIP_TOL, 1e-6 * epsilon)
         self.divergence = kernel.against(self.data)
         self._last_residual: tuple[Point, float] | None = None
 
@@ -431,14 +381,13 @@ class RegularizedSet(SetOracle):
     def normal_cone_at(self, x: Point) -> NormalCone:
         """Normal cone at the member ``x``.
 
-        Within ``max(MEMBERSHIP_TOL, 1e-6 * epsilon)`` of the boundary value
-        it is the ray of the residual gradient; deeper inside it is {0}.
+        Within ``band`` of the boundary value it is the ray of the residual
+        gradient; deeper inside it is {0}.
         """
         r = self.residual(x)
-        band = max(MEMBERSHIP_TOL, 1e-6 * self.epsilon)
-        if r > self.epsilon + band:
+        if r > self.epsilon + self.band:
             raise ValueError("base point is not a member of the set")
-        if r < self.epsilon - band:
+        if r < self.epsilon - self.band:
             return ZeroCone(self.dim)
         grad = self.residual_gradient(x)
         if grad.norm() <= 1e-14:
@@ -463,8 +412,9 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     ``x0`` in the segment search, which tests the ``x0`` end first.  The
     returned point is re-checked with ``contains``; should rounding in the
     prepared excess ever disagree, the search is redone with the generic
-    excess ``residual(lerp(...))``, so the result is always a member within
-    the membership tolerance granted to the anchor itself.
+    excess ``residual(lerp(...))`` and its point is built by ``lerp`` as each
+    probe was, so the result is always a member within the membership
+    tolerance granted to the anchor itself.
     """
     if m.residual(x) <= m.epsilon:
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -483,20 +433,18 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     bound = m.epsilon + MEMBERSHIP_TOL
     fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0), bound)
 
-    def search(excess: Callable[[float], float]) -> tuple[float, Point]:
-        tau = float(first_crossing(excess))
-        return tau, m.forward.segment_point(x, x0, tau)
-
-    def generic(t: float) -> float:
-        return m.residual(lerp(x, x0, t)) - bound
+    def generic() -> tuple[float, Point]:
+        tau = float(first_crossing(lambda t: m.residual(lerp(x, x0, t)) - bound))
+        return tau, lerp(x, x0, tau)
 
     try:
-        tau, point = search(fast)
+        tau = float(first_crossing(fast))
     except ValueError:  # rounding in ``fast`` can put the anchor itself outside
         if not m.contains(x0):
             raise ValueError("anchor x0 is not a member of the set") from None
-        return search(generic)
-    return (tau, point) if m.contains(point) else search(generic)
+        return generic()
+    point = m.forward.segment_point(x, x0, tau)
+    return (tau, point) if m.contains(point) else generic()
 
 
 def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import InexactAPConfig, regularized_extrapolated_ap
-from .core import COMPLEX, MEMBERSHIP_TOL, IterationTrace, Point, atomic_open
-from .divergences import EPS, FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
+from .core import COMPLEX, IterationTrace, Point, atomic_open
+from .divergences import FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
 from .projectors import FourierMagnitudeSet, SupportNonnegSet
 
 MAGIC = b"PHZINST1"
@@ -270,44 +270,15 @@ def aligned_error(candidate: np.ndarray, truth: np.ndarray) -> float:
 
 
 def interiority_check(m: RegularizedSet, x: Point) -> bool:
-    """True when 20 random perturbations of ``x`` of norm 1e-6 (seed 0) stay members.
+    """True when the residual of ``x`` is below ``epsilon - band``.
 
-    The verdict is certified, with no random draw (and no transform when
-    the map remembers the spectrum of ``x``), when the map answers
-    ``value_bounds``, the prepared divergence answers ``upper`` (a Fourier
-    intensity map and a KL kernel do) and the residual's upper bound over
-    every ``y`` with ``‖y − x‖ <= r`` is at most ``epsilon +
-    MEMBERSHIP_TOL``: each perturbation the sampling would draw then stays
-    a member, so the sampling would say True.  Otherwise (a point at the
-    boundary, a map without bounds or a kernel without ``upper``) the 20
-    perturbations are drawn and tested.
-
-    Rounding: ``r = 1e-6 + (dim + 4)·eps·(1e-6 + ‖x‖)`` covers the
-    rounding of each drawn direction's norm (at most ``dim·eps`` of it)
-    and of ``x + d`` (``eps·‖x + d‖``); ``value_bounds`` covers the FFT
-    error of the spectrum of ``x`` and of each perturbed point's, and
-    ``upper`` the rounding of the KL terms and sums, both of the bound
-    and of the sampled residuals.
+    The residual is continuous, so ``{r < epsilon}`` is open and such a
+    point is interior.  The ball's ``band`` is far above the residual's
+    rounding, and below it the ball's normal cone is {0}.  At ``epsilon =
+    0`` the verdict is False.  A remembered residual costs no transform, and
+    nothing is drawn.
     """
-    if _certified_interior(m, x):
-        return True
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    for _ in range(20):
-        d = rng.standard_normal(x.dim)
-        d *= 1e-6 / np.linalg.norm(d)
-        if not m.contains(Point(x.data + d, x.kind)):
-            return False
-    return True
-
-
-def _certified_interior(m: RegularizedSet, x: Point) -> bool:
-    """True when the residual bound over the perturbation ball proves ``x`` interior."""
-    upper = getattr(m.divergence, "upper", None)
-    if upper is None:
-        return False
-    radius = 1e-6 + (x.dim + 4) * EPS * (1e-6 + x.norm())
-    bounds = m.forward.value_bounds(x, radius)
-    return bounds is not None and upper(*bounds) <= m.epsilon + MEMBERSHIP_TOL
+    return m.residual(x) < m.epsilon - m.band
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,21 @@ def test_run_phase_interior_verdict_near_the_boundary(tmp_path):
     assert summary["interior"] is True
 
 
+def test_run_phase_on_the_exact_data_set_with_gamma(tmp_path):
+    # At epsilon = 0 the ball is the data set, where the boundary solve's
+    # prepared excess often disagrees with a fresh residual and the generic
+    # search runs; its point must be a member.  The set has no interior.
+    summary = _run_summary(tmp_path, (
+        "problem = phase_retrieval\n"
+        "algorithm = regularized_extrapolated\n"
+        "object = smooth\n"
+        "shape = 16, 16\n"
+        "photon_scale = 1e3\n"
+        "epsilon = 0\n"
+        "max_iter = 100\n"))
+    assert summary["interior"] is False
+
+
 def test_run_phase_prepares_one_kl_ball(tmp_path, monkeypatch):
     # The summary's residual_data and interior read the ball the
     # reconstruction used; the only other KL divergence is the noise level.

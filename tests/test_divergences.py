@@ -522,33 +522,6 @@ def test_segment_point_residual_matches_a_fresh_transform(n1, n2, seed, k, zeros
     assert abs(got - ref) <= _SPECTRUM_ULPS * math.log2(2 * X.size) * scale
 
 
-@settings(max_examples=100)
-@given(st.integers(2, 16), st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
-       st.integers(-3, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.sampled_from([1e-6, 1e-3, 1e-1]))
-def test_value_bounds_and_upper_bound_the_residual_over_the_ball(n1, n2, seed, k, zeros,
-                                                                 data_zeros, r):
-    # The spectrum of x has exact zeros (all of it at zeros = 1), and so has
-    # the data; every y within r of x, on a fresh FFT, stays under the bound.
-    rng = np.random.default_rng(seed)
-    shape = (n1, n2)
-    fmap = FourierIntensityMap(shape)
-    x = fmap.from_spectrum(_random_grid(rng, shape, k, zeros))
-    data = np.abs(_random_grid(rng, shape, k, data_zeros)).ravel() ** 2
-    m = RegularizedSet(fmap, data, KullbackLeiblerKernel(), 1.0)
-    lo, hi = fmap.value_bounds(x, r)
-    assert np.all(0.0 <= lo) and np.all(lo <= hi)
-    upper = m.divergence.upper(lo, hi)
-    for length in (1.0 - 1e-4, rng.uniform(0.0, 1.0), 0.0):
-        d = rng.standard_normal(x.dim)
-        d *= length * r / np.linalg.norm(d)
-        y = Point(x.data + d, x.kind)
-        assert y.distance(x) <= r
-        z = fmap.value(y)
-        assert np.all(lo <= z) and np.all(z <= hi)
-        assert m.residual(y) <= upper
-
-
 def _surface_8x8(forward_map):
     """An 8x8 phase instance: ``(C, ball, unregularized set, start)``.
 

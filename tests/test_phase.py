@@ -6,6 +6,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from scipy.ndimage import gaussian_filter as scipy_gaussian_filter
 from conftest import noiseless_instance, smooth_instance
 from regap import problems
 from regap.algorithms import InexactAPConfig
-from regap.core import FIXED_POINT, MAX_ITER, STALLED_GAP, Point, canonical_point, lerp
-from regap.divergences import (FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet,
+from regap.core import FIXED_POINT, MAX_ITER, STALLED_GAP, Point, ZeroCone, canonical_point, lerp
+from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap,
+                               KullbackLeiblerKernel, LinearMap, RegularizedSet, SquareMap,
                                bregman_line_boundary)
-from regap.phase import (PhaseInstance, _certified_interior, aligned_error, box_support,
+from regap.phase import (PhaseInstance, aligned_error, box_support,
                          cup_object, divergence_ball, export_grid, gaussian_filter,
                          interiority_check, load_instance, loose_support, reconstruct,
                          save_instance, smooth_object, synthesize)
@@ -392,44 +394,66 @@ def test_interiority_check_certifies_a_deep_interior_point_without_sampling(monk
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
-def test_interiority_check_samples_a_ball_without_bounds(monkeypatch, kappa):
-    # A SquareMap has no value_bounds and a Euclidean kernel no upper: the
-    # verdict is the sampled one, whether the planted point is on the
-    # boundary (kappa = 1) or inside (kappa = 2).
+def test_interiority_check_reads_a_square_map_ball_without_drawing(monkeypatch, kappa):
+    # The planted point is on the boundary at kappa = 1 and inside at kappa = 2.
     _, ball, _, xbar, _ = problems.box_affine_regularized(12, 6, 0.1, kappa, seed=3)
     counts = _counting_transforms_and_draws(monkeypatch)
     verdict = interiority_check(ball, xbar)
-    assert counts["rng"] == 1
-    assert verdict == _sampled_interiority(ball, xbar) == (kappa == 2.0)
+    assert counts["rng"] == 0
+    assert verdict == (kappa == 2.0)
 
 
-@settings(max_examples=60)
-@given(st.integers(2, 16), st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
-       st.integers(-3, 3), st.floats(0.0, 0.5), st.floats(0.01, 0.9))
-def test_certified_interior_implies_the_sampled_verdict(n1, n2, seed, k, depth, ratio):
-    # Points at relative depth 0 to 0.5 from the ball's boundary toward the
-    # anchor, on a KL ball around noisy intensities with zero entries, at
-    # scales 10^-3 to 10^3.  Whenever the bound certifies a point, the
-    # sampling says True too, and interiority_check always gives the
-    # sampled verdict.
+def _ball_with_start_and_anchor(kind, n, rng, scale):
+    """A ball of ``kind`` around data of size ``scale`` with zero entries,
+    a random start and a member anchor of residual zero (or rounding)."""
+    if kind == "fourier_kl":
+        shape = (2, n)
+        fmap = FourierIntensityMap(shape)
+        data = np.abs(np.fft.fftn(rng.uniform(0.0, 1.0, shape), norm="ortho")).ravel() ** 2
+        data *= scale * rng.uniform(0.5, 1.5, data.size)
+        data[rng.random(data.size) < 0.2] = 0.0
+        start = Point.from_complex(
+            math.sqrt(scale) * rng.uniform(0.0, 1.0, data.size).astype(np.complex128))
+        anchor = canonical_point(FourierMagnitudeSet(data, fmap).project(start))
+        return fmap, data, KullbackLeiblerKernel(), start, anchor
+    data = scale * rng.uniform(0.5, 1.5, n)
+    data[rng.random(n) < 0.2] = 0.0
+    if kind == "square":
+        start = Point(math.sqrt(scale) * rng.uniform(-1.0, 1.0, n))
+        forward, anchor = SquareMap(n), Point(np.sign(start.data) * np.sqrt(data))
+    elif kind == "linear":
+        matrix = rng.standard_normal((n, 2 * n))
+        start = Point(scale * rng.standard_normal(2 * n))
+        forward, anchor = LinearMap(matrix), Point(np.linalg.lstsq(matrix, data, rcond=None)[0])
+    else:
+        start = Point(scale * rng.uniform(0.0, 2.0, n))
+        forward, anchor = IdentityMap(n), Point(data)
+    return forward, data, EuclideanKernel(), start, anchor
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["fourier_kl", "square", "linear", "identity"]), st.integers(2, 8),
+       st.integers(0, 2 ** 32 - 1), st.integers(-3, 3), st.floats(0.0, 0.5),
+       st.floats(0.01, 0.9))
+def test_interiority_check_is_the_band_rule(kind, n, seed, k, depth, ratio):
+    # Points at relative depth 0 to 0.5 from the boundary toward the anchor,
+    # on a Fourier KL ball and three Euclidean balls, at data scales 10^-3
+    # to 10^3 with zero data entries.
     rng = np.random.default_rng(seed)
-    shape = (n1, n2)
-    truth = 10.0 ** k * rng.uniform(0.0, 1.0, shape)
-    data = np.abs(np.fft.fftn(truth, norm="ortho")).ravel() ** 2
-    data *= rng.uniform(0.5, 1.5, data.size)
-    data[rng.random(data.size) < 0.2] = 0.0
-    fmap = FourierIntensityMap(shape)
-    start = Point.from_complex(
-        10.0 ** k * rng.uniform(0.0, 1.0, data.size).astype(np.complex128))
-    start_residual = KullbackLeiblerKernel().evaluate(fmap.value(start), data)
-    ball = RegularizedSet(fmap, data, KullbackLeiblerKernel(), ratio * start_residual)
-    anchor = canonical_point(FourierMagnitudeSet(data, fmap).project(start))
-    assume(ball.residual(start) > ball.epsilon and ball.contains(anchor))
+    forward, data, kernel, start, anchor = _ball_with_start_and_anchor(kind, n, rng, 10.0 ** k)
+    start_residual = kernel.evaluate(forward.value(start), data)
+    ball = RegularizedSet(forward, data, kernel, ratio * start_residual)
+    assume(not ball.contains(start) and ball.contains(anchor))
     _, boundary = bregman_line_boundary(ball, start, anchor)
     point = lerp(boundary, anchor, depth)
-    sampled = _sampled_interiority(ball, point)
-    assert not _certified_interior(ball, point) or sampled
-    assert interiority_check(ball, point) == sampled
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as made:
+        verdict = interiority_check(ball, point)
+        on_boundary = interiority_check(ball, boundary)
+    assert made.call_count == 0
+    assert verdict == (ball.residual(point) < ball.epsilon - ball.band)
+    if ball.contains(point):
+        assert verdict == isinstance(ball.normal_cone_at(point), ZeroCone)
+    assert not on_boundary
 
 
 def test_trace_memory_does_not_grow_with_cycles():
