@@ -30,7 +30,6 @@ from .core import (
     SolverError,
     TraceRecord,
     canonical_point,
-    first_crossing,
     lerp,
 )
 from .divergences import RegularizedSet, bregman_line_boundary
@@ -298,26 +297,13 @@ def _alignment_residual(m: SetOracle, even: Point, odd: Point, star: Point | Non
     """Distance of the unit step from ``even`` to ``odd`` to m's normal cone at ``star``.
 
     NaN when ``m`` has no cone at ``star``.  ``star`` defaults to where the
-    segment from ``even``, a non-member, enters the set, found on the set's
-    ``segment_residual`` so that only ``star`` itself is built.
-    Should a closed form's rounding disagree with ``contains`` on ``star``
-    or ``odd``, the search is redone on the generic default.
+    segment from ``even``, a non-member, enters the set: ``m.segment_entry``.
     """
     gap = even.distance(odd)
     if gap == 0.0:
         return 0.0
     if star is None:
-        def search(residual: Callable[[float], float]) -> Point:
-            # on a convex set the members of the segment form one interval ending at odd
-            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, scan=1 if m.convex else 64)
-            return lerp(even, odd, s)
-
-        try:
-            star = search(m.segment_residual(even, odd))
-        except ValueError:  # the closed form put odd itself outside
-            star = None
-        if star is None or not m.contains(star):
-            star = search(SetOracle.segment_residual(m, even, odd))
+        star = m.segment_entry(even, odd)[1]
     try:
         cone = m.normal_cone_at(star)
     except NormalConeUnavailableError:
@@ -347,9 +333,8 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     cfg = cfg or InexactAPConfig()
 
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
-        res_even = m.residual(even)
-        if res_even <= m.epsilon + MEMBERSHIP_TOL:
-            return even, res_even, 0.0, 0.0
+        if m.contains(even):
+            return even, m.residual(even), 0.0, 0.0
         anchor = canonical_point(data_set.project(even))
         if cfg.lambda_schedule == SURFACE or cfg.measure_gamma:
             tau, boundary = bregman_line_boundary(m, even, anchor)

@@ -332,7 +332,7 @@ class SetOracle:
     returns the full finite candidate set; use :func:`canonical_point` to pick
     the deterministic representative.  ``convex`` marks sets whose
     ``membership_residual`` is a convex function, so the members on a segment
-    form an interval and a segment search needs no scan for the first one.
+    form an interval and :meth:`segment_entry` needs no scan for the first one.
     """
 
     kind = REAL
@@ -351,13 +351,17 @@ class SetOracle:
     def contains(self, x: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(x) <= tol
 
-    def segment_residual(self, x: Point, y: Point) -> Callable[[float], float]:
-        """``s -> membership_residual((1 - s) x + s y)``, one search's probe.
+    def segment_entry(self, x: Point, y: Point) -> tuple[float, Point]:
+        """First member ``(s, (1 - s) x + s y)`` of the segment from ``x`` to the member ``y``.
 
-        This default builds each probe's point with :func:`lerp`; it is the
-        reference a closed-form override is tested against.
+        :func:`first_crossing` on ``membership_residual(lerp(x, y, s)) -
+        MEMBERSHIP_TOL``, exactly the test of :meth:`contains`, with no scan
+        on a convex set; the point is built by :func:`lerp` as each probe
+        was, so it is a member.  Every fast path is tested against it.
         """
-        return lambda s: self.membership_residual(lerp(x, y, s))
+        s = first_crossing(lambda s: self.membership_residual(lerp(x, y, s)) - MEMBERSHIP_TOL,
+                           scan=1 if self.convex else 64)
+        return s, lerp(x, y, s)
 
     def normal_cone_at(self, x: Point) -> NormalCone:
         raise NormalConeUnavailableError(

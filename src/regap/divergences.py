@@ -371,9 +371,6 @@ class RegularizedSet(SetOracle):
         w = self.divergence.gradient(self.forward.value(x))
         return Point(self.forward.pullback(x, w), self.kind)
 
-    def contains(self, x: Point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.residual(x) <= self.epsilon + tol
-
     def membership_residual(self, x: Point) -> float:
         """Excess of the residual over ``epsilon``, zero exactly on the ball."""
         return max(self.residual(x) - self.epsilon, 0.0)
@@ -396,27 +393,19 @@ class RegularizedSet(SetOracle):
 
 
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
-    """First entry of the segment from ``x`` toward ``x0`` into the set.
+    """``m.segment_entry(x, x0)``, the first member of the segment from ``x`` to ``x0``, fast.
 
-    Returns ``(tau, point)`` with ``tau`` the smallest relaxation in (0, 1]
-    such that ``(1 - tau) x + tau x0`` is a member.  Euclidean kernels with
-    affine maps solve a closed-form quadratic.  Otherwise
-    :func:`~regap.core.first_crossing` (a forward scan plus safeguarded secant
-    refinement) locates the first member of the excess ``residual - (epsilon
-    + MEMBERSHIP_TOL)``, taken as the prepared divergence's ``segment_excess``
-    on the map's ``segment_polynomial`` without building a point per step; a
-    map with no polynomial raises ``NotImplementedError``.  For non-monotone
-    residuals the first crossing found by the scan is returned.  Requires
-    ``x`` outside the set and ``x0`` a member (for instance a projection onto
-    the data set); a member ``x`` raises ``ValueError``, as does a non-member
-    ``x0`` in the segment search, which tests the ``x0`` end first.  The
-    returned point is re-checked with ``contains``; should rounding in the
-    prepared excess ever disagree, the search is redone with the generic
-    excess ``residual(lerp(...))`` and its point is built by ``lerp`` as each
-    probe was, so the result is always a member within the membership
-    tolerance granted to the anchor itself.
+    Returns ``(tau, point)``.  Euclidean kernels with affine maps solve a
+    closed-form quadratic.  Otherwise the prepared divergence's
+    ``segment_excess`` on the map's ``segment_polynomial`` (a map with none
+    raises ``NotImplementedError``) stands in for the residual at every
+    probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
+    MEMBERSHIP_TOL``, and only the returned point is built.  Should its
+    rounding put ``x0`` outside, or disagree with ``contains`` on that point,
+    :meth:`SetOracle.segment_entry` answers instead.  A member ``x`` raises
+    ``ValueError``, as does a non-member ``x0`` in the segment search.
     """
-    if m.residual(x) <= m.epsilon:
+    if m.contains(x):
         raise ValueError("x is already a member; no boundary crossing to find")
 
     if isinstance(m.kernel, EuclideanKernel) and m.forward.is_affine:
@@ -430,21 +419,16 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
                     return float(tau), lerp(x, x0, float(tau))
         # fall through to the segment search on degenerate geometry
 
-    bound = m.epsilon + MEMBERSHIP_TOL
-    fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0), bound)
-
-    def generic() -> tuple[float, Point]:
-        tau = float(first_crossing(lambda t: m.residual(lerp(x, x0, t)) - bound))
-        return tau, lerp(x, x0, tau)
-
+    fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0),
+                                       m.epsilon + MEMBERSHIP_TOL)
     try:
         tau = float(first_crossing(fast))
     except ValueError:  # rounding in ``fast`` can put the anchor itself outside
         if not m.contains(x0):
             raise ValueError("anchor x0 is not a member of the set") from None
-        return generic()
+        return SetOracle.segment_entry(m, x, x0)
     point = m.forward.segment_point(x, x0, tau)
-    return (tau, point) if m.contains(point) else generic()
+    return (tau, point) if m.contains(point) else SetOracle.segment_entry(m, x, x0)
 
 
 def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
@@ -467,7 +451,7 @@ def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
         raise ValueError("exact projection requires epsilon > 0")
     if m.dim > NEWTON_MAX_DIM:
         raise ValueError(f"ambient dimension {m.dim} exceeds {NEWTON_MAX_DIM}")
-    if m.residual(x) <= m.epsilon:
+    if m.contains(x):
         raise ValueError("x is already a member; the projection is x itself")
 
     dim = m.dim

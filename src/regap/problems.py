@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Point, SetOracle, canonical_point, null_space
+from .core import Point, canonical_point, null_space
 from .divergences import EuclideanKernel, LinearMap, RegularizedSet, SquareMap
 from .projectors import AffineSet, BoxMagnitudeSet
 
@@ -78,14 +78,15 @@ def slab_problem(gap: float, epsilon: float) -> tuple[AffineSet, RegularizedSet,
     return setC, fat, line_m
 
 
-class PerturbedLineOracle(SetOracle):
+class PerturbedLineOracle:
     """Inexact projector onto a line: project exactly, then slide along it.
 
     The slide distance is ``tan(phi)`` times the distance of the input to
     the line, so the returned point is the exact projection rotated by the
     angle ``phi`` as seen from the input.  The output still lies on the
     line, which makes this a controlled model of systematic projection
-    error with normal-alignment residual ``sin(phi)``.
+    error with normal-alignment residual ``sin(phi)``.  It is a projector
+    only: ``line`` answers membership and normal cones.
     """
 
     def __init__(self, line: AffineSet, phi: float):
@@ -93,23 +94,16 @@ class PerturbedLineOracle(SetOracle):
             raise ValueError("phi must lie in [0, pi/2)")
         if line.dim - len(line.matrix) != 1:
             raise ValueError("the underlying set must be one-dimensional")
-        super().__init__(line.dim)
         self.line = line
         self.phi = float(phi)
         self.direction = null_space(line.matrix).ravel()
         self.direction /= np.linalg.norm(self.direction)
 
     def project(self, x: Point) -> list[Point]:
-        self._check_point(x)
+        self.line._check_point(x)
         exact = canonical_point(self.line.project(x))
         offset = np.tan(self.phi) * x.distance(exact)
         return [Point(exact.data + offset * self.direction)]
-
-    def membership_residual(self, x: Point) -> float:
-        return self.line.membership_residual(x)
-
-    def normal_cone_at(self, x: Point):
-        return self.line.normal_cone_at(x)
 
 
 def perturbed_line(theta: float, phi: float, dim: int = 2) -> tuple[AffineSet, PerturbedLineOracle, AffineSet]:

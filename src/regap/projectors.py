@@ -25,6 +25,8 @@ from .core import (
     ZeroCone,
     _svd_rank,
     canonical_point,
+    first_crossing,
+    lerp,
 )
 from .divergences import (NEWTON_MAX_DIM, FourierIntensityMap, NewtonConvergenceError,
                           RegularizedSet, bregman_line_boundary, project_regularized_exact)
@@ -71,13 +73,27 @@ class AffineSet(SetOracle):
         self._check_point(x)
         return float(np.linalg.norm(self.matrix @ x.data - self.rhs))
 
-    def segment_residual(self, x: Point, y: Point):
+    def _residual_along(self, x: Point, y: Point):
         """``s -> ||r0 + s d||`` with ``r0 = A x - b``, ``d = A y - b - r0``, formed once."""
         self._check_point(x)
         self._check_point(y)
         r0 = self.matrix @ x.data - self.rhs
         d = self.matrix @ y.data - self.rhs - r0
         return lambda s: float(np.linalg.norm(r0 + s * d))
+
+    def segment_entry(self, x: Point, y: Point) -> tuple[float, Point]:
+        """The default's search on the closed-form residual: only the entry point is built.
+
+        Should the closed form's rounding put ``y`` outside, or disagree with
+        ``contains`` on the entry point, the default answers instead.
+        """
+        residual = self._residual_along(x, y)
+        try:
+            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, scan=1)
+        except ValueError:
+            return super().segment_entry(x, y)
+        point = lerp(x, y, s)
+        return (s, point) if self.contains(point) else super().segment_entry(x, y)
 
     def normal_cone_at(self, x: Point) -> SubspaceCone:
         if not self.contains(x):
@@ -114,6 +130,7 @@ class HalfspaceSet(SetOracle):
         return max(self._violation(x), 0.0) / np.sqrt(self._sq)
 
     def normal_cone_at(self, x: Point):
+        self._check_point(x)
         v = self._violation(x)
         if v > MEMBERSHIP_TOL * np.sqrt(self._sq):
             raise ValueError("base point is not a member of the set")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import regap.algorithms
 import regap.core
+import regap.projectors
 from regap.algorithms import (FixedPointError, GammaConditionError, InexactAPConfig,
                               RateMeasurementError, StepConditionError,
                               exact_alternating_projections,
@@ -320,7 +321,7 @@ def test_inexact_cycle_membership_count(monkeypatch):
     def counted_lerp(x, y, t):
         lerps.append(t)
         return lerp(x, y, t)
-    for module in (regap.core, regap.algorithms):
+    for module in (regap.core, regap.algorithms, regap.projectors):
         monkeypatch.setattr(module, "lerp", counted_lerp)
     exact = perturbed_line(math.pi / 4, 0.3)[2]
     counted = _CountingAffineSet(exact.matrix, exact.rhs)
@@ -331,9 +332,9 @@ def test_inexact_cycle_membership_count(monkeypatch):
 
 
 class _DefaultSegmentAffineSet(AffineSet):
-    """Affine set that answers ``segment_residual`` with SetOracle's generic default."""
+    """Affine set that answers ``segment_entry`` with SetOracle's generic default."""
 
-    segment_residual = SetOracle.segment_residual
+    segment_entry = SetOracle.segment_entry
 
 
 class _MisreportingAffineSet(AffineSet):
@@ -347,8 +348,8 @@ class _MisreportingAffineSet(AffineSet):
         self.offset = offset
         self.bases = []
 
-    def segment_residual(self, x, y):
-        closed = super().segment_residual(x, y)
+    def _residual_along(self, x, y):
+        closed = super()._residual_along(x, y)
         return lambda s: max(closed(s) + self.offset, 0.0)
 
     def normal_cone_at(self, x):
@@ -357,17 +358,24 @@ class _MisreportingAffineSet(AffineSet):
 
 
 @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
-def test_alignment_search_rechecks_the_closed_form_entry_point(offset, iterates):
+def test_alignment_search_rechecks_the_closed_form_entry_point(offset, iterates, monkeypatch):
     # Read 1e-6 low, the search stops short of the set, and the re-check
     # with contains must redo it on built points; read 1e-6 high, odd itself
-    # looks outside and the search must fall back at once.  Either way every
-    # cone's base is a member and every record, gamma included, is the
-    # reference run's.
+    # looks outside and the search must fall back at once.  Either way the
+    # generic default answers every search, every cone's base is a member
+    # and every record, gamma included, is the reference run's.
+    reference = _run_perturbed(math.pi / 4, 0.3)
+    generic = []
+    default = SetOracle.segment_entry
+
+    def counted_default(self, x, y):
+        generic.append(x)
+        return default(self, x, y)
+    monkeypatch.setattr(SetOracle, "segment_entry", counted_default)
     exact = perturbed_line(math.pi / 4, 0.3)[2]
     off = _MisreportingAffineSet(exact.matrix, exact.rhs, offset)
     trace = _run_perturbed(math.pi / 4, 0.3, m_oracle=off)
-    reference = _run_perturbed(math.pi / 4, 0.3)
-    assert len(off.bases) > 10
+    assert len(off.bases) > 10 and len(generic) == len(off.bases)
     assert all(AffineSet.contains(off, p) for p in off.bases)
     assert_same_records(trace, reference, iterates)
 

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from regap.algorithms import InexactAPConfig, regularized_extrapolated_ap
-from regap.core import (COMPLEX, MEMBERSHIP_TOL, DimensionMismatchError, Point,
+from regap.core import (COMPLEX, MEMBERSHIP_TOL, DimensionMismatchError, Point, SetOracle,
                         canonical_point, first_crossing, lerp)
 from regap.divergences import (CLIP_FLOOR, EuclideanKernel, FourierIntensityMap, ForwardMap,
                                IdentityMap, KernelDomainError, KullbackLeiblerKernel,
@@ -925,3 +925,61 @@ def test_boundary_falls_back_when_the_segment_disagrees(kernel, shift):
     tau, point = bregman_line_boundary(ball, x, anchor)
     assert tau == _reference_boundary(ball, x, anchor)
     assert ball.contains(point)
+
+
+def _fourier_kl_case(rng):
+    shape = (4, 4)
+    obj = rng.uniform(0.0, 1.0, shape)
+    data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
+    x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
+    x0 = canonical_point(FourierMagnitudeSet(data, FourierIntensityMap(shape)).project(x))
+    ball = _outside_ball(FourierIntensityMap(shape), data, KullbackLeiblerKernel(), x, x0, 0.3)
+    return ball, x, x0
+
+
+def _square_euclidean_case(rng):
+    data = rng.uniform(0.5, 2.0, 6)
+    x = Point(3.0 * rng.standard_normal(6))
+    x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
+    return _outside_ball(SquareMap(6), data, EuclideanKernel(), x, x0, 0.3), x, x0
+
+
+def _linear_euclidean_case(rng):
+    A = rng.standard_normal((3, 5))
+    x0 = Point(rng.standard_normal(5))
+    x = Point(x0.data + 3.0 * rng.standard_normal(5))
+    return _outside_ball(LinearMap(A), A @ x0.data, EuclideanKernel(), x, x0, 0.3), x, x0
+
+
+def _two_intervals_case(rng):
+    # {x : (x^2 - 1)^2 / 2 <= 0.1} is two intervals; the segment from -2 to 1
+    # enters the left one first, which only a scan finds
+    ball = RegularizedSet(SquareMap(1), np.ones(1), EuclideanKernel(), 0.1)
+    return ball, Point(np.array([-2.0])), Point(np.ones(1))
+
+
+def _skewed_case(rng):
+    ball = RegularizedSet(_SkewedPolynomial(3, 0.3), np.ones(3), KullbackLeiblerKernel(), 0.05)
+    return ball, Point(np.array([2.0, 3.0, 5.0])), Point(np.ones(3))
+
+
+@pytest.mark.parametrize("build", [_fourier_kl_case, _square_euclidean_case,
+                                   _linear_euclidean_case, _two_intervals_case, _skewed_case],
+                         ids=["fourier-kl", "square-euclidean", "linear-euclidean",
+                              "two-intervals", "forced-fallback"])
+@pytest.mark.parametrize("seed", range(5))
+def test_boundary_solve_agrees_with_the_generic_segment_entry(build, seed):
+    # The boundary solve is the ball's segment_entry, taken fast; the forced
+    # fallback's polynomial enters the ball too early, so SetOracle's default
+    # answers it outright.  Both refuse a wrong-space and a non-member anchor.
+    ball, x, x0 = build(np.random.default_rng(seed))
+    tau, point = bregman_line_boundary(ball, x, x0)
+    s, entry = SetOracle.segment_entry(ball, x, x0)
+    assert abs(tau - s) <= (0.0 if build is _skewed_case else 1e-9)
+    assert ball.contains(point) and ball.contains(entry)
+    with pytest.raises(DimensionMismatchError):
+        bregman_line_boundary(ball, x, Point(np.zeros(x.dim + 2), x.kind))
+    beyond = Point(2.0 * x.data - x0.data, x.kind)  # x0 reflected through x
+    assert not ball.contains(beyond)
+    with pytest.raises(ValueError, match="anchor"):
+        bregman_line_boundary(ball, x, beyond)

@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import NonlinearConstraint, minimize
 
 from regap.core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, Point,
-                        RayCone, SetOracle, ZeroCone, canonical_point)
+                        RayCone, SetOracle, ZeroCone, canonical_point, lerp)
 from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap,
                                KullbackLeiblerKernel, LinearMap,
                                RegularizedSet, SquareMap)
@@ -108,11 +108,13 @@ def test_affine_qr_projection_matches_cholesky_solves(m, extra, seed, spread, k)
 @settings(max_examples=150)
 @given(st.data(), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.booleans())
 def test_affine_segment_residual_matches_generic_default(data, seed, k, member_end):
-    # The closed form ||r0 + s d|| against SetOracle's lerp-and-measure
-    # default, on segments of scale 10^k; with member_end the far end is a
-    # member, as in the alignment search.  ||r0|| + s ||d|| alone is too
-    # narrow a scale: near a member end both sides cancel, and each rounds
-    # at the size of the products it forms, ||A|| times the point, plus ||b||.
+    # The closed form ||r0 + s d|| against the lerp-and-measure residual,
+    # and AffineSet's segment_entry against SetOracle's default, on segments
+    # of scale 10^k; with member_end the far end is a member, as in the
+    # alignment search, and otherwise both searches refuse it.
+    # ||r0|| + s ||d|| alone is too narrow a scale: near a member end both
+    # sides cancel, and each rounds at the size of the products it forms,
+    # ||A|| times the point, plus ||b||.
     n = data.draw(st.integers(1, 8))
     m = data.draw(st.integers(1, min(n, 6)))
     rng = np.random.default_rng(seed)
@@ -124,7 +126,7 @@ def test_affine_segment_residual_matches_generic_default(data, seed, k, member_e
     y = Point(10.0 ** k * rng.standard_normal(n))
     if member_end:
         y = s.project(y)[0]
-    fast, generic = s.segment_residual(x, y), SetOracle.segment_residual(s, x, y)
+    fast, generic = s._residual_along(x, y), lambda t: s.membership_residual(lerp(x, y, t))
     r0 = A @ x.data - s.rhs
     d = A @ y.data - s.rhs - r0
     for t in (0.0, 1.0, 0.5, 1.0 - 2.0 ** -30, *rng.uniform(0.0, 1.0, 4)):
@@ -132,8 +134,16 @@ def test_affine_segment_residual_matches_generic_default(data, seed, k, member_e
         scale = (np.linalg.norm(A) * ((1.0 - t) * x.norm() + t * y.norm())
                  + np.linalg.norm(s.rhs) + np.linalg.norm(r0) + t * np.linalg.norm(d))
         assert abs(fast(t) - generic(t)) <= 8 * np.finfo(float).eps * scale
+    if member_end:
+        entries = [s.segment_entry(x, y), SetOracle.segment_entry(s, x, y)]
+        assert abs(entries[0][0] - entries[1][0]) <= 1e-11
+        assert all(s.contains(point) for _, point in entries)
+    else:
+        for search in (s.segment_entry, lambda x, y: SetOracle.segment_entry(s, x, y)):
+            with pytest.raises(ValueError, match="not a member"):
+                search(x, y)
     with pytest.raises(DimensionMismatchError):
-        s.segment_residual(x, Point(np.zeros(n + 1)))
+        s.segment_entry(x, Point(np.zeros(n + 1)))
 
 
 def test_affine_rejects_rank_deficiency_and_bad_shapes():
@@ -157,6 +167,26 @@ def test_affine_projection_is_idempotent_and_normal_cone_is_row_space():
     cone = s.normal_cone_at(p)
     # The projection residual x - Px lies in the normal cone (row space).
     assert cone.distance(x.data - p.data) < 1e-10
+
+
+_SMALL_SETS = {
+    "affine": lambda: AffineSet(np.array([[1.0, 1.0]]), np.array([1.0])),
+    "halfspace": lambda: HalfspaceSet(np.array([1.0, 2.0]), 0.5),
+    "support": lambda: SupportNonnegSet([1], 2),
+    "box": lambda: BoxMagnitudeSet(np.array([1.0, 2.0])),
+    "fourier": lambda: FourierMagnitudeSet(np.ones(2), FourierIntensityMap((2,))),
+}
+
+
+@pytest.mark.parametrize("name, method", [
+    (name, method) for name in _SMALL_SETS
+    for method in ("project", "membership_residual", "normal_cone_at")
+    if name != "fourier" or method != "normal_cone_at"  # no cone of its own
+])
+def test_every_set_refuses_a_point_of_another_space(name, method):
+    oracle = _SMALL_SETS[name]()
+    with pytest.raises(DimensionMismatchError):
+        getattr(oracle, method)(Point(np.zeros(3)))
 
 
 def test_halfspace_projection():
