@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke: `regap run` on five small configs, `regap report` on
-# the runs, `regap synth` and a custom run on its instance, and five bad
-# inputs with their documented exit codes (one is a report of a run
-# directory given twice).
+# the runs, `regap synth` and a custom run on its instance, six bad inputs
+# with their documented exit codes (one is a report of a run directory given
+# twice), and a last pass that parses every JSON file written as strict JSON.
 #
 # usage: scripts/cli_smoke.sh [WORKDIR]
 #
@@ -69,9 +69,6 @@ $regap run --config "$work/phase.cfg"
 $regap run --config "$work/box.cfg"
 $regap run --config "$work/parallel.cfg"
 $regap run --config "$work/phase_exact.cfg"
-for summary in "$work/lines/seed1" "$work/lines/seed2" "$work/phase" "$work/phase_exact"; do
-  python3 -m json.tool "$summary/summary.json" > /dev/null
-done
 for summary in "$work/parallel/seed1" "$work/parallel/seed2"; do
   python3 -c 'import json, sys; r = json.load(open(sys.argv[1]))["reason"]
 sys.exit(None if r == "fixed_point" else f"reason {r}, expected fixed_point")' "$summary/summary.json"
@@ -121,6 +118,17 @@ $regap report "$work/broken" --out "$work/broken.csv" || status=$?
 test "$status" -eq 4
 test ! -e "$work/broken.csv"
 
+# a summary key of the wrong type (a quoted rate) is an input error too: exit 4, no table
+mkdir -p "$work/badrate"
+cp "$work/lines/seed1/trace.csv" "$work/badrate/"
+python3 -c 'import json, sys; s = json.load(open(sys.argv[1])); s["measured_rate"] = "0.5"
+json.dump(s, open(sys.argv[2], "w"))' "$work/lines/seed1/summary.json" "$work/badrate/summary.json"
+status=0
+$regap report "$work/badrate" --out "$work/badrate.csv" || status=$?
+test "$status" -eq 4
+test ! -e "$work/badrate.csv"
+test ! -e "$work/badrate_rates.csv"
+
 # a config file that is not valid text is an input error: exit 4, nothing written
 printf 'problem = two_subspaces\nalgorithm = exact_ap\nout = %s/undecodable\n# \xff\n' \
   "$work" > "$work/undecodable.cfg"
@@ -137,7 +145,6 @@ object = smooth
 CFG
 $regap synth --config "$work/synth.cfg" --seed 3 --out "$work/synth/inst.phz"
 test -s "$work/synth/inst.phz"
-python3 -m json.tool "$work/synth/inst.phz.json" > /dev/null
 cat > "$work/custom.cfg" <<CFG
 problem = custom
 algorithm = regularized_extrapolated
@@ -149,7 +156,6 @@ max_iter = 60
 out = $work/custom
 CFG
 $regap run --config "$work/custom.cfg"
-python3 -m json.tool "$work/custom/summary.json" > /dev/null
 
 # a key synth does not read is a configuration error: exit 2, nothing written
 printf 'shape = 16, 16\nmax_iter = 10\n' > "$work/synth_bad.cfg"
@@ -157,4 +163,20 @@ status=0
 $regap synth --config "$work/synth_bad.cfg" --out "$work/synth_bad/inst.phz" || status=$?
 test "$status" -eq 2
 test ! -e "$work/synth_bad"
+
+# every JSON file written above is strict JSON: NaN and Infinity are refused
+python3 - "$work" <<'PY'
+import json, pathlib, sys
+
+def refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+files = sorted(pathlib.Path(sys.argv[1]).rglob("*.json"))
+for path in files:
+    try:
+        json.loads(path.read_text(), parse_constant=refuse)
+    except ValueError as exc:
+        sys.exit(f"{path}: {exc}")
+print(f"strict JSON: {len(files)} files")
+PY
 echo "cli smoke: ok ($work)"

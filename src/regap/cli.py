@@ -42,7 +42,7 @@ from .algorithms import (CUSTOM, LAMBDA_SCHEDULES, SURFACE, InexactAPConfig,
                          inexact_alternating_projections, measure_rate, predict_rate,
                          regularized_extrapolated_ap)
 from .core import (COMPLEX, FIXED_POINT, TOLERANCE_MET, IterationTrace, Point, SolverError,
-                   atomic_open, canonical_point, null_space)
+                   canonical_point, null_space, write_csv, write_json)
 from .divergences import EuclideanKernel, FourierIntensityMap, LinearMap, RegularizedSet
 from .phase import (PhaseInstance, aligned_error, box_support, cup_object, export_grid,
                     interiority_check, load_instance, loose_support, reconstruct,
@@ -543,16 +543,9 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
         "aligned_error": None,
     }
     summary.update(extras)
-    for key, value in summary.items():
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        # strict JSON, as in trace.json: a non-finite number is written as null
-        summary[key] = None if isinstance(value, float) and not math.isfinite(value) else value
     trace.to_csv(outdir / "trace.csv")
     trace.to_json(outdir / "trace.json")
-    with atomic_open(outdir / "summary.json") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(outdir / "summary.json", summary, sort_keys=True)
     return summary
 
 
@@ -582,6 +575,12 @@ def _read_run_dir(run_dir: Path) -> tuple[list[tuple[int, float]], dict]:
     if not isinstance(summary, dict):
         raise IOFailure(f"corrupt run artifacts in {run_dir}: {summary_path.name} "
                         f"is not a JSON object")
+    # the keys a comparison reads, with the JSON types a run writes for them
+    for key, types in (("run", (str, type(None))), ("reason", (str,)), ("converged", (bool,)),
+                       ("iterations", (int,)), ("measured_rate", (int, float, type(None)))):
+        if key in summary and type(summary[key]) not in types:
+            raise IOFailure(f"corrupt run artifacts in {run_dir}: {summary_path.name} "
+                            f"holds a {type(summary[key]).__name__} under {key!r}")
     return series, summary
 
 
@@ -597,34 +596,18 @@ def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
     owners: dict[str, Path] = {}
     for run_dir in run_dirs:
         series, summary = _read_run_dir(run_dir)
-        run_id = str(summary.get("run") or run_dir.name)
-        if run_id == "run":
-            run_id = run_dir.name
+        run_id = run_dir.name if summary.get("run") in (None, "", "run") else summary["run"]
         if run_id in owners:
             raise ConfigError(f"{owners[run_id]} and {run_dir} share the run id {run_id!r}")
         owners[run_id] = run_dir
         rows.extend((run_id, k, step) for k, step in series)
-        rates.append({
-            "run": run_id,
-            "reason": summary.get("reason", "unknown"),
-            "converged": int(bool(summary.get("converged"))),
-            "iterations": summary.get("iterations", len(series)),
-            "measured_rate": summary.get("measured_rate"),
-        })
+        rates.append((run_id, summary.get("reason", "unknown"),
+                      int(summary.get("converged", False)),
+                      summary.get("iterations", len(series)), summary.get("measured_rate")))
     table_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(table_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "k", "step_norm"])
-        for run_id, k, step in rows:
-            w.writerow([run_id, k, format(step, ".17g")])
+    write_csv(table_path, ("run", "k", "step_norm"), rows)
     rates_path = table_path.with_name(table_path.stem + "_rates" + table_path.suffix)
-    with atomic_open(rates_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "reason", "converged", "iterations", "measured_rate"])
-        for row in rates:
-            rate = row["measured_rate"]
-            w.writerow([row["run"], row["reason"], row["converged"], row["iterations"],
-                        "" if rate is None else format(rate, ".17g")])
+    write_csv(rates_path, ("run", "reason", "converged", "iterations", "measured_rate"), rates)
     return rates_path
 
 

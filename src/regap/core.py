@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,10 +402,6 @@ class TraceRecord:
     lam: float
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
     """File for writing that appears under ``path`` only when complete.
@@ -425,6 +421,39 @@ def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[I
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _strict(value):
+    """``value`` with numpy scalars as Python numbers and non-finite floats as ``None``.
+
+    Dicts and lists are rebuilt; the float test comes first, as most values
+    are floats.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    if isinstance(value, np.generic):
+        return _strict(value.item())
+    return value
+
+
+def write_json(path, value, sort_keys: bool = False) -> None:
+    """Write ``value`` atomically as strict JSON, indent 1, final newline, via :func:`_strict`."""
+    with atomic_open(path) as fh:
+        json.dump(_strict(value), fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        fh.write("\n")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then ``rows``, atomically as CSV: floats as ``.17g``, ``None`` empty."""
+    with atomic_open(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(c, ".17g") if isinstance(c, float) else c for c in row]
+                    for row in rows)
 
 
 class IterationTrace:
@@ -483,36 +512,15 @@ class IterationTrace:
                 out.append(r.gap)
         return np.asarray(out, dtype=np.float64)
 
-    def rows(self) -> list[dict]:
+    def _rows(self) -> Iterator[tuple]:
         reason = self.reason
-        return [
-            {
-                "k": r.k,
-                "step_norm": r.step_norm,
-                "gap": r.gap,
-                "residual": r.residual,
-                "gamma": r.gamma,
-                "lambda": r.lam,
-                "reason": reason,
-            }
-            for r in self.records
-        ]
+        for r in self.records:
+            yield (r.k, float(r.step_norm), float(r.gap), float(r.residual), float(r.gamma),
+                   float(r.lam), reason)
 
     def to_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_COLUMNS)
-            for row in self.rows():
-                w.writerow(
-                    [row["k"]]
-                    + [_fmt(row[c]) for c in ("step_norm", "gap", "residual", "gamma", "lambda")]
-                    + [row["reason"]]
-                )
+        write_csv(path, TRACE_COLUMNS, self._rows())
 
     def to_json(self, path) -> None:
         """Write the rows as strict JSON: non-finite values become ``null``."""
-        rows = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
-                 for key, v in row.items()} for row in self.rows()]
-        with atomic_open(path) as fh:
-            json.dump(rows, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        write_json(path, [dict(zip(TRACE_COLUMNS, row)) for row in self._rows()])

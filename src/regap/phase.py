@@ -10,7 +10,6 @@ is what restores solutions.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import InexactAPConfig, regularized_extrapolated_ap
-from .core import COMPLEX, IterationTrace, Point, atomic_open
+from .core import COMPLEX, IterationTrace, Point, atomic_open, write_json
 from .divergences import FourierIntensityMap, KullbackLeiblerKernel, RegularizedSet
 from .projectors import FourierMagnitudeSet, SupportNonnegSet
 
@@ -309,19 +308,18 @@ def save_instance(instance: PhaseInstance, path) -> None:
         "support_pixels": int(instance.support.sum()),
         "kl_noise_level": instance.kl_noise_level(),
     }
-    with atomic_open(path.with_suffix(path.suffix + ".json")) as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(path.suffix + ".json"), sidecar, sort_keys=True)
 
 
 def load_instance(path) -> PhaseInstance:
     """Read a container written by :func:`save_instance`.
 
     Raises ``ValueError`` naming the file and the offending field when the
-    magic, the grid (at least one pixel), the byte length implied by the
-    header, the support (at least one pixel set), the object image (finite,
-    not identically zero, zero outside the support) or the intensities
-    (finite, nonnegative, summing to at most 1e300) are wrong.
+    magic, the photon scale (finite, positive), the grid (at least one pixel),
+    the byte length implied by the header, the support (at least one pixel
+    set), the object image (finite, not identically zero, zero outside the
+    support) or the intensities (finite, nonnegative, summing to at most
+    1e300) are wrong.
     By Parseval an intensity sum is the squared norm of every image a run
     builds from it, so the bound keeps those norms finite.
     """
@@ -333,6 +331,8 @@ def load_instance(path) -> PhaseInstance:
     if len(raw) < off:
         raise ValueError(f"{path}: header: file ends after {len(raw)} bytes")
     n1, n2, seed, scale = struct.unpack_from("<IIQd", raw, 8)
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"{path}: photon scale: {scale!r} is not finite and positive")
     n = n1 * n2
     if n == 0:
         raise ValueError(f"{path}: shape: a {n1}x{n2} grid has no pixels")

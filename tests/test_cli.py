@@ -780,17 +780,31 @@ def test_report_missing_directory(tmp_path, capsys):
 def test_report_corrupt_trace(tmp_path, capsys):
     run = make_run(tmp_path, "ok", TWO_LINES_CFG)
     intact = {name: (run / name).read_text() for name in ("trace.csv", "summary.json")}
-    for name, text in [("trace.csv", "wrong,columns\n1,2\n"),
-                       # a row shorter than the header
-                       ("trace.csv", "k,step_norm,gap,residual,gamma,lambda,reason\n0\n"),
-                       # valid JSON, but not an object
-                       ("summary.json", "[]\n")]:
+
+    def summary_with(key, value):
+        summary = {**json.loads(intact["summary.json"]), key: value}
+        return ("summary.json", json.dumps(summary),
+                f"summary.json holds a {type(value).__name__} under {key!r}")
+    for name, text, message in [("trace.csv", "wrong,columns\n1,2\n", "missing columns"),
+                                # a row shorter than the header
+                                ("trace.csv",
+                                 "k,step_norm,gap,residual,gamma,lambda,reason\n0\n", ""),
+                                # valid JSON, but not an object
+                                ("summary.json", "[]\n", "summary.json is not a JSON object"),
+                                # an object, but a key the tables read has the wrong type
+                                summary_with("measured_rate", "0.5"),
+                                summary_with("iterations", "many"),
+                                summary_with("converged", "yes"),
+                                summary_with("run", ["x"]),
+                                # a bool is not a count
+                                summary_with("iterations", True)]:
         capsys.readouterr()
         (run / name).write_text(text)
         assert run_cli("report", str(run), "--out", str(tmp_path / "t.csv")) == 4, text
         err = capsys.readouterr().err
-        assert "corrupt" in err and str(run) in err
+        assert "corrupt" in err and str(run) in err and message in err
         assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "t_rates.csv").exists()
         (run / name).write_text(intact[name])
 
 
@@ -931,6 +945,10 @@ def _put_all(raw, offset, value, n=16 * 16):
     (lambda raw, off: raw[:-3], "shape"),
     # finite but huge: the sum overflows float64
     (lambda raw, off: _put_all(raw, off["observed"], 1e307), "observed intensity"),
+    # the header's photon scale, at byte 24
+    (lambda raw, off: _put(raw, 24, math.nan), "photon scale"),
+    (lambda raw, off: _put(raw, 24, -1.0), "photon scale"),
+    (lambda raw, off: _put(raw, 24, 0.0), "photon scale"),
 ])
 def test_custom_run_rejects_bad_instance_data(tmp_path, capsys, corrupt, field):
     assert _corrupt_instance_run(tmp_path, corrupt) == 4

@@ -11,7 +11,7 @@ from scipy import linalg
 from regap.core import (COMPLEX, REAL, DimensionMismatchError, IterationTrace,
                         Point, RayCone, SetOracle, SignedProductCone,
                         SubspaceCone, TraceRecord, ZeroCone, canonical_point,
-                        first_crossing, lerp, null_space, orth)
+                        first_crossing, lerp, null_space, orth, write_csv, write_json)
 from regap.projectors import HalfspaceSet
 
 
@@ -441,6 +441,35 @@ def test_trace_json_layout(tmp_path):
     assert rows[0]["reason"] == "stalled_gap"
     assert rows[0]["gap"] == 1.0
     assert rows[0]["step_norm"] is None
+
+
+_NUMPY_AND_NON_FINITE = {
+    "rate": np.float64(0.1), "count": np.int64(3), "gap": math.nan, "flag": np.bool_(True),
+    "rows": [{"k": np.int32(0), "step": -math.inf}, {"k": 1, "step": np.float32(0.5)}],
+    "top": math.inf, "label": "a",
+}
+
+
+@pytest.mark.parametrize("sort_keys, text", [
+    (False, '{\n "rate": 0.1,\n "count": 3,\n "gap": null,\n "flag": true,\n "rows": [\n'
+            '  {\n   "k": 0,\n   "step": null\n  },\n  {\n   "k": 1,\n   "step": 0.5\n  }\n'
+            ' ],\n "top": null,\n "label": "a"\n}\n'),
+    (True, '{\n "count": 3,\n "flag": true,\n "gap": null,\n "label": "a",\n "rate": 0.1,\n'
+           ' "rows": [\n  {\n   "k": 0,\n   "step": null\n  },\n  {\n   "k": 1,\n'
+           '   "step": 0.5\n  }\n ],\n "top": null\n}\n'),
+])
+def test_write_json_text(tmp_path, sort_keys, text):
+    path = tmp_path / "v.json"
+    write_json(path, _NUMPY_AND_NON_FINITE, sort_keys=sort_keys)
+    assert path.read_text() == text
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("x", "none", "n", "s"),
+              [(0.1, None, 7, "a,b"), (np.float64(1 / 3), None, -1, "c"), (math.nan, 2.0, 0, "")])
+    assert path.read_bytes() == (b"x,none,n,s\r\n0.10000000000000001,,7,\"a,b\"\r\n"
+                                 b"0.33333333333333331,,-1,c\r\nnan,2,0,\r\n")
 
 
 class _Unwritable:

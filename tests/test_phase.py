@@ -502,6 +502,19 @@ def test_save_load_roundtrip(tmp_path):
     assert sidecar["kl_noise_level"] == pytest.approx(inst.kl_noise_level())
 
 
+def test_noiseless_instance_sidecar_is_strict_json(tmp_path):
+    # a noiseless instance has an infinite photon scale, which loading refuses
+    path = tmp_path / "noiseless.phz"
+    save_instance(noiseless_instance(0, shape=(16, 16)), path)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    sidecar = json.loads((tmp_path / "noiseless.phz.json").read_text(), parse_constant=refuse)
+    assert sidecar["photon_scale"] is None
+    with pytest.raises(ValueError, match="noiseless.phz: photon scale"):
+        load_instance(path)
+
+
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.phz"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
