@@ -12,7 +12,6 @@ table row per (theta, gamma) pair and optionally writes it as CSV.
 """
 
 import argparse
-import csv
 import math
 import sys
 
@@ -21,7 +20,7 @@ import numpy as np
 from regap.algorithms import (InexactAPConfig, exact_alternating_projections,
                               inexact_alternating_projections, measure_rate,
                               predict_rate)
-from regap.core import Point, canonical_point
+from regap.core import Point, canonical_point, write_csv
 from regap.problems import perturbed_line, two_lines
 
 
@@ -67,20 +66,15 @@ def main(argv=None) -> int:
                 continue
             measured = exact_rate(theta) if gamma == 0 else perturbed_rate(theta, gamma)
             predicted = predict_rate(c, gamma).eta
-            rows.append({"theta": theta, "gamma": gamma,
-                         "measured": measured, "predicted": predicted})
+            rows.append((theta, gamma, measured, predicted))
             print(f"{theta:9.4f} {gamma:6.2f} {measured:9.4f} {predicted:10.4f}"
                   f" {predicted - measured:8.4f}")
 
-    if any(r["measured"] > r["predicted"] + 0.02 for r in rows):
+    if any(measured > predicted + 0.02 for _, _, measured, predicted in rows):
         print("WARNING: a measured rate exceeds its prediction", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["theta", "gamma",
-                                                    "measured", "predicted"])
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(args.out, ("theta", "gamma", "measured", "predicted"), rows)
         print(f"wrote {args.out}")
     return 0
 

@@ -46,6 +46,11 @@ class SolverError(RuntimeError):
     """A run cannot go on: a projection or a driver's check failed."""
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a contiguous 1-d real array, bit for bit, without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
 class Point:
     """Immutable finite vector, real or complex-as-interleaved-real storage."""
 
@@ -55,7 +60,7 @@ class Point:
         arr = np.array(data, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("point storage must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("point entries must be finite")
         if kind not in (REAL, COMPLEX):
             raise ValueError(f"unknown scalar kind {kind!r}")
@@ -91,11 +96,11 @@ class Point:
         return self._data.view(np.complex128)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._data))
+        return _norm(self._data)
 
     def distance(self, other: "Point") -> float:
         self._check_compatible(other)
-        return float(np.linalg.norm(self._data - other._data))
+        return _norm(self._data - other._data)
 
     def _check_compatible(self, other: "Point") -> None:
         if self._kind != other._kind or self._data.size != other._data.size:
@@ -248,8 +253,7 @@ class ZeroCone(NormalCone):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def distance(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
+    distance = staticmethod(_norm)
 
     def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         return None
@@ -267,7 +271,7 @@ class RayCone(NormalCone):
 
     def distance(self, v: np.ndarray) -> float:
         t = max(float(v @ self.direction), 0.0)
-        return float(np.linalg.norm(v - t * self.direction))
+        return _norm(v - t * self.direction)
 
     def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         return np.tile(self.direction, (k, 1))
@@ -284,7 +288,7 @@ class SubspaceCone(NormalCone):
 
     def distance(self, v: np.ndarray) -> float:
         coeff = self.basis.T @ v
-        return float(np.linalg.norm(v - self.basis @ coeff))
+        return _norm(v - self.basis @ coeff)
 
     def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         r = self.basis.shape[1]
@@ -308,7 +312,7 @@ class SignedProductCone(NormalCone):
         proj = np.zeros_like(v)
         proj[self.free] = v[self.free]
         proj[self.nonpos] = np.minimum(v[self.nonpos], 0.0)
-        return float(np.linalg.norm(v - proj))
+        return _norm(v - proj)
 
     def sample_units(self, rng: np.random.Generator, k: int) -> np.ndarray | None:
         if not (np.any(self.free) or np.any(self.nonpos)):
@@ -441,9 +445,19 @@ def _strict(value):
 
 
 def write_json(path, value, sort_keys: bool = False) -> None:
-    """Write ``value`` atomically as strict JSON, indent 1, final newline, via :func:`_strict`."""
+    """Write ``value`` atomically as strict JSON, indent 1, final newline, via :func:`_strict`.
+
+    A list of nonempty dicts of plain scalars (trace rows) goes row by row through the C encoder.
+    """
+    value, plain = _strict(value), {str, int, float, bool, type(None)}
     with atomic_open(path) as fh:
-        json.dump(_strict(value), fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        if value and type(value) is list and all(type(row) is dict and row and plain.issuperset(
+                map(type, row.values())) for row in value):
+            row_json = json.JSONEncoder(separators=(",\n  ", ": "), sort_keys=sort_keys,
+                                        allow_nan=False).encode
+            fh.write("[\n {\n  %s\n }\n]" % "\n },\n {\n  ".join(row_json(r)[1:-1] for r in value))
+        else:
+            json.dump(value, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
 
 

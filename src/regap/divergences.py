@@ -77,7 +77,7 @@ class KullbackLeiblerKernel:
         self.clip_count = 0
 
     def _check_nonneg(self, v: np.ndarray, slot: str) -> None:
-        if np.any(v < 0):
+        if (v < 0).any():
             raise KernelDomainError(f"negative component in the {slot} argument")
 
     def evaluate(self, z, y) -> float:

@@ -23,6 +23,7 @@ from .core import (
     SignedProductCone,
     SubspaceCone,
     ZeroCone,
+    _norm,
     _svd_rank,
     canonical_point,
     first_crossing,
@@ -71,7 +72,7 @@ class AffineSet(SetOracle):
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
-        return float(np.linalg.norm(self.matrix @ x.data - self.rhs))
+        return _norm(self.matrix @ x.data - self.rhs)
 
     def _residual_along(self, x: Point, y: Point):
         """``s -> ||r0 + s d||`` with ``r0 = A x - b``, ``d = A y - b - r0``, formed once."""
@@ -79,7 +80,7 @@ class AffineSet(SetOracle):
         self._check_point(y)
         r0 = self.matrix @ x.data - self.rhs
         d = self.matrix @ y.data - self.rhs - r0
-        return lambda s: float(np.linalg.norm(r0 + s * d))
+        return lambda s: _norm(r0 + s * d)
 
     def segment_entry(self, x: Point, y: Point) -> tuple[float, Point]:
         """The default's search on the closed-form residual: only the entry point is built.

@@ -1,0 +1,121 @@
+"""Fast paths that must equal their reference bit for bit: norms and strict JSON.
+
+numpy is not pinned, so these tests, not a version number, hold the norm helper
+to ``np.linalg.norm``; the trace-row JSON writer is held to ``json.dump(...,
+indent=1)``.  They import no scipy, so the numpy-only CI job runs them too.
+"""
+
+import json
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from regap.core import Point, ZeroCone, _norm, write_json
+from regap.projectors import AffineSet
+
+# -0.0, subnormals, the edges of the normal range and magnitudes whose squares
+# (or sums of squares) overflow to inf, mixed with arbitrary finite floats.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160,
+          1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308]
+_ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _vectors(max_size: int, count: int = 1):
+    """``count`` float64 vectors of one length in 1..``max_size``."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.tuples(*[arrays(np.float64, n, elements=_ENTRY)] * count))
+
+
+def _same(got, want) -> bool:
+    """Equal as float64 bits up to the NaN payload: the sign of zero counts."""
+    want = float(want)
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# ---------------------------------------------------------------------------
+# Norms
+
+
+@given(_vectors(4096))
+def test_norm_helper_point_norm_and_zero_cone_equal_numpy(vs):
+    (v,) = vs
+    with np.errstate(over="ignore"):  # a sum of squares may overflow to inf
+        want = np.linalg.norm(v)
+        for got in (_norm(v), Point(v).norm(), ZeroCone(v.size).distance(v)):
+            assert type(got) is float
+            assert _same(got, want), (got, want)
+
+
+@given(_vectors(4096, count=2))
+def test_point_distance_equals_numpy(vs):
+    a, b = vs
+    with np.errstate(over="ignore"):  # the difference or its sum of squares may overflow
+        got, want = Point(a).distance(Point(b)), np.linalg.norm(a - b)
+    assert _same(got, want), (got, want)
+
+
+@given(_vectors(64, count=3), st.floats(0.0, 1.0))
+def test_affine_residuals_equal_numpy(vs, s):
+    x, y, rhs = vs
+    aff = AffineSet(np.eye(x.size), rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # A x - b may overflow, r0 + s d too
+        r0 = aff.matrix @ x - aff.rhs
+        d = aff.matrix @ y - aff.rhs - r0
+        got, want = aff.membership_residual(Point(x)), np.linalg.norm(r0)
+        assert _same(got, want), (got, want)
+        got, want = aff._residual_along(Point(x), Point(y))(s), np.linalg.norm(r0 + s * d)
+        assert _same(got, want), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# Strict JSON
+
+_KEY = st.one_of(st.text(max_size=6), st.sampled_from(['é', '"', '\\', '\n', '\x00', ' ']))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 'ünï"\\\t']))
+_ROW = st.dictionaries(_KEY, _SCALAR, min_size=1, max_size=8)
+
+
+def _nulled(value):
+    """``value`` with every non-finite float, through dicts and lists, as ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nulled(v) for v in value]
+    return value
+
+
+def _check_write(path, value, sort_keys: bool) -> None:
+    write_json(path, value, sort_keys=sort_keys)
+    want = json.dumps(_nulled(value), indent=1, sort_keys=sort_keys, allow_nan=False) + "\n"
+    assert path.read_text() == want
+
+
+@given(st.lists(_ROW, min_size=1, max_size=6), st.booleans())
+def test_write_json_rows_take_the_c_encoder_with_the_same_bytes(tmp_path_factory, rows,
+                                                                sort_keys):
+    # json.dump is the reference path: a list of flat rows must not reach it
+    with mock.patch.object(json, "dump", side_effect=AssertionError("reference path taken")):
+        _check_write(tmp_path_factory.getbasetemp() / "rows.json", rows, sort_keys)
+
+
+@given(st.one_of(
+    st.just([]), st.just([{}]), st.lists(_ROW, min_size=1).map(lambda rows: rows + [{}]),
+    st.lists(st.one_of(_ROW, _SCALAR, st.lists(_SCALAR, max_size=2)), min_size=1, max_size=6)
+    .filter(lambda items: not all(isinstance(item, dict) for item in items)),
+    st.lists(_ROW.map(lambda row: {**row, "nested": [1.5, None]}), min_size=1, max_size=3),
+    st.lists(_ROW.map(lambda row: {**row, "pair": (1, 2)}), min_size=1, max_size=3),
+    _ROW), st.booleans())
+def test_write_json_other_values_take_the_reference_path(tmp_path_factory, value, sort_keys):
+    with mock.patch.object(json, "dump", wraps=json.dump) as dump:
+        _check_write(tmp_path_factory.getbasetemp() / "value.json", value, sort_keys)
+    dump.assert_called_once()
