@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Console-script smoke: `regap run` on five small configs, `regap report` on
-# the runs, `regap synth` and a custom run on its instance, six bad inputs
-# with their documented exit codes (one is a report of a run directory given
-# twice), and a last pass that parses every JSON file written as strict JSON.
+# the runs (its tables byte-compared with the sweep's own), `regap synth` and
+# a custom run on its instance, six bad inputs with their documented exit
+# codes (one is a report of a run directory given twice), and a last pass
+# that parses every JSON file written as strict JSON.
 #
 # usage: scripts/cli_smoke.sh [WORKDIR]
 #
@@ -98,10 +99,13 @@ $regap run --config "$work/nan.cfg" || status=$?
 test "$status" -eq 2
 test ! -e "$work/nan"
 
-# `regap report` on the two lines runs writes the series and the rates tables
+# `regap report` on the two lines runs writes the series and the rates tables,
+# rebuilding from disk the bytes `regap run` wrote from its own results
 $regap report "$work/lines/seed1" "$work/lines/seed2" --out "$work/report/table.csv"
 test -s "$work/report/table.csv"
 test -s "$work/report/table_rates.csv"
+cmp "$work/report/table.csv" "$work/lines/comparison.csv"
+cmp "$work/report/table_rates.csv" "$work/lines/comparison_rates.csv"
 
 # two run directories with one run id are a configuration error: exit 2, no table
 status=0

@@ -45,8 +45,8 @@ LAMBDA_SCHEDULES = (SURFACE, CONSTANT_ONE, CUSTOM)
 GAP_STALL_REL_CHANGE = 1e-6
 GAP_STALL_FACTOR = 10.0
 
-# An odd step's result: (odd iterate, its residual, gamma, lambda).
-_OddResult = tuple[Point, float, float, float]
+# An odd step's result: (odd iterate, its distance to the even one, its residual, gamma, lambda).
+_OddResult = tuple[Point, float, float, float, float]
 
 
 class StepConditionError(SolverError):
@@ -201,7 +201,7 @@ def _iterate(setC: SetOracle, setM: SetOracle, even: Point,
              cfg: InexactAPConfig, first: _OddResult | None = None) -> IterationTrace:
     """The cycle loop shared by the drivers: project onto C, then take an odd step.
 
-    ``odd_step(even, k, step)`` returns cycle ``k``'s ``(odd, residual,
+    ``odd_step(even, k, step)`` returns cycle ``k``'s ``(odd, gap, residual,
     gamma, lam)``, given the even half-step ``step`` into it; cycle 0 takes
     it from the even iterate ``even`` unless ``first`` supplies it.  With
     ``strict_gamma`` every gamma ``odd_step`` returns is checked.  ``setM``
@@ -209,7 +209,7 @@ def _iterate(setC: SetOracle, setM: SetOracle, even: Point,
     """
     def checked_step(even: Point, k: int, step: float) -> _OddResult:
         result = odd_step(even, k, step)
-        gamma = result[2]
+        gamma = result[3]
         if cfg.strict_gamma and math.isnan(gamma):
             raise GammaConditionError(
                 f"cycle {k}: strict verification requested but the alignment residual "
@@ -222,15 +222,14 @@ def _iterate(setC: SetOracle, setM: SetOracle, even: Point,
         return result
 
     trace = IterationTrace()
-    odd, res, gamma, lam = first or checked_step(even, 0, math.nan)
-    trace.append(TraceRecord(0, even, odd, math.nan, even.distance(odd), res, gamma, lam))
+    odd, gap, res, gamma, lam = first or checked_step(even, 0, math.nan)
+    trace.append(TraceRecord(0, even, odd, math.nan, gap, res, gamma, lam))
     gaps: deque[float] = deque(maxlen=cfg.gap_stall_window + 1)
     for k in range(1, cfg.max_iterations + 1):
         prev_even = even
         even = canonical_point(setC.project(odd))
         step = even.distance(odd)
-        odd, res, gamma, lam = checked_step(even, k, step)
-        gap = even.distance(odd)
+        odd, gap, res, gamma, lam = checked_step(even, k, step)
         trace.append(TraceRecord(k, even, odd, step, gap, res, gamma, lam))
         reason = _terminate(cfg, setC, setM, step, gap, even, even.distance(prev_even), gaps)
         if reason:
@@ -249,7 +248,7 @@ def exact_alternating_projections(setC: SetOracle, setM: SetOracle, x0: Point,
     """
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
         odd = canonical_point(setM.project(even))
-        return odd, setM.membership_residual(odd), math.nan, math.nan
+        return odd, even.distance(odd), setM.membership_residual(odd), math.nan, math.nan
 
     even = canonical_point(setC.project(x0))
     return _iterate(setC, setM, even, odd_step, cfg or InexactAPConfig())
@@ -276,30 +275,33 @@ def inexact_alternating_projections(setC: SetOracle,
 
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
         if m_oracle.contains(even):
-            odd, gamma_meas = even, 0.0
+            odd, gap, gamma_meas = even, 0.0, 0.0
         else:
-            odd = next((c for c in approx_m(even) if _within_step(even.distance(c), step)),
-                       None)
-            if odd is None:
+            for odd in approx_m(even):
+                gap = even.distance(odd)
+                if _within_step(gap, step):
+                    break
+            else:
                 raise StepConditionError(
                     f"cycle {k}: no candidate step within the previous half-step "
                     f"{step:.6g}"
                 )
-            gamma_meas = (_alignment_residual(m_oracle, even, odd) if cfg.measure_gamma
+            gamma_meas = (_alignment_residual(m_oracle, even, odd, gap) if cfg.measure_gamma
                           else math.nan)
-        return odd, m_oracle.membership_residual(odd), gamma_meas, math.nan
+        return odd, gap, m_oracle.membership_residual(odd), gamma_meas, math.nan
 
-    first = (x1, m_oracle.membership_residual(x1), math.nan, math.nan)
+    first = (x1, x0.distance(x1), m_oracle.membership_residual(x1), math.nan, math.nan)
     return _iterate(setC, m_oracle, x0, odd_step, cfg, first)
 
 
-def _alignment_residual(m: SetOracle, even: Point, odd: Point, star: Point | None = None) -> float:
+def _alignment_residual(m: SetOracle, even: Point, odd: Point, gap: float,
+                        star: Point | None = None) -> float:
     """Distance of the unit step from ``even`` to ``odd`` to m's normal cone at ``star``.
 
-    NaN when ``m`` has no cone at ``star``.  ``star`` defaults to where the
-    segment from ``even``, a non-member, enters the set: ``m.segment_entry``.
+    ``gap`` is ``even.distance(odd)``.  NaN when ``m`` has no cone at ``star``.
+    ``star`` defaults to where the segment from ``even``, a non-member, enters
+    the set: ``m.segment_entry``.
     """
-    gap = even.distance(odd)
     if gap == 0.0:
         return 0.0
     if star is None:
@@ -334,7 +336,7 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
 
     def odd_step(even: Point, k: int, step: float) -> _OddResult:
         if m.contains(even):
-            return even, m.residual(even), 0.0, 0.0
+            return even, 0.0, m.residual(even), 0.0, 0.0
         anchor = canonical_point(data_set.project(even))
         if cfg.lambda_schedule == SURFACE or cfg.measure_gamma:
             tau, boundary = bregman_line_boundary(m, even, anchor)
@@ -344,9 +346,10 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
             seq = cfg.lambda_sequence
             lam = seq[min(k, len(seq) - 1)]
             odd = lerp(even, anchor, lam)
-        gamma_meas = (_alignment_residual(m, even, odd, boundary) if cfg.measure_gamma
+        gap = even.distance(odd)
+        gamma_meas = (_alignment_residual(m, even, odd, gap, boundary) if cfg.measure_gamma
                       else math.nan)
-        return odd, m.residual(odd), gamma_meas, lam
+        return odd, gap, m.residual(odd), gamma_meas, lam
 
     trace = _iterate(setC, m, canonical_point(setC.project(x0)), odd_step, cfg)
     if trace.reason == FIXED_POINT:

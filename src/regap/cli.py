@@ -28,11 +28,10 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -507,7 +506,12 @@ PROBLEMS: dict[str, ProblemSpec] = {
 }
 
 
-def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict:
+# A run's finite ``(k, step_norm)`` pairs, as its ``trace.csv`` holds them.
+Series = list[tuple[int, float]]
+
+
+def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> tuple[Series, dict]:
+    """Run one entry into ``outdir``; returns its step series and summary for the tables."""
     outdir.mkdir(parents=True, exist_ok=True)
     trace, setC, odd_set, extras = PROBLEMS[cfg.problem].runner(
         cfg, entry, _algorithm_config(cfg), outdir)
@@ -546,13 +550,13 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> dict
     trace.to_csv(outdir / "trace.csv")
     trace.to_json(outdir / "trace.json")
     write_json(outdir / "summary.json", summary, sort_keys=True)
-    return summary
+    return [(r.k, r.step_norm) for r in trace.records if math.isfinite(r.step_norm)], summary
 
 
 # ---------------------------------------------------------------------------
 # Comparison tables
 
-def _read_run_dir(run_dir: Path) -> tuple[list[tuple[int, float]], dict]:
+def _read_run_dir(run_dir: Path) -> tuple[Series, dict]:
     trace_path = run_dir / "trace.csv"
     summary_path = run_dir / "summary.json"
     try:
@@ -584,9 +588,12 @@ def _read_run_dir(run_dir: Path) -> tuple[list[tuple[int, float]], dict]:
     return series, summary
 
 
-def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
+def write_comparison(runs: Iterable[tuple[Path, Series, dict]], table_path: Path) -> Path:
     """Collect runs into a long-format series table and a rates summary.
 
+    ``runs`` gives each run's directory, step series and summary: ``regap
+    run`` passes its own results, ``regap report`` what
+    :func:`_read_run_dir` reads back, and both write the same bytes.
     Returns the path of the rates file (the table path gains ``_rates``
     before its extension).  Two directories with one run id are a
     ``ConfigError``, raised before anything is written.
@@ -594,8 +601,7 @@ def write_comparison(run_dirs: list[Path], table_path: Path) -> Path:
     rows = []
     rates = []
     owners: dict[str, Path] = {}
-    for run_dir in run_dirs:
-        series, summary = _read_run_dir(run_dir)
+    for run_dir, series, summary in runs:
         run_id = run_dir.name if summary.get("run") in (None, "", "run") else summary["run"]
         if run_id in owners:
             raise ConfigError(f"{owners[run_id]} and {run_dir} share the run id {run_id!r}")
@@ -641,25 +647,28 @@ def cmd_run(args) -> int:
 
     try:
         if cfg.jobs > 1 and len(entries) > 1:
-            # the pool may start all its workers at once: no more than there are entries
+            # imported here, as only these sweeps need it; the pool may start all
+            # its workers at once: no more than there are entries
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(entries))) as pool:
-                summaries = list(pool.map(_execute_entry, [cfg] * len(entries), entries,
-                                          run_dirs))
+                results = list(pool.map(_execute_entry, [cfg] * len(entries), entries,
+                                        run_dirs))
         else:
-            summaries = list(map(_execute_entry, [cfg] * len(entries), entries, run_dirs))
+            results = list(map(_execute_entry, [cfg] * len(entries), entries, run_dirs))
     except BaseException:
         for d in reversed(fresh):
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
 
-    for summary in summaries:
+    for _, summary in results:
         rate = summary.get("measured_rate")
         rate_text = "n/a" if rate is None else format(rate, ".4f")
         print(f"{summary['run']}: reason={summary['reason']} "
               f"iterations={summary['iterations']} measured_rate={rate_text}")
     if len(run_dirs) > 1:
-        rates_path = write_comparison(run_dirs, out_root / "comparison.csv")
+        rates_path = write_comparison([(d, *result) for d, result in zip(run_dirs, results)],
+                                      out_root / "comparison.csv")
         print(f"comparison table: {out_root / 'comparison.csv'}")
         print(f"rates summary: {rates_path}")
     print(f"artifacts written under {out_root}")
@@ -672,7 +681,7 @@ def cmd_report(args) -> int:
         if not run_dir.is_dir():
             raise IOFailure(f"run directory {run_dir} does not exist")
     table_path = Path(args.out) if args.out else Path("comparison.csv")
-    rates_path = write_comparison(run_dirs, table_path)
+    rates_path = write_comparison(((d, *_read_run_dir(d)) for d in run_dirs), table_path)
     print(f"comparison table: {table_path}")
     print(f"rates summary: {rates_path}")
     return EXIT_OK

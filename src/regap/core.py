@@ -447,18 +447,32 @@ def _strict(value):
 def write_json(path, value, sort_keys: bool = False) -> None:
     """Write ``value`` atomically as strict JSON, indent 1, final newline, via :func:`_strict`.
 
-    A list of nonempty dicts of plain scalars (trace rows) goes row by row through the C encoder.
+    A nonempty list of nonempty dicts of plain scalars (trace rows) goes to
+    :func:`write_json_rows`.
     """
     value, plain = _strict(value), {str, int, float, bool, type(None)}
+    if value and type(value) is list and all(type(row) is dict and row and plain.issuperset(
+            map(type, row.values())) for row in value):
+        return write_json_rows(path, value, sort_keys)
     with atomic_open(path) as fh:
-        if value and type(value) is list and all(type(row) is dict and row and plain.issuperset(
-                map(type, row.values())) for row in value):
-            row_json = json.JSONEncoder(separators=(",\n  ", ": "), sort_keys=sort_keys,
-                                        allow_nan=False).encode
-            fh.write("[\n {\n  %s\n }\n]" % "\n },\n {\n  ".join(row_json(r)[1:-1] for r in value))
-        else:
-            json.dump(value, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        json.dump(value, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
+
+
+def write_json_rows(path, rows: list[dict], sort_keys: bool = False) -> None:
+    """Write a list of nonempty dicts of strict scalars as :func:`write_json` would.
+
+    The values must be ``str``, ``int``, finite ``float``, ``bool`` or ``None``.
+    The C encoder takes the whole list in one call: with separators ``(",\\n  ", ": ")``
+    it writes each row's items as indent 1 does, so only the outer frame and the
+    ``},\\n  {`` between rows, which no encoded string can hold, are rewritten.
+    """
+    text = json.JSONEncoder(separators=(",\n  ", ": "), sort_keys=sort_keys,
+                            allow_nan=False).encode(rows)
+    if rows:
+        text = "[\n {\n  " + text[2:-2].replace("},\n  {", "\n },\n {\n  ") + "\n }\n]"
+    with atomic_open(path) as fh:
+        fh.write(text + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -526,15 +540,27 @@ class IterationTrace:
                 out.append(r.gap)
         return np.asarray(out, dtype=np.float64)
 
-    def _rows(self) -> Iterator[tuple]:
+    def _rows(self, strict: bool = False) -> Iterator[tuple]:
+        """Each record's cells in ``TRACE_COLUMNS`` order; ``strict`` makes non-finite ``None``."""
         reason = self.reason
         for r in self.records:
-            yield (r.k, float(r.step_norm), float(r.gap), float(r.residual), float(r.gamma),
-                   float(r.lam), reason)
+            values = (float(r.step_norm), float(r.gap), float(r.residual), float(r.gamma),
+                      float(r.lam))
+            if strict:
+                values = [v if math.isfinite(v) else None for v in values]
+            yield (r.k, *values, reason)
 
     def to_csv(self, path) -> None:
-        write_csv(path, TRACE_COLUMNS, self._rows())
+        """Write the rows as :func:`write_csv` would, one ``%`` format per row.
+
+        Every float cell is ``.17g``, and no termination reason needs quoting.
+        """
+        line = "%d" + ",%.17g" * 5 + ",%s\r\n"
+        with atomic_open(path, newline="") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            fh.write("".join(line % row for row in self._rows()))
 
     def to_json(self, path) -> None:
         """Write the rows as strict JSON: non-finite values become ``null``."""
-        write_json(path, [dict(zip(TRACE_COLUMNS, row)) for row in self._rows()])
+        write_json_rows(path, [dict(zip(TRACE_COLUMNS, row))
+                               for row in self._rows(strict=True)])

@@ -38,7 +38,9 @@ class AffineSet(SetOracle):
 
     With the thin QR factorization A^T = Q R, the set is {x : Q^T x = c},
     c = R^-T b, so the projection is ``x - Q (Q^T x - c)``; Q and c are
-    computed once.
+    computed once.  The last entry point :meth:`segment_entry` found a
+    member is remembered by identity (points are read-only), so
+    :meth:`normal_cone_at` does not measure it again.
     """
 
     convex = True
@@ -64,6 +66,7 @@ class AffineSet(SetOracle):
             raise ValueError("matrix must have full row rank") from exc
         q, r = np.linalg.qr(a.T)
         self._normal_basis, self._offset = q, np.linalg.solve(r.T, b)
+        self._member: Point | None = None
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
@@ -94,10 +97,13 @@ class AffineSet(SetOracle):
         except ValueError:
             return super().segment_entry(x, y)
         point = lerp(x, y, s)
-        return (s, point) if self.contains(point) else super().segment_entry(x, y)
+        if not self.contains(point):
+            return super().segment_entry(x, y)
+        self._member = point
+        return s, point
 
     def normal_cone_at(self, x: Point) -> SubspaceCone:
-        if not self.contains(x):
+        if x is not self._member and not self.contains(x):
             raise ValueError("base point is not a member of the set")
         return SubspaceCone(self._normal_basis)
 

@@ -18,6 +18,7 @@ from regap.algorithms import (FixedPointError, GammaConditionError, InexactAPCon
 from regap.core import (FIXED_POINT, MAX_ITER, STALLED_GAP, TOLERANCE_MET,
                         IterationTrace, Point, SetOracle, SolverError, TraceRecord,
                         canonical_point, lerp)
+from regap.divergences import EuclideanKernel, LinearMap, RegularizedSet
 from regap.problems import (box_affine_regularized, parallel_lines, perturbed_line,
                             slab_problem, two_lines, two_subspaces)
 from regap.projectors import AffineSet
@@ -299,23 +300,27 @@ def test_perturbed_alignment_equals_sine_of_slide_angle():
 
 
 class _CountingAffineSet(AffineSet):
-    """Affine set that counts its ``membership_residual`` calls."""
+    """Affine set that records the points it measures and its cones' base points."""
 
     def __init__(self, matrix, rhs):
         super().__init__(matrix, rhs)
-        self.residuals = 0
+        self.measured, self.bases = [], []
 
     def membership_residual(self, x):
-        self.residuals += 1
+        self.measured.append(x)
         return super().membership_residual(x)
+
+    def normal_cone_at(self, x):
+        self.bases.append(x)
+        return super().normal_cone_at(x)
 
 
 def test_inexact_cycle_membership_count(monkeypatch):
     # Per cycle: the interior test of even, the membership re-check of the
-    # alignment search's entry point, the normal cone's membership check and
-    # residual(odd).  The search probes the affine set's closed-form segment
-    # residual, which measures no point and builds none: its one lerp is
-    # the entry point it returns.
+    # alignment search's entry point, which the normal cone then takes
+    # without measuring it again, and residual(odd).  The search probes the
+    # affine set's closed-form segment residual, which measures no point and
+    # builds none: its one lerp is the entry point it returns.
     lerps = []
 
     def counted_lerp(x, y, t):
@@ -327,8 +332,48 @@ def test_inexact_cycle_membership_count(monkeypatch):
     counted = _CountingAffineSet(exact.matrix, exact.rhs)
     trace = _run_perturbed(math.pi / 4, 0.3, m_oracle=counted)
     assert trace.reason == FIXED_POINT and len(trace) > 10
-    assert counted.residuals <= 4 * len(trace)
+    assert len(counted.measured) <= 3 * len(trace)
     assert len(lerps) <= len(trace)
+    assert len(counted.bases) > 10
+    for star in counted.bases:
+        assert sum(p is star for p in counted.measured) == 1
+
+
+def test_normal_cone_refuses_a_non_member_after_an_entry_point():
+    # the entry point is remembered as a member; any other point is measured
+    m = perturbed_line(math.pi / 4, 0.3)[2]
+    inside = m.project(Point(np.array([2.0, 0.0])))[0]
+    outside = Point(inside.data + m.matrix[0])
+    m.normal_cone_at(m.segment_entry(outside, inside)[1])
+    with pytest.raises(ValueError, match="not a member"):
+        m.normal_cone_at(outside)
+
+
+@pytest.mark.parametrize("driver", ["exact", "inexact", "regularized"])
+def test_each_cycle_measures_its_even_odd_gap_once(driver, iterates, monkeypatch):
+    # The gap a record holds is the one distance the step condition and the
+    # alignment residual used too: each (even, odd) pair is measured once.
+    pairs = []
+    distance = Point.distance
+
+    def recorded(self, other):
+        pairs.append((self, other))
+        return distance(self, other)
+    monkeypatch.setattr(Point, "distance", recorded)
+    C, M = two_lines(math.pi / 4)
+    x0 = Point(np.array([2.0, 1.0]))
+    cfg = InexactAPConfig(max_iterations=200, fixed_point_tolerance=1e-12)
+    if driver == "exact":
+        trace = exact_alternating_projections(C, M, x0, cfg)
+    elif driver == "inexact":
+        trace = _run_perturbed(math.pi / 4, 0.3)
+    else:
+        ball = RegularizedSet(LinearMap(M.matrix), np.zeros(1), EuclideanKernel(), 0.01)
+        trace = regularized_extrapolated_ap(C, ball, M, x0, cfg)
+    moved = [(even, odd) for even, odd in iterates[trace] if odd is not even]
+    assert len(trace) > 5 and len(moved) > 5
+    for even, odd in moved:
+        assert sum(a is even and b is odd for a, b in pairs) == 1
 
 
 class _DefaultSegmentAffineSet(AffineSet):

@@ -1,8 +1,9 @@
-"""Fast paths that must equal their reference bit for bit: norms and strict JSON.
+"""Fast paths that must equal their reference bit for bit: norms, strict JSON, trace CSV.
 
 numpy is not pinned, so these tests, not a version number, hold the norm helper
 to ``np.linalg.norm``; the trace-row JSON writer is held to ``json.dump(...,
-indent=1)``.  They import no scipy, so the numpy-only CI job runs them too.
+indent=1)`` and the trace CSV writer to ``write_csv``.  They import no scipy, so
+the numpy-only CI job runs them too.
 """
 
 import json
@@ -14,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regap.core import Point, ZeroCone, _norm, write_json
+from regap.core import (TERMINATION_REASONS, TRACE_COLUMNS, IterationTrace, Point, TraceRecord,
+                        ZeroCone, _norm, write_csv, write_json, write_json_rows)
 from regap.projectors import AffineSet
 
 # -0.0, subnormals, the edges of the normal range and magnitudes whose squares
@@ -119,3 +121,37 @@ def test_write_json_other_values_take_the_reference_path(tmp_path_factory, value
     with mock.patch.object(json, "dump", wraps=json.dump) as dump:
         _check_write(tmp_path_factory.getbasetemp() / "value.json", value, sort_keys)
     dump.assert_called_once()
+
+
+@given(st.lists(_ROW.map(_nulled), min_size=0, max_size=6), st.booleans())
+def test_write_json_rows_is_one_encoder_call_with_the_same_bytes(tmp_path_factory, rows,
+                                                                 sort_keys):
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    with mock.patch.object(json, "dump", side_effect=AssertionError("reference path taken")):
+        write_json_rows(path, rows, sort_keys=sort_keys)
+    want = json.dumps(rows, indent=1, sort_keys=sort_keys, allow_nan=False) + "\n"
+    assert path.read_text() == want
+
+
+# ---------------------------------------------------------------------------
+# Trace writers
+
+_CELL = st.one_of(st.sampled_from(_EDGES + [-1e-300, math.nan, math.inf, -math.inf]),
+                  st.floats())
+
+
+@given(st.lists(st.tuples(*[_CELL] * 5), max_size=8), st.sampled_from(sorted(TERMINATION_REASONS)))
+def test_trace_writers_equal_write_csv_and_json_dump(tmp_path_factory, cells, reason):
+    trace = IterationTrace()
+    for k, values in enumerate(cells):
+        trace.append(TraceRecord(k, None, None, *values))
+    trace.finish(reason)
+    base = tmp_path_factory.getbasetemp()
+    trace.to_csv(base / "trace.csv")
+    write_csv(base / "want.csv", TRACE_COLUMNS, trace._rows())
+    assert (base / "trace.csv").read_bytes() == (base / "want.csv").read_bytes()
+    with mock.patch.object(json, "dump", side_effect=AssertionError("reference path taken")):
+        trace.to_json(base / "trace.json")
+    rows = [dict(zip(TRACE_COLUMNS, (k, *values, reason))) for k, values in enumerate(cells)]
+    want = json.dumps(_nulled(rows), indent=1, allow_nan=False) + "\n"
+    assert (base / "trace.json").read_text() == want

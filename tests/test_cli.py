@@ -1,5 +1,6 @@
 """Command-line interface: config grammar, validation, verbs, exit codes."""
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -646,7 +647,7 @@ def test_jobs_beyond_the_sweep_start_one_worker_per_entry(tmp_path, monkeypatch)
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = write_config(tmp_path, TWO_LINES_CFG + f"seed = 1, 2\njobs = 1000\n"
                                                  f"out = {tmp_path / 'sweep'}\n")
     assert run_cli("run", "--config", str(cfg)) == 0
@@ -820,6 +821,37 @@ def test_report_refuses_runs_that_share_a_run_id(tmp_path, capsys):
         assert str(first) in err and str(second) in err and "'seed1'" in err
         assert not table.exists() and not (tmp_path / "cmp_rates.csv").exists()
     assert run_cli("report", str(a / "seed1"), str(b / "seed3"), "--out", str(table)) == 0
+
+
+REPORT_SWEEPS = {
+    "lines": "problem = two_subspaces\nalgorithm = inexact_ap\ntheta = pi/8\nphi = pi/16\n"
+             "seed = 1, 2, 3\n",
+    # 16 x 16 constant_one entries stop within a few cycles: no measured rate
+    "phase": "problem = phase_retrieval\nalgorithm = regularized_extrapolated\n"
+             "object = smooth\nshape = 16, 16\nphoton_scale = 1e3\nepsilon_kappa = 1\n"
+             "lambda_schedule = constant_one\nmeasure_gamma = false\nmax_iter = 60\n"
+             "seed = 1, 2\n",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sweep", sorted(REPORT_SWEEPS))
+def test_report_rebuilds_the_sweep_tables_byte_for_byte(tmp_path, sweep, jobs):
+    # `regap run` tabulates the results it holds; `regap report` reads the
+    # same runs back from disk and must write the same bytes.
+    out = make_run(tmp_path, sweep, REPORT_SWEEPS[sweep] + f"jobs = {jobs}\n")
+    runs = [str(out / f"seed{s}") for s in (1, 2, 3) if (out / f"seed{s}").is_dir()]
+    assert run_cli("report", *runs, "--out", str(tmp_path / "report.csv")) == 0
+    for made, rebuilt in (("comparison.csv", "report.csv"),
+                          ("comparison_rates.csv", "report_rates.csv")):
+        assert (tmp_path / rebuilt).read_bytes() == (out / made).read_bytes()
+    with open(out / "comparison_rates.csv", newline="") as fh:
+        rates = [row["measured_rate"] for row in csv.DictReader(fh)]
+    assert len(rates) == len(runs)
+    if sweep == "phase":
+        assert rates == [""] * len(runs)
+    else:
+        assert all(0.0 < float(rate) < 1.0 for rate in rates)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,6 +1111,15 @@ def _python(code, cwd):
 def test_import_loads_no_scipy(tmp_path):
     proc = _python("import sys, regap.cli\n"
                    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                   "assert not loaded, loaded\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    # only a sweep with jobs > 1 imports the pool, inside cmd_run
+    proc = _python("import sys, regap.cli\n"
+                   "loaded = sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+                   "                or m.split('.')[0] == 'multiprocessing')\n"
                    "assert not loaded, loaded\n", tmp_path)
     assert proc.returncode == 0, proc.stderr
 
