@@ -170,7 +170,10 @@ def measure_rate(trace: IterationTrace) -> float:
         raise RateMeasurementError(f"tail has {tail.size} steps; need at least 10")
     if np.any(tail <= 0):
         raise RateMeasurementError("nonpositive step norms in the tail")
-    slope = np.polyfit(np.arange(tail.size), np.log(tail), 1)[0]
+    # least-squares slope of log(tail) on 0, 1, ..., in closed form on centred steps
+    steps = np.arange(tail.size) - 0.5 * (tail.size - 1)
+    logs = np.log(tail)
+    slope = float(steps @ (logs - logs.mean())) / float(steps @ steps)
     return float(np.exp(slope))
 
 

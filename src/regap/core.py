@@ -60,7 +60,7 @@ class Point:
         arr = np.array(data, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("point storage must be a nonempty 1-d array")
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise ValueError("point entries must be finite")
         if kind not in (REAL, COMPLEX):
             raise ValueError(f"unknown scalar kind {kind!r}")
@@ -139,7 +139,9 @@ def _scan_grid(scan: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 1.0, scan + 1)[1:].tolist())
 
 
-def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
+def first_crossing(excess: Callable[[float], float], scan: int = 64, *,
+                   bracket: tuple[float, float] | None = None,
+                   slope: Callable[[float], float] | None = None) -> float:
     """Smallest member ``t`` in ``(0, 1]``, where ``t`` is a member iff ``excess(t) <= 0``.
 
     Callers pass a residual minus its bound, so membership is exactly the
@@ -156,37 +158,55 @@ def first_crossing(excess: Callable[[float], float], scan: int = 64) -> float:
     refinement thus takes at most about twice bisection's evaluations.
     ``excess(1) <= 0`` must hold.  The returned value is always a member
     with a non-member, or 0, within ``tol`` below it.
+
+    A caller that knows more of the excess passes it by keyword:
+
+    - ``bracket``: ``(a, b)`` such that no member lies in ``(0, a]`` and
+      the excess changes sign once in ``(a, b]``.  The scan is skipped and
+      ``excess(b) <= 0`` must hold instead of ``excess(1) <= 0``.
+    - ``slope``: the derivative of the excess.  Each step first tries the
+      Newton step from the latest probe, taken when its root falls inside
+      the bracket and aimed and kept inside as the secant step is.
     """
     tol = 1e-12
-    f_hi = float(excess(1.0))
-    if not f_hi <= 0.0:
+    a, b = (0.0, 1.0) if bracket is None else bracket
+    fb = float(excess(b))
+    if not fb <= 0.0:
         raise ValueError("the upper endpoint is not a member")
-    a, fa = 0.0, math.nan  # lower end: 0 or a non-member
-    b, fb = 1.0, f_hi      # upper end: always a member
-    for t in _scan_grid(scan):
-        ft = f_hi if t == 1.0 else float(excess(t))
-        if ft <= 0.0:
-            b, fb = t, ft
-            break
-        a, fa = t, ft
-    if a == 0.0:
-        f_lo = float(excess(0.0))
-        if f_lo > 0.0:
-            fa = f_lo
+    fa = math.nan  # lower end: 0 or a non-member; b is always a member
+    if bracket is None:
+        f_hi = fb
+        for t in _scan_grid(scan):
+            ft = f_hi if t == 1.0 else float(excess(t))
+            if ft <= 0.0:
+                b, fb = t, ft
+                break
+            a, fa = t, ft
+        if a == 0.0:
+            f_lo = float(excess(0.0))
+            if f_lo > 0.0:
+                fa = f_lo
     limit, shrink = 2.0 * (b - a), math.sqrt(0.5)
     moved = 0  # +1 when the last step moved b, -1 when it moved a
+    last, f_last = b, fb  # the latest probe, where a Newton step starts
     for _ in range(200):
         width = b - a
         if width <= tol:
             break
-        drop = fa - fb  # positive and finite when both end values are
-        if width <= limit and 0.0 < drop < math.inf:
-            root = b + fb / drop * width
+        root = math.nan
+        if width <= limit:
+            if slope is not None and (d := float(slope(last))) < 0.0 \
+                    and a < (newton := last - f_last / d) < b:
+                root = newton
+            elif 0.0 < fa - fb < math.inf:  # both end values known and finite
+                root = b + fb / (fa - fb) * width
+        if root == root:  # a Newton or secant root; NaN when neither step applies
             t = min(max(root + 0.25 * tol, a + 0.5 * tol), b - 0.5 * tol)
         else:
             t = 0.5 * (a + b)
         limit *= shrink
         ft = float(excess(t))
+        last, f_last = t, ft
         if ft <= 0.0:
             if moved > 0:
                 fa *= 0.5  # Illinois: a was kept twice, so weight it down
@@ -263,9 +283,8 @@ class RayCone(NormalCone):
     """Cone spanned by nonnegative multiples of a single direction."""
 
     def __init__(self, direction: np.ndarray):
-        d = np.asarray(direction, dtype=np.float64)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0 or not np.all(np.isfinite(d)):
+        d = np.ascontiguousarray(direction, dtype=np.float64)
+        if not np.logical_and.reduce(np.isfinite(d)) or (nrm := _norm(d)) == 0.0:
             raise ValueError("ray direction must be nonzero and finite")
         self.direction = d / nrm
 

@@ -11,6 +11,7 @@ approximate projections.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,9 @@ class EuclideanKernel:
 
     def against(self, y) -> Callable[[np.ndarray], float]:
         """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data,
-        with ``gradient`` and ``segment_excess`` as for KL (here a quartic)."""
+        with ``gradient`` and ``segment_excess`` as for KL.  Here the excess is
+        a quartic, and it carries its ``coefficients`` ``(c0, ..., c4)``,
+        lowest degree first, for the boundary solve."""
         y = _as_array(y)
 
         def distance(z) -> float:
@@ -49,12 +52,14 @@ class EuclideanKernel:
             return 0.5 * float(d @ d)
 
         def segment_excess(p, bound: float) -> Callable[[float], float]:
-            # ½‖p0 − y + p1 t + p2 t²‖² − bound, expanded once into a quartic in t
-            p0, p1, p2 = p[0] - y, p[1], p[2]
-            c0 = 0.5 * float(p0 @ p0) - bound
-            c1, c2 = float(p0 @ p1), 0.5 * float(p1 @ p1) + float(p0 @ p2)
-            c3, c4 = float(p1 @ p2), 0.5 * float(p2 @ p2)
-            return lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))
+            # ½‖P0 + P1 t + P2 t²‖² − bound for P = (p0 − y, p1, p2), a quartic in t
+            # whose coefficients come from one Gram product P Pᵀ
+            gram = np.array((p[0] - y, p[1], p[2]))
+            (g00, g01, g02), (_, g11, g12), (_, _, g22) = (gram @ gram.T).tolist()
+            c0, c1, c2, c3, c4 = 0.5 * g00 - bound, g01, 0.5 * g11 + g02, g12, 0.5 * g22
+            excess = lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))  # noqa: E731
+            excess.coefficients = (c0, c1, c2, c3, c4)
+            return excess
 
         distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
         return distance
@@ -392,6 +397,91 @@ class RegularizedSet(SetOracle):
         return RayCone(grad.data)
 
 
+def _curvature_range(e: tuple[float, float, float], u: float, v: float) -> tuple[float, float]:
+    """Least and greatest value of ``e0 + e1 t + e2 t²`` on ``[u, v]``."""
+    e0, e1, e2 = e
+    values = [e0 + u * (e1 + u * e2), e0 + v * (e1 + v * e2)]
+    if e2 != 0.0 and u < (w := -0.5 * e1 / e2) < v:
+        values.append(e0 + w * (e1 + w * e2))
+    return min(values), max(values)
+
+
+def _reach(k: float, s: float, f: float) -> float:
+    """Positive root ``h`` of ``f - s h + k h²/2`` for ``f <= 0 <= k``; inf if there is none."""
+    if k > 0.0:
+        r = math.sqrt(s * s - 2.0 * k * f)
+        return (s + r) / k if s > 0.0 else (-2.0 * f / (r - s) if r > s else 0.0)
+    return f / s if s < 0.0 else math.inf
+
+
+def _unit_roots(e: tuple[float, float, float]) -> list[float]:
+    """Roots of ``e0 + e1 t + e2 t²`` in ``(0, 1)``, ascending."""
+    e0, e1, e2 = e
+    if e2 == 0.0:
+        roots = [-e0 / e1] if e1 != 0.0 else []
+    elif (disc := e1 * e1 - 4.0 * e2 * e0) < 0.0:
+        roots = []
+    else:
+        big = -0.5 * (e1 + math.copysign(math.sqrt(disc), e1))
+        roots = [big / e2, e0 / big] if big != 0.0 else []  # else a double root at 0
+    return sorted(r for r in roots if 0.0 < r < 1.0)
+
+
+def _quartic_search(excess: Callable[[float], float],
+                    c: tuple[float, float, float, float, float]) -> dict:
+    """Keyword arguments for :func:`~regap.core.first_crossing` on the quartic ``excess``.
+
+    ``c`` are its coefficients, lowest degree first.  ``slope`` is the exact
+    cubic ``q'``, and ``bracket`` isolates the first sign change of ``q``:
+
+    - Where ``q'' >= 0`` on ``[0, 1]`` the members form one interval ending
+      at 1.  Taylor's bounds at ``t = 1``, ``q(1) - q'(1) h + k h²/2`` with
+      ``k`` the least and the greatest ``q''`` on ``[1 - h, 1]``, give a
+      non-member ``a`` and a member ``b`` around the crossing.  ``k`` is
+      taken on ``[0, 1]`` first, then on the window that bounds the
+      crossing to.
+    - Otherwise ``q`` is monotone between the roots of ``q'`` (one per
+      piece where ``q''`` keeps its sign, found by bisection), and the
+      first piece whose right end is a member holds the crossing.
+
+    Coefficients that are not finite or whose sum overflows, or a bracket
+    that rounding leaves ill-formed, give no keywords, so the search scans.
+    """
+    c0, c1, c2, c3, c4 = c
+    d1, d2, d3 = 2.0 * c2, 3.0 * c3, 4.0 * c4
+    slope = lambda t: c1 + t * (d1 + t * (d2 + t * d3))  # noqa: E731
+    e = (d1, 6.0 * c3, 12.0 * c4)  # q''
+    a = b = math.nan
+    if math.isfinite(c0 + c1 + c2 + c3 + c4):
+        low = _curvature_range(e, 0.0, 1.0)[0]
+        if low >= 0.0:
+            f1 = excess(1.0)
+            if not f1 <= 0.0:
+                return {}  # first_crossing refuses the upper end
+            s1 = slope(1.0)
+            # the bounds on [0, 1] confine the crossing to [1 - reach, 1],
+            # and the q'' range on that window tightens them
+            reach = min(1.0, _reach(low, s1, f1))
+            low, high = _curvature_range(e, 1.0 - reach, 1.0)
+            # a hair outside the bounds, so that rounding keeps a < b
+            a = max(0.0, 1.0 - _reach(low, s1, f1) * (1.0 + 1e-6))
+            b = 1.0 - _reach(high, s1, f1) * (1.0 - 1e-6)
+        else:
+            ends, a, b = [0.0, *_unit_roots(e), 1.0], 0.0, 1.0
+            for u, v in zip(ends, ends[1:]):
+                falling = slope(u) < 0.0
+                if falling == (slope(v) < 0.0):
+                    continue  # q' is monotone on [u, v], so q has no critical point inside
+                for _ in range(64):
+                    w = 0.5 * (u + v)
+                    u, v = (w, v) if (slope(w) < 0.0) == falling else (u, w)
+                if excess(v) <= 0.0:
+                    b = v
+                    break
+                a = v
+    return {"bracket": (a, b), "slope": slope} if 0.0 <= a < b <= 1.0 else {}
+
+
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
     """``m.segment_entry(x, x0)``, the first member of the segment from ``x`` to ``x0``, fast.
 
@@ -400,10 +490,16 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     ``segment_excess`` on the map's ``segment_polynomial`` (a map with none
     raises ``NotImplementedError``) stands in for the residual at every
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
-    MEMBERSHIP_TOL``, and only the returned point is built.  Should its
-    rounding put ``x0`` outside, or disagree with ``contains`` on that point,
-    :meth:`SetOracle.segment_entry` answers instead.  A member ``x`` raises
-    ``ValueError``, as does a non-member ``x0`` in the segment search.
+    MEMBERSHIP_TOL``, and only the returned point is built.  A Euclidean
+    excess is a quartic: the search starts from the bracket around its
+    first sign change that :func:`_quartic_search` finds from the
+    coefficients, with Newton steps on its exact slope, instead of scanning.
+    So it also enters a member interval narrower than a scan cell, which
+    :meth:`SetOracle.segment_entry` can step over.  Should the excess's
+    rounding put ``x0`` outside, or disagree with ``contains`` on that
+    point, :meth:`SetOracle.segment_entry` answers instead.  A member ``x``
+    raises ``ValueError``, as does a non-member ``x0`` in the segment
+    search.
     """
     if m.contains(x):
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -421,8 +517,10 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
 
     fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0),
                                        m.epsilon + MEMBERSHIP_TOL)
+    quartic = getattr(fast, "coefficients", None)
+    search = {} if quartic is None else _quartic_search(fast, quartic)
     try:
-        tau = float(first_crossing(fast))
+        tau = float(first_crossing(fast, **search))
     except ValueError:  # rounding in ``fast`` can put the anchor itself outside
         if not m.contains(x0):
             raise ValueError("anchor x0 is not a member of the set") from None

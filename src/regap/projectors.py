@@ -201,6 +201,7 @@ class BoxMagnitudeSet(SetOracle):
         if np.any(r < 0):
             raise ValueError("magnitudes must be nonnegative")
         self.magnitudes = r
+        self._negated, self._positive = -r, r > 0
         super().__init__(r.size)
 
     @classmethod
@@ -212,12 +213,14 @@ class BoxMagnitudeSet(SetOracle):
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        base = np.where(x.data < 0, -self.magnitudes, self.magnitudes)
+        data = x.data
+        base = np.where(data < 0, self._negated, self.magnitudes)
         candidates = [Point(base)]
-        ambiguous = np.flatnonzero((x.data == 0) & (self.magnitudes > 0))
-        if ambiguous.size:
-            base[ambiguous[0]] = -self.magnitudes[ambiguous[0]]
-            candidates.append(Point(base))
+        if not data.all():  # only an entry at exactly 0 can be ambiguous
+            ambiguous = np.flatnonzero((data == 0) & self._positive)
+            if ambiguous.size:
+                base[ambiguous[0]] = self._negated[ambiguous[0]]
+                candidates.append(Point(base))
         return candidates
 
     def membership_residual(self, x: Point) -> float:

@@ -11,12 +11,13 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regap.core import (TERMINATION_REASONS, TRACE_COLUMNS, IterationTrace, Point, TraceRecord,
-                        ZeroCone, _norm, write_csv, write_json, write_json_rows)
+from regap.core import (TERMINATION_REASONS, TRACE_COLUMNS, IterationTrace, Point, RayCone,
+                        TraceRecord, ZeroCone, _norm, write_csv, write_json, write_json_rows)
 from regap.projectors import AffineSet
 
 # -0.0, subnormals, the edges of the normal range and magnitudes whose squares
@@ -52,6 +53,34 @@ def test_norm_helper_point_norm_and_zero_cone_equal_numpy(vs):
         for got in (_norm(v), Point(v).norm(), ZeroCone(v.size).distance(v)):
             assert type(got) is float
             assert _same(got, want), (got, want)
+
+
+@given(_vectors(4096), st.booleans())
+def test_ray_direction_equals_numpy(vs, strided):
+    # a strided view takes the copy np.linalg.norm's ravel would make
+    (v,) = vs
+    if strided:
+        v = np.repeat(v, 2)[::2]
+    with np.errstate(over="ignore"):  # a sum of squares may overflow to inf
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:  # all entries zero, or squares that underflow to zero
+            with pytest.raises(ValueError):
+                RayCone(v)
+            return
+        got, want = RayCone(v).direction, v / nrm
+    assert got.tobytes() == want.tobytes()
+
+
+@given(_vectors(64), st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_point_refuses_nan_and_inf_anywhere(vs, data, bad):
+    (v,) = vs
+    assert Point(v).dim == v.size  # the finite vector is accepted
+    v = v.copy()
+    v[data.draw(st.integers(0, v.size - 1))] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Point(v)
+    with pytest.raises(ValueError, match="finite"):
+        RayCone(v)
 
 
 @given(_vectors(4096, count=2))

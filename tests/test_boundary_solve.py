@@ -1,0 +1,256 @@
+"""The boundary solve on a Euclidean ball's quartic, against the generic segment search.
+
+Along a segment, the excess of a Euclidean ball on a quadratic map is a
+quartic in ``t``.  ``bregman_line_boundary`` brackets its first sign change
+from the coefficients, and ``first_crossing`` ends the solve with Newton
+steps on the exact slope.  ``SetOracle.segment_entry``, the 64-cell scan on
+the residual of each built point, is the reference.  These tests import no
+scipy, so the numpy-only CI job runs them too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from regap import cli
+from regap.core import MEMBERSHIP_TOL, Point, SetOracle, first_crossing, lerp
+from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _quartic_search,
+                               bregman_line_boundary)
+
+
+def _ball(x: Point, x0: Point, data, frac: float) -> RegularizedSet:
+    """SquareMap-Euclidean ball whose radius is ``frac`` of the way from r(x0) to r(x)."""
+    n = x.dim
+    probe = RegularizedSet(SquareMap(n), data, EuclideanKernel(), 0.0)
+    r_x, r_0 = probe.residual(x), probe.residual(x0)
+    return RegularizedSet(SquareMap(n), data, EuclideanKernel(), r_0 + frac * (r_x - r_0))
+
+
+def _no_member_before(ball, x, x0, tau, samples=256):
+    """No sampled point of the segment below ``tau - 1e-9`` is a member."""
+    return not any(ball.contains(lerp(x, x0, t))
+                   for t in np.linspace(0.0, tau - 1e-9, samples)[1:] if t > 0.0)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.floats(-3.0, 3.0), st.booleans())
+@example(1, 0, 0.5, 0.0, True)
+@example(64, 1, 0.5, 3.0, True)
+@example(64, 2, 0.5, -3.0, False)
+def test_quartic_solve_matches_segment_entry(n, seed, frac, k, flip):
+    # x scaled by 10^k, the anchor on |x_j| = sqrt(b_j).  Anchors with the
+    # signs of x give quartics convex on [0, 1] (the bracket from Taylor's
+    # bounds); random signs make the segment cross zero, where q need not
+    # be convex, and the bracket is then a monotone piece.
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 2.0, n)
+    data[rng.random(n) < 0.2] = 0.0
+    x = Point(10.0 ** k * 3.0 * rng.standard_normal(n))
+    signs = rng.choice([-1.0, 1.0], n) if flip else np.where(x.data < 0, -1.0, 1.0)
+    x0 = Point(np.sqrt(data) * signs)
+    ball = _ball(x, x0, data, frac)
+    assume(not ball.contains(x) and ball.contains(x0))
+
+    tau, point = bregman_line_boundary(ball, x, x0)
+    s, _ = SetOracle.segment_entry(ball, x, x0)
+    assert ball.contains(point)
+    assert tau <= s + 1e-10
+    if s - tau > 1e-10:
+        # The scan stepped over the member interval the quartic solve entered:
+        # the cell end right after tau is not a member.
+        assert not ball.contains(lerp(x, x0, math.ceil(64.0 * tau) / 64.0))
+    assert _no_member_before(ball, x, x0, tau)
+
+
+def _two_interval_ball(n, scale, spread, where, seed):
+    """A ball the segment enters twice, first where ``x_where`` passes ``-scale``.
+
+    The coordinate ``where`` runs from ``-2 scale`` to ``scale`` with data
+    ``scale²``; the other coordinates sit on their anchor, so they add
+    nothing.  The members along it are ``|x² − scale²| <= spread·scale²``:
+    one interval around ``t = 1/3`` and one ending at ``t = 1``.  Returns
+    the ball, the segment's ends, and the entries of the two intervals.
+    """
+    rng = np.random.default_rng(seed)
+    anchor = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n) * scale
+    anchor[where] = scale
+    start = anchor.copy()
+    start[where] = -2.0 * scale
+    data = anchor ** 2
+    half_width = spread * scale ** 2
+    ball = RegularizedSet(SquareMap(n), data, EuclideanKernel(),
+                          0.5 * half_width ** 2 - MEMBERSHIP_TOL)
+    reach = math.sqrt(2.0 * (ball.epsilon + MEMBERSHIP_TOL))  # the member band of r
+    first = (2.0 * scale - math.sqrt(scale ** 2 + reach)) / (3.0 * scale)
+    second = (2.0 * scale + math.sqrt(scale ** 2 - reach)) / (3.0 * scale)
+    return ball, Point(start), Point(anchor), first, second
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64), st.floats(-1.0, 3.0), st.floats(0.05, 0.3), st.data())
+def test_two_interval_ball_is_entered_on_its_first_interval(n, k, spread, data):
+    # Each interval holds a scan point (the first spans t = 21/64), so the
+    # scan of segment_entry finds the first interval too.
+    where, seed = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2 ** 32 - 1))
+    ball, x, x0, first, second = _two_interval_ball(n, 10.0 ** k, spread, where, seed)
+    assert first < 21 / 64 < 1 / 3 < second
+    tau, point = bregman_line_boundary(ball, x, x0)
+    assert ball.contains(point)
+    assert abs(tau - first) <= 1e-10
+    assert abs(SetOracle.segment_entry(ball, x, x0)[0] - first) <= 1e-10
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64), st.floats(-0.5, 3.0), st.floats(0.0, 1.0), st.data())
+def test_member_interval_narrower_than_a_cell_is_entered(n, k, where_in_range, data):
+    # The first member interval lies strictly inside the cell (21/64, 22/64]
+    # and holds no scan point, so the 64-cell scan of segment_entry steps
+    # over it and answers the second interval's entry.  Asserted: the
+    # quartic solve returns the entry of the narrow first interval, exact to
+    # 1e-10 plus the quartic's own rounding, wherever that rounding is
+    # smaller than the depth the excess dips to there (epsilon + 1e-9).  The
+    # expanded coefficients round at the scale of x⁴, so at scales near 10^3
+    # and the narrowest bands the quartic cannot tell the interval exists;
+    # there it may answer the second entry, or refuse its own member end.
+    # bregman_line_boundary returns the quartic's point when contains
+    # accepts it, and otherwise segment_entry's, the second interval's
+    # entry.  The 1e-9 tolerance alone makes the band of r about 4.5e-5
+    # wide, so at scales below 10^-0.5 no interval this narrow exists.
+    scale = 10.0 ** k
+    low = 4.0 * math.sqrt(2.0 * MEMBERSHIP_TOL) / scale ** 2
+    spread = low + where_in_range * (0.01 - low)
+    where, seed = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2 ** 32 - 1))
+    ball, x, x0, first, second = _two_interval_ball(n, scale, spread, where, seed)
+    assert 21 / 64 < first < 1 / 3 < 22 / 64 < second
+    assert abs(SetOracle.segment_entry(ball, x, x0)[0] - second) <= 1e-10
+    excess = ball.divergence.segment_excess(ball.forward.segment_polynomial(x, x0),
+                                            ball.epsilon + MEMBERSHIP_TOL)
+    c = excess.coefficients
+    try:
+        quartic_tau = first_crossing(excess, **_quartic_search(excess, c))
+    except ValueError:  # rounding put the member end the search starts from outside
+        quartic_tau = math.nan
+
+    def rounding(t):  # of the quartic's Horner value at t
+        return 8 * np.finfo(float).eps * sum(abs(ci) * t ** i for i, ci in enumerate(c))
+
+    def near(entry):  # the quartic's tau, up to the rounding of the quartic's crossing
+        slope = sum(i * ci * entry ** (i - 1) for i, ci in enumerate(c) if i)
+        return abs(quartic_tau - entry) <= 1e-10 + rounding(entry) / abs(slope)
+    blurred = rounding(first) >= ball.epsilon + MEMBERSHIP_TOL
+    assert near(first) or (blurred and (near(second) or math.isnan(quartic_tau)))
+
+    tau, point = bregman_line_boundary(ball, x, x0)
+    assert ball.contains(point)
+    accepted = not math.isnan(quartic_tau) and \
+        ball.contains(ball.forward.segment_point(x, x0, quartic_tau))
+    if accepted:
+        assert tau == quartic_tau
+    else:
+        assert abs(tau - second) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Evaluations per solve on the box-affine sweep
+
+# The instance seeds the benchmark's box_affine_sweep draws at workload seeds 0 and 7.
+_BOX_SWEEPS = {0: (885440, 403958, 794772, 933488, 441001, 42450, 271493, 536110),
+               7: (339563, 993908, 158176, 414002, 682554, 50631, 75954, 861168)}
+
+
+def _counting_quartics(monkeypatch) -> list[int]:
+    """Count the quartic evaluations of each Euclidean boundary solve.
+
+    Every excess a prepared Euclidean divergence makes is wrapped, keeping
+    its coefficients, so the bracket search and ``first_crossing`` are both
+    counted.  The returned list gains one entry per solve.
+    """
+    evals = []
+    against = EuclideanKernel.against
+
+    def counted_against(self, y):
+        prepared = against(self, y)
+        segment_excess = prepared.segment_excess
+
+        def counted_segment_excess(p, bound):
+            excess = segment_excess(p, bound)
+            evals.append(0)
+
+            def counted(t):
+                evals[-1] += 1
+                return excess(t)
+            counted.coefficients = excess.coefficients
+            return counted
+        prepared.segment_excess = counted_segment_excess
+        return prepared
+    monkeypatch.setattr(EuclideanKernel, "against", counted_against)
+    return evals
+
+
+@pytest.mark.parametrize("bench_seed", sorted(_BOX_SWEEPS))
+def test_box_sweep_solves_take_at_most_ten_evaluations(bench_seed, monkeypatch, tmp_path):
+    # tau lies between 0.92 and 0.97 on these sweeps, so a forward scan walks
+    # about 61 of its 64 cells before it refines.
+    evals = _counting_quartics(monkeypatch)
+    seeds = _BOX_SWEEPS[bench_seed]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("problem = box_affine\nalgorithm = regularized_extrapolated\n"
+                   "lambda_schedule = surface\nn = 40\nm = 20\nepsilon_kappa = 1\njobs = 1\n"
+                   f"seed = {', '.join(map(str, seeds))}\nout = {tmp_path / 'out'}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    cycles = sum(len((tmp_path / "out" / f"seed{s}" / "trace.csv").read_text().splitlines()) - 1
+                 for s in seeds)
+    assert len(evals) == cycles > 400
+    assert max(evals) <= 10
+
+
+# ---------------------------------------------------------------------------
+# first_crossing's keyword arguments
+
+def _probed(excess):
+    probes = []
+
+    def counted(t):
+        probes.append((t, excess(t)))
+        return probes[-1][1]
+    return counted, probes
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5), st.floats(0.0, 1.0))
+def test_newton_steps_return_a_member_with_a_non_member_within_tol(coef, level):
+    poly = np.polynomial.Polynomial(coef)
+    start, end = float(poly(0.0)), float(poly(1.0))
+    sign = 1.0 if start > end else -1.0
+    mark = end + level * (start - end)
+    excess = lambda t: sign * (float(poly(t)) - mark)  # noqa: E731
+    slope = lambda t: sign * float(poly.deriv()(t))  # noqa: E731
+    assume(excess(1.0) <= 0.0)
+    counted, probes = _probed(excess)
+    got = first_crossing(counted, bracket=(0.0, 1.0), slope=slope)
+    assert excess(got) <= 0.0
+    assert got <= 1e-12 or any(v > 0.0 and got - 1e-12 <= t < got for t, v in probes)
+
+
+def test_newton_steps_bound_the_evaluations_on_a_quartic_not_convex_on_the_segment():
+    # One boundary solve of the box sweep at workload seed 1: q'' < 0 near 0,
+    # so the bracket is the monotone piece [0, 1].  Illinois steps alone
+    # take 29 evaluations from it; with Newton steps the solve takes 11.
+    c0, c1, c2, c3, c4 = c = (11.47991803504638, -14.160791210329814, -3.26303669256849,
+                              2.9267474753963607, 2.976655542319429)
+    excess, probes = _probed(lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))))
+    search = _quartic_search(excess, c)
+    assert search["bracket"] == (0.0, 1.0)
+    tau = first_crossing(excess, **search)
+    assert abs(tau - 0.9578099157269) <= 1e-12
+    assert len(probes) <= 12
+
+
+def test_bracket_end_must_be_a_member():
+    with pytest.raises(ValueError):
+        first_crossing(lambda t: 0.5 - t, bracket=(0.0, 0.25))
+    assert first_crossing(lambda t: 0.5 - t, bracket=(0.25, 0.75)) == pytest.approx(0.5, abs=1e-12)

@@ -609,17 +609,18 @@ def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
 def _counting_crossings(monkeypatch) -> list[int]:
     """Count the excess evaluations of each boundary solve's ``first_crossing``.
 
-    The returned list gains one entry per ``first_crossing`` call.
+    The returned list gains one entry per ``first_crossing`` call; its
+    keyword arguments (a quartic's bracket and slope) pass through.
     """
     evals = []
 
-    def counted_crossing(excess):
+    def counted_crossing(excess, **search):
         evals.append(0)
 
         def counted(t):
             evals[-1] += 1
             return excess(t)
-        return first_crossing(counted)
+        return first_crossing(counted, **search)
     monkeypatch.setattr("regap.divergences.first_crossing", counted_crossing)
     return evals
 
@@ -821,8 +822,9 @@ class _CountingSquareMap(_CountsValues, SquareMap):
 
 def test_square_euclidean_boundary_evaluates_no_residual_per_probe(monkeypatch):
     # The quartic stands in for g and d at every probe: a solve evaluates
-    # them only for residual(x) and the contains re-check, and first_crossing
-    # takes as many excess evaluations as on the generic excess.
+    # them only for residual(x) and the contains re-check.  first_crossing
+    # starts from the quartic's bracket, so it takes a handful of the
+    # evaluations the generic excess takes to scan and refine.
     divergences = _counting_divergences(monkeypatch, EuclideanKernel)
     evals = _counting_crossings(monkeypatch)
 
@@ -843,7 +845,7 @@ def test_square_euclidean_boundary_evaluates_no_residual_per_probe(monkeypatch):
         probes.append(t)
         return ball.residual(lerp(x, x0, t)) - (ball.epsilon + MEMBERSHIP_TOL)
     assert abs(tau - first_crossing(generic)) <= 1e-10
-    assert evals == [len(probes)]
+    assert len(evals) == 1 and evals[0] <= 10 < len(probes)
 
 
 class _CountingLinearMap(_CountsValues, LinearMap):
