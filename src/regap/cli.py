@@ -549,7 +549,7 @@ def _execute_entry(cfg: ExperimentConfig, entry: RunEntry, outdir: Path) -> tupl
     summary.update(extras)
     trace.to_csv(outdir / "trace.csv")
     trace.to_json(outdir / "trace.json")
-    write_json(outdir / "summary.json", summary, sort_keys=True)
+    write_json(outdir / "summary.json", summary)
     return [(r.k, r.step_norm) for r in trace.records if math.isfinite(r.step_norm)], summary
 
 

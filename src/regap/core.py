@@ -135,8 +135,8 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
 
 @functools.lru_cache(maxsize=None)
 def _scan_grid(scan: int) -> tuple[float, ...]:
-    """The scan's cell ends ``1/scan, 2/scan, ..., 1``, built once per ``scan``."""
-    return tuple(np.linspace(0.0, 1.0, scan + 1)[1:].tolist())
+    """The scan's cell ends below 1, ``1/scan, ..., (scan - 1)/scan``, built once per ``scan``."""
+    return tuple(np.linspace(0.0, 1.0, scan + 1)[1:-1].tolist())
 
 
 def first_crossing(excess: Callable[[float], float], scan: int = 64, *,
@@ -174,10 +174,9 @@ def first_crossing(excess: Callable[[float], float], scan: int = 64, *,
     if not fb <= 0.0:
         raise ValueError("the upper endpoint is not a member")
     fa = math.nan  # lower end: 0 or a non-member; b is always a member
-    if bracket is None:
-        f_hi = fb
+    if bracket is None:  # the last cell ends at 1, where b and fb already are
         for t in _scan_grid(scan):
-            ft = f_hi if t == 1.0 else float(excess(t))
+            ft = float(excess(t))
             if ft <= 0.0:
                 b, fb = t, ft
                 break
@@ -463,31 +462,26 @@ def _strict(value):
     return value
 
 
-def write_json(path, value, sort_keys: bool = False) -> None:
-    """Write ``value`` atomically as strict JSON, indent 1, final newline, via :func:`_strict`.
+def write_json(path, value) -> None:
+    """Write ``value`` atomically as strict JSON via :func:`_strict`.
 
-    A nonempty list of nonempty dicts of plain scalars (trace rows) goes to
-    :func:`write_json_rows`.
+    Keys are sorted, the indent is 1, and a final newline ends the file.
     """
-    value, plain = _strict(value), {str, int, float, bool, type(None)}
-    if value and type(value) is list and all(type(row) is dict and row and plain.issuperset(
-            map(type, row.values())) for row in value):
-        return write_json_rows(path, value, sort_keys)
     with atomic_open(path) as fh:
-        json.dump(value, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        json.dump(_strict(value), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def write_json_rows(path, rows: list[dict], sort_keys: bool = False) -> None:
-    """Write a list of nonempty dicts of strict scalars as :func:`write_json` would.
+def write_json_rows(path, rows: list[dict]) -> None:
+    """Write a list of nonempty dicts of strict scalars as ``json.dump(rows, indent=1)`` would.
 
-    The values must be ``str``, ``int``, finite ``float``, ``bool`` or ``None``.
+    The values must be ``str``, ``int``, finite ``float``, ``bool`` or ``None``,
+    and the keys keep their order.
     The C encoder takes the whole list in one call: with separators ``(",\\n  ", ": ")``
     it writes each row's items as indent 1 does, so only the outer frame and the
     ``},\\n  {`` between rows, which no encoded string can hold, are rewritten.
     """
-    text = json.JSONEncoder(separators=(",\n  ", ": "), sort_keys=sort_keys,
-                            allow_nan=False).encode(rows)
+    text = json.JSONEncoder(separators=(",\n  ", ": "), allow_nan=False).encode(rows)
     if rows:
         text = "[\n {\n  " + text[2:-2].replace("},\n  {", "\n },\n {\n  ") + "\n }\n]"
     with atomic_open(path) as fh:

@@ -414,71 +414,40 @@ def _reach(k: float, s: float, f: float) -> float:
     return f / s if s < 0.0 else math.inf
 
 
-def _unit_roots(e: tuple[float, float, float]) -> list[float]:
-    """Roots of ``e0 + e1 t + e2 t²`` in ``(0, 1)``, ascending."""
-    e0, e1, e2 = e
-    if e2 == 0.0:
-        roots = [-e0 / e1] if e1 != 0.0 else []
-    elif (disc := e1 * e1 - 4.0 * e2 * e0) < 0.0:
-        roots = []
-    else:
-        big = -0.5 * (e1 + math.copysign(math.sqrt(disc), e1))
-        roots = [big / e2, e0 / big] if big != 0.0 else []  # else a double root at 0
-    return sorted(r for r in roots if 0.0 < r < 1.0)
-
-
 def _quartic_search(excess: Callable[[float], float],
                     c: tuple[float, float, float, float, float]) -> dict:
     """Keyword arguments for :func:`~regap.core.first_crossing` on the quartic ``excess``.
 
-    ``c`` are its coefficients, lowest degree first.  ``slope`` is the exact
-    cubic ``q'``, and ``bracket`` isolates the first sign change of ``q``:
+    ``c`` are its coefficients, lowest degree first.  Where ``q'' >= 0`` on
+    ``[0, 1]`` the members form one interval ending at 1.  Taylor's bounds
+    at ``t = 1``, ``q(1) - q'(1) h + k h²/2`` with ``k`` the least and the
+    greatest ``q''`` on ``[1 - h, 1]``, give a non-member ``a`` and a member
+    ``b`` around the crossing: ``k`` is taken on ``[0, 1]`` first, then on
+    the window that bounds the crossing to.  ``bracket`` is ``(a, b)`` and
+    ``slope`` the exact cubic ``q'``.
 
-    - Where ``q'' >= 0`` on ``[0, 1]`` the members form one interval ending
-      at 1.  Taylor's bounds at ``t = 1``, ``q(1) - q'(1) h + k h²/2`` with
-      ``k`` the least and the greatest ``q''`` on ``[1 - h, 1]``, give a
-      non-member ``a`` and a member ``b`` around the crossing.  ``k`` is
-      taken on ``[0, 1]`` first, then on the window that bounds the
-      crossing to.
-    - Otherwise ``q`` is monotone between the roots of ``q'`` (one per
-      piece where ``q''`` keeps its sign, found by bisection), and the
-      first piece whose right end is a member holds the crossing.
-
-    Coefficients that are not finite or whose sum overflows, or a bracket
-    that rounding leaves ill-formed, give no keywords, so the search scans.
+    A quartic not convex on ``[0, 1]``, coefficients that are not finite or
+    whose sum overflows, or a bracket that rounding leaves ill-formed, give
+    no keywords, so the search scans.
     """
     c0, c1, c2, c3, c4 = c
     d1, d2, d3 = 2.0 * c2, 3.0 * c3, 4.0 * c4
     slope = lambda t: c1 + t * (d1 + t * (d2 + t * d3))  # noqa: E731
     e = (d1, 6.0 * c3, 12.0 * c4)  # q''
-    a = b = math.nan
-    if math.isfinite(c0 + c1 + c2 + c3 + c4):
-        low = _curvature_range(e, 0.0, 1.0)[0]
-        if low >= 0.0:
-            f1 = excess(1.0)
-            if not f1 <= 0.0:
-                return {}  # first_crossing refuses the upper end
-            s1 = slope(1.0)
-            # the bounds on [0, 1] confine the crossing to [1 - reach, 1],
-            # and the q'' range on that window tightens them
-            reach = min(1.0, _reach(low, s1, f1))
-            low, high = _curvature_range(e, 1.0 - reach, 1.0)
-            # a hair outside the bounds, so that rounding keeps a < b
-            a = max(0.0, 1.0 - _reach(low, s1, f1) * (1.0 + 1e-6))
-            b = 1.0 - _reach(high, s1, f1) * (1.0 - 1e-6)
-        else:
-            ends, a, b = [0.0, *_unit_roots(e), 1.0], 0.0, 1.0
-            for u, v in zip(ends, ends[1:]):
-                falling = slope(u) < 0.0
-                if falling == (slope(v) < 0.0):
-                    continue  # q' is monotone on [u, v], so q has no critical point inside
-                for _ in range(64):
-                    w = 0.5 * (u + v)
-                    u, v = (w, v) if (slope(w) < 0.0) == falling else (u, w)
-                if excess(v) <= 0.0:
-                    b = v
-                    break
-                a = v
+    low = _curvature_range(e, 0.0, 1.0)[0]
+    if not (math.isfinite(c0 + c1 + c2 + c3 + c4) and low >= 0.0):
+        return {}
+    f1 = excess(1.0)
+    if not f1 <= 0.0:
+        return {}  # first_crossing refuses the upper end
+    s1 = slope(1.0)
+    # the bounds on [0, 1] confine the crossing to [1 - reach, 1],
+    # and the q'' range on that window tightens them
+    reach = min(1.0, _reach(low, s1, f1))
+    low, high = _curvature_range(e, 1.0 - reach, 1.0)
+    # a hair outside the bounds, so that rounding keeps a < b
+    a = max(0.0, 1.0 - _reach(low, s1, f1) * (1.0 + 1e-6))
+    b = 1.0 - _reach(high, s1, f1) * (1.0 - 1e-6)
     return {"bracket": (a, b), "slope": slope} if 0.0 <= a < b <= 1.0 else {}
 
 
@@ -491,11 +460,11 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     raises ``NotImplementedError``) stands in for the residual at every
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
     MEMBERSHIP_TOL``, and only the returned point is built.  A Euclidean
-    excess is a quartic: the search starts from the bracket around its
-    first sign change that :func:`_quartic_search` finds from the
-    coefficients, with Newton steps on its exact slope, instead of scanning.
-    So it also enters a member interval narrower than a scan cell, which
-    :meth:`SetOracle.segment_entry` can step over.  Should the excess's
+    excess is a quartic: where it is convex on ``[0, 1]`` the search starts
+    from the bracket around its sign change that :func:`_quartic_search`
+    finds from the coefficients, with Newton steps on its exact slope,
+    instead of scanning; elsewhere it scans the cells
+    :meth:`SetOracle.segment_entry` scans.  Should the excess's
     rounding put ``x0`` outside, or disagree with ``contains`` on that
     point, :meth:`SetOracle.segment_entry` answers instead.  A member ``x``
     raises ``ValueError``, as does a non-member ``x0`` in the segment

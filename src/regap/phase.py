@@ -308,7 +308,7 @@ def save_instance(instance: PhaseInstance, path) -> None:
         "support_pixels": int(instance.support.sum()),
         "kl_noise_level": instance.kl_noise_level(),
     }
-    write_json(path.with_suffix(path.suffix + ".json"), sidecar, sort_keys=True)
+    write_json(path.with_suffix(path.suffix + ".json"), sidecar)
 
 
 def load_instance(path) -> PhaseInstance:

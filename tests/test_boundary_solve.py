@@ -1,11 +1,12 @@
 """The boundary solve on a Euclidean ball's quartic, against the generic segment search.
 
 Along a segment, the excess of a Euclidean ball on a quadratic map is a
-quartic in ``t``.  ``bregman_line_boundary`` brackets its first sign change
-from the coefficients, and ``first_crossing`` ends the solve with Newton
-steps on the exact slope.  ``SetOracle.segment_entry``, the 64-cell scan on
-the residual of each built point, is the reference.  These tests import no
-scipy, so the numpy-only CI job runs them too.
+quartic in ``t``.  Where it is convex on ``[0, 1]``, ``bregman_line_boundary``
+brackets its sign change from the coefficients, and ``first_crossing`` ends
+the solve with Newton steps on the exact slope; elsewhere ``first_crossing``
+scans it.  ``SetOracle.segment_entry``, the 64-cell scan on the residual of
+each built point, is the reference.  These tests import no scipy, so the
+numpy-only CI job runs them too.
 """
 
 import math
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regap import cli
+from regap import cli, divergences
 from regap.core import MEMBERSHIP_TOL, Point, SetOracle, first_crossing, lerp
-from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _quartic_search,
-                               bregman_line_boundary)
+from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _curvature_range,
+                               _quartic_search, bregman_line_boundary)
 
 
 def _ball(x: Point, x0: Point, data, frac: float) -> RegularizedSet:
@@ -41,11 +42,16 @@ def _no_member_before(ball, x, x0, tau, samples=256):
 @example(1, 0, 0.5, 0.0, True)
 @example(64, 1, 0.5, 3.0, True)
 @example(64, 2, 0.5, -3.0, False)
+@example(1, 17591, 0.0625, 0.05078125, True)
 def test_quartic_solve_matches_segment_entry(n, seed, frac, k, flip):
     # x scaled by 10^k, the anchor on |x_j| = sqrt(b_j).  Anchors with the
-    # signs of x give quartics convex on [0, 1] (the bracket from Taylor's
-    # bounds); random signs make the segment cross zero, where q need not
-    # be convex, and the bracket is then a monotone piece.
+    # signs of x make each x_j² monotone along the segment, so the members
+    # form one interval ending at 1 and none lies before tau; their
+    # quartics are mostly convex on [0, 1] (the bracket from Taylor's
+    # bounds).  Random signs make the segment cross zero, where q need not
+    # be convex, and the quartic is then scanned on segment_entry's cells:
+    # both step over a member interval that holds no cell end (the last
+    # example has one inside (1/64, 2/64]).
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 2.0, n)
     data[rng.random(n) < 0.2] = 0.0
@@ -58,12 +64,8 @@ def test_quartic_solve_matches_segment_entry(n, seed, frac, k, flip):
     tau, point = bregman_line_boundary(ball, x, x0)
     s, _ = SetOracle.segment_entry(ball, x, x0)
     assert ball.contains(point)
-    assert tau <= s + 1e-10
-    if s - tau > 1e-10:
-        # The scan stepped over the member interval the quartic solve entered:
-        # the cell end right after tau is not a member.
-        assert not ball.contains(lerp(x, x0, math.ceil(64.0 * tau) / 64.0))
-    assert _no_member_before(ball, x, x0, tau)
+    assert abs(tau - s) <= 1e-10
+    assert flip or _no_member_before(ball, x, x0, tau)
 
 
 def _two_interval_ball(n, scale, spread, where, seed):
@@ -106,20 +108,18 @@ def test_two_interval_ball_is_entered_on_its_first_interval(n, k, spread, data):
 
 @settings(max_examples=60)
 @given(st.integers(1, 64), st.floats(-0.5, 3.0), st.floats(0.0, 1.0), st.data())
-def test_member_interval_narrower_than_a_cell_is_entered(n, k, where_in_range, data):
+def test_member_interval_narrower_than_a_cell_is_stepped_over(n, k, where_in_range, data):
     # The first member interval lies strictly inside the cell (21/64, 22/64]
     # and holds no scan point, so the 64-cell scan of segment_entry steps
-    # over it and answers the second interval's entry.  Asserted: the
-    # quartic solve returns the entry of the narrow first interval, exact to
-    # 1e-10 plus the quartic's own rounding, wherever that rounding is
-    # smaller than the depth the excess dips to there (epsilon + 1e-9).  The
-    # expanded coefficients round at the scale of x⁴, so at scales near 10^3
-    # and the narrowest bands the quartic cannot tell the interval exists;
-    # there it may answer the second entry, or refuse its own member end.
-    # bregman_line_boundary returns the quartic's point when contains
-    # accepts it, and otherwise segment_entry's, the second interval's
-    # entry.  The 1e-9 tolerance alone makes the band of r about 4.5e-5
-    # wide, so at scales below 10^-0.5 no interval this narrow exists.
+    # over it and answers the second interval's entry.  The quartic is not
+    # convex on [0, 1] (its curvature is negative where x_where passes 0),
+    # so it gets no bracket and its own scan steps over the interval too:
+    # it answers the second entry, up to the rounding of the quartic's
+    # crossing, or refuses its member end where that rounding puts it
+    # outside.  bregman_line_boundary returns the quartic's point when
+    # contains accepts it, and otherwise segment_entry's.  The 1e-9
+    # tolerance alone makes the band of r about 4.5e-5 wide, so at scales
+    # below 10^-0.5 no interval this narrow exists.
     scale = 10.0 ** k
     low = 4.0 * math.sqrt(2.0 * MEMBERSHIP_TOL) / scale ** 2
     spread = low + where_in_range * (0.01 - low)
@@ -130,28 +130,22 @@ def test_member_interval_narrower_than_a_cell_is_entered(n, k, where_in_range, d
     excess = ball.divergence.segment_excess(ball.forward.segment_polynomial(x, x0),
                                             ball.epsilon + MEMBERSHIP_TOL)
     c = excess.coefficients
+    assert _quartic_search(excess, c) == {}
     try:
-        quartic_tau = first_crossing(excess, **_quartic_search(excess, c))
-    except ValueError:  # rounding put the member end the search starts from outside
+        quartic_tau = first_crossing(excess)
+    except ValueError:  # rounding put the member end the scan starts from outside
         quartic_tau = math.nan
 
     def rounding(t):  # of the quartic's Horner value at t
         return 8 * np.finfo(float).eps * sum(abs(ci) * t ** i for i, ci in enumerate(c))
 
-    def near(entry):  # the quartic's tau, up to the rounding of the quartic's crossing
-        slope = sum(i * ci * entry ** (i - 1) for i, ci in enumerate(c) if i)
-        return abs(quartic_tau - entry) <= 1e-10 + rounding(entry) / abs(slope)
-    blurred = rounding(first) >= ball.epsilon + MEMBERSHIP_TOL
-    assert near(first) or (blurred and (near(second) or math.isnan(quartic_tau)))
+    slope = sum(i * ci * second ** (i - 1) for i, ci in enumerate(c) if i)
+    assert math.isnan(quartic_tau) or \
+        abs(quartic_tau - second) <= 1e-10 + rounding(second) / abs(slope)
 
     tau, point = bregman_line_boundary(ball, x, x0)
     assert ball.contains(point)
-    accepted = not math.isnan(quartic_tau) and \
-        ball.contains(ball.forward.segment_point(x, x0, quartic_tau))
-    if accepted:
-        assert tau == quartic_tau
-    else:
-        assert abs(tau - second) <= 1e-10
+    assert tau == quartic_tau or abs(tau - second) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +202,35 @@ def test_box_sweep_solves_take_at_most_ten_evaluations(bench_seed, monkeypatch, 
     assert max(evals) <= 10
 
 
+# The instance seeds of box_affine_sweep at workload seed 1, whose solves
+# include quartics that are not convex on [0, 1].
+_BOX_SWEEP_1 = (140891, 596853, 888598, 841235, 800875, 66172, 267459, 123646)
+
+
+def test_box_sweep_solves_scan_where_the_quartic_is_not_convex(monkeypatch, tmp_path):
+    # Every Euclidean solve's tau agrees with first_crossing's scan of the
+    # same excess, with or without the bracket and slope.
+    solves = []
+
+    def recorded(excess, **search):
+        tau = first_crossing(excess, **search)
+        solves.append((excess, search, tau))
+        return tau
+    monkeypatch.setattr(divergences, "first_crossing", recorded)
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("problem = box_affine\nalgorithm = regularized_extrapolated\n"
+                   "lambda_schedule = surface\nn = 40\nm = 20\nepsilon_kappa = 1\njobs = 1\n"
+                   f"seed = {', '.join(map(str, _BOX_SWEEP_1))}\nout = {tmp_path / 'out'}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert len(solves) > 400
+
+    def convex(c):
+        return _curvature_range((2.0 * c[2], 6.0 * c[3], 12.0 * c[4]), 0.0, 1.0)[0] >= 0.0
+    assert any(not convex(excess.coefficients) and not search for excess, search, _ in solves)
+    for excess, _, tau in solves:
+        assert abs(tau - first_crossing(excess)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # first_crossing's keyword arguments
 
@@ -237,17 +260,15 @@ def test_newton_steps_return_a_member_with_a_non_member_within_tol(coef, level):
 
 
 def test_newton_steps_bound_the_evaluations_on_a_quartic_not_convex_on_the_segment():
-    # One boundary solve of the box sweep at workload seed 1: q'' < 0 near 0,
-    # so the bracket is the monotone piece [0, 1].  Illinois steps alone
-    # take 29 evaluations from it; with Newton steps the solve takes 11.
+    # One boundary solve of the box sweep at workload seed 1: q'' < 0 near 0.
+    # Its monotone piece is all of [0, 1], a bracket in which Newton steps
+    # took 11 evaluations (a convex quartic takes at most 6).  Such a quartic
+    # gets no keywords, and first_crossing scans it as segment_entry does.
     c0, c1, c2, c3, c4 = c = (11.47991803504638, -14.160791210329814, -3.26303669256849,
                               2.9267474753963607, 2.976655542319429)
-    excess, probes = _probed(lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))))
-    search = _quartic_search(excess, c)
-    assert search["bracket"] == (0.0, 1.0)
-    tau = first_crossing(excess, **search)
-    assert abs(tau - 0.9578099157269) <= 1e-12
-    assert len(probes) <= 12
+    excess = lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))  # noqa: E731
+    assert _quartic_search(excess, c) == {}
+    assert abs(first_crossing(excess) - 0.9578099157269) <= 1e-12
 
 
 def test_bracket_end_must_be_a_member():
