@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Console-script smoke: `regap run` on five small configs, `regap report` on
 # the runs (its tables byte-compared with the sweep's own), `regap synth` and
-# a custom run on its instance, six bad inputs with their documented exit
+# a custom run on its instance, seven bad inputs with their documented exit
 # codes (one is a report of a run directory given twice), and a last pass
 # that parses every JSON file written as strict JSON.
 #
@@ -167,6 +167,12 @@ status=0
 $regap synth --config "$work/synth_bad.cfg" --out "$work/synth_bad/inst.phz" || status=$?
 test "$status" -eq 2
 test ! -e "$work/synth_bad"
+
+# a seed an instance file cannot store (2**64) is a configuration error too
+status=0
+$regap synth --seed 18446744073709551616 --out "$work/synth_big/inst.phz" || status=$?
+test "$status" -eq 2
+test ! -e "$work/synth_big"
 
 # every JSON file written above is strict JSON: NaN and Infinity are refused
 python3 - "$work" <<'PY'

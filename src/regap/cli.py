@@ -225,8 +225,8 @@ class ExperimentConfig:
         # Every key now belongs to this pair, and every default passes these.
         if self.jobs < 1 or self.n_restarts < 1:
             raise ConfigError("jobs and n_restarts must be positive")
-        if min(self.seed) < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not all(0 <= seed < 2**64 for seed in self.seed):  # instance files store a uint64
+            raise ConfigError("seed must satisfy 0 <= seed < 2**64")
         if self.lambda_schedule == CUSTOM and not self.lambda_values:
             raise ConfigError("lambda_schedule custom requires lambda_values")
         if self.lambda_schedule != CUSTOM and self.lambda_values:

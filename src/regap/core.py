@@ -352,13 +352,10 @@ class SetOracle:
     Subclasses must set ``dim`` (real storage length) and ``kind`` and
     implement :meth:`project` and :meth:`membership_residual`.  ``project``
     returns the full finite candidate set; use :func:`canonical_point` to pick
-    the deterministic representative.  ``convex`` marks sets whose
-    ``membership_residual`` is a convex function, so the members on a segment
-    form an interval and :meth:`segment_entry` needs no scan for the first one.
+    the deterministic representative.
     """
 
     kind = REAL
-    convex = False
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -377,12 +374,11 @@ class SetOracle:
         """First member ``(s, (1 - s) x + s y)`` of the segment from ``x`` to the member ``y``.
 
         :func:`first_crossing` on ``membership_residual(lerp(x, y, s)) -
-        MEMBERSHIP_TOL``, exactly the test of :meth:`contains`, with no scan
-        on a convex set; the point is built by :func:`lerp` as each probe
-        was, so it is a member.  Every fast path is tested against it.
+        MEMBERSHIP_TOL``, exactly the test of :meth:`contains`; the point is
+        built by :func:`lerp` as each probe was, so it is a member.  Every
+        fast path is tested against it.
         """
-        s = first_crossing(lambda s: self.membership_residual(lerp(x, y, s)) - MEMBERSHIP_TOL,
-                           scan=1 if self.convex else 64)
+        s = first_crossing(lambda s: self.membership_residual(lerp(x, y, s)) - MEMBERSHIP_TOL)
         return s, lerp(x, y, s)
 
     def normal_cone_at(self, x: Point) -> NormalCone:
@@ -472,22 +468,6 @@ def write_json(path, value) -> None:
         fh.write("\n")
 
 
-def write_json_rows(path, rows: list[dict]) -> None:
-    """Write a list of nonempty dicts of strict scalars as ``json.dump(rows, indent=1)`` would.
-
-    The values must be ``str``, ``int``, finite ``float``, ``bool`` or ``None``,
-    and the keys keep their order.
-    The C encoder takes the whole list in one call: with separators ``(",\\n  ", ": ")``
-    it writes each row's items as indent 1 does, so only the outer frame and the
-    ``},\\n  {`` between rows, which no encoded string can hold, are rewritten.
-    """
-    text = json.JSONEncoder(separators=(",\n  ", ": "), allow_nan=False).encode(rows)
-    if rows:
-        text = "[\n {\n  " + text[2:-2].replace("},\n  {", "\n },\n {\n  ") + "\n }\n]"
-    with atomic_open(path) as fh:
-        fh.write(text + "\n")
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header``, then ``rows``, atomically as CSV: floats as ``.17g``, ``None`` empty."""
     with atomic_open(path, newline="") as fh:
@@ -574,6 +554,7 @@ class IterationTrace:
             fh.write("".join(line % row for row in self._rows()))
 
     def to_json(self, path) -> None:
-        """Write the rows as strict JSON: non-finite values become ``null``."""
-        write_json_rows(path, [dict(zip(TRACE_COLUMNS, row))
-                               for row in self._rows(strict=True)])
+        """Write the rows as one line of strict JSON: non-finite values become ``null``."""
+        rows = [dict(zip(TRACE_COLUMNS, row)) for row in self._rows(strict=True)]
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(rows, allow_nan=False) + "\n")

@@ -29,8 +29,6 @@ class KernelDomainError(ValueError):
 
 
 def _as_array(v) -> np.ndarray:
-    if isinstance(v, Point):
-        return v.data
     return np.asarray(v, dtype=np.float64)
 
 
@@ -157,14 +155,12 @@ class ForwardMap:
     ``value`` evaluates g and ``pullback`` applies the Jacobian adjoint
     Dg(x)^T w in real-storage coordinates.  ``segment_polynomial(x, a)``
     gives ``(p0, p1, p2)`` with ``g((1 - t) x + t a) = p0 + p1 t + p2 t^2``,
-    which the boundary solve hands to the kernel's prepared divergence;
-    affine maps (``is_affine``) inherit it, quadratic maps override it.
+    which the boundary solve hands to the kernel's prepared divergence.
     """
 
     in_dim: int
     out_dim: int
     in_kind: str = REAL
-    is_affine = False
 
     def value(self, x: Point) -> np.ndarray:
         raise NotImplementedError
@@ -177,11 +173,7 @@ class ForwardMap:
         return lerp(x, a, t)
 
     def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficients ``(g(x), g(a) − g(x), 0)``, exact for affine maps only."""
-        if not self.is_affine:
-            raise NotImplementedError(f"{type(self).__name__} has no segment polynomial")
-        gx = self.value(x)
-        return gx, self.value(a) - gx, np.zeros_like(gx)
+        raise NotImplementedError(f"{type(self).__name__} has no segment polynomial")
 
     def _check(self, x: Point) -> None:
         if x.dim != self.in_dim or x.kind != self.in_kind:
@@ -191,23 +183,7 @@ class ForwardMap:
             )
 
 
-class IdentityMap(ForwardMap):
-    is_affine = True
-
-    def __init__(self, n: int):
-        self.in_dim = self.out_dim = int(n)
-
-    def value(self, x: Point) -> np.ndarray:
-        self._check(x)
-        return x.data.copy()
-
-    def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
-        return np.asarray(w, dtype=np.float64).copy()
-
-
 class LinearMap(ForwardMap):
-    is_affine = True
-
     def __init__(self, matrix):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         self.out_dim, self.in_dim = self.matrix.shape
@@ -218,6 +194,16 @@ class LinearMap(ForwardMap):
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ np.asarray(w, dtype=np.float64)
+
+    def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(A x, A a − A x, 0)`` of ``t -> g((1 - t) x + t a)``."""
+        gx = self.value(x)
+        return gx, self.value(a) - gx, np.zeros_like(gx)
+
+
+class IdentityMap(LinearMap):
+    def __init__(self, n: int):
+        super().__init__(np.eye(int(n)))
 
 
 class SquareMap(ForwardMap):
@@ -454,8 +440,8 @@ def _quartic_search(excess: Callable[[float], float],
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
     """``m.segment_entry(x, x0)``, the first member of the segment from ``x`` to ``x0``, fast.
 
-    Returns ``(tau, point)``.  Euclidean kernels with affine maps solve a
-    closed-form quadratic.  Otherwise the prepared divergence's
+    Returns ``(tau, point)``.  Euclidean kernels with a :class:`LinearMap`
+    solve a closed-form quadratic.  Otherwise the prepared divergence's
     ``segment_excess`` on the map's ``segment_polynomial`` (a map with none
     raises ``NotImplementedError``) stands in for the residual at every
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
@@ -473,7 +459,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     if m.contains(x):
         raise ValueError("x is already a member; no boundary crossing to find")
 
-    if isinstance(m.kernel, EuclideanKernel) and m.forward.is_affine:
+    if isinstance(m.kernel, EuclideanKernel) and isinstance(m.forward, LinearMap):
         u = m.forward.value(x) - m.data
         d = m.forward.value(x0) - m.data - u
         a, b, c = 0.5 * float(d @ d), float(u @ d), 0.5 * float(u @ u) - m.epsilon

@@ -43,8 +43,6 @@ class AffineSet(SetOracle):
     :meth:`normal_cone_at` does not measure it again.
     """
 
-    convex = True
-
     def __init__(self, matrix, rhs):
         a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         b = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
@@ -92,7 +90,7 @@ class AffineSet(SetOracle):
         ``contains`` on the entry point, the default answers instead.
         """
         residual = self._residual_along(x, y)
-        try:
+        try:  # the residual along a segment to a member is convex: no scan
             s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, scan=1)
         except ValueError:
             return super().segment_entry(x, y)
@@ -110,8 +108,6 @@ class AffineSet(SetOracle):
 
 class HalfspaceSet(SetOracle):
     """Halfspace {x : <a, x> <= beta}."""
-
-    convex = True
 
     def __init__(self, normal, offset: float):
         a = np.atleast_1d(np.asarray(normal, dtype=np.float64))
@@ -153,8 +149,6 @@ class SupportNonnegSet(SetOracle):
     forced-zero real parts and, for complex storage, every imaginary part;
     the other coordinates are nonnegative.
     """
-
-    convex = True
 
     def __init__(self, forced_zero, n: int, kind: str = REAL):
         self.kind = kind

@@ -1,11 +1,12 @@
 """Fast paths that must equal their reference bit for bit: norms, strict JSON, trace CSV.
 
 numpy is not pinned, so these tests, not a version number, hold the norm helper
-to ``np.linalg.norm``; the trace-row JSON writer is held to ``json.dump(...,
-indent=1)`` and the trace CSV writer to ``write_csv``.  They import no scipy, so
-the numpy-only CI job runs them too.
+to ``np.linalg.norm``; the trace CSV writer is held to ``write_csv``, and the
+trace JSON to ``json.dumps`` of the same rows.  They import no scipy, so the
+numpy-only CI job runs them too.
 """
 
+import csv
 import json
 import math
 from unittest import mock
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from regap.core import (TERMINATION_REASONS, TRACE_COLUMNS, IterationTrace, Point, RayCone,
-                        TraceRecord, ZeroCone, _norm, write_csv, write_json, write_json_rows)
+                        TraceRecord, ZeroCone, _norm, write_csv, write_json)
 from regap.projectors import AffineSet
 
 # -0.0, subnormals, the edges of the normal range and magnitudes whose squares
@@ -142,14 +143,6 @@ def test_write_json_other_values_take_the_reference_path(tmp_path_factory, value
                                           allow_nan=False) + "\n"
 
 
-@given(st.lists(_ROW.map(_nulled), min_size=0, max_size=6))
-def test_write_json_rows_is_one_encoder_call_with_the_same_bytes(tmp_path_factory, rows):
-    path = tmp_path_factory.getbasetemp() / "rows.json"
-    with mock.patch.object(json, "dump", side_effect=AssertionError("reference path taken")):
-        write_json_rows(path, rows)
-    assert path.read_text() == json.dumps(rows, indent=1, allow_nan=False) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Trace writers
 
@@ -167,8 +160,17 @@ def test_trace_writers_equal_write_csv_and_json_dump(tmp_path_factory, cells, re
     trace.to_csv(base / "trace.csv")
     write_csv(base / "want.csv", TRACE_COLUMNS, trace._rows())
     assert (base / "trace.csv").read_bytes() == (base / "want.csv").read_bytes()
-    with mock.patch.object(json, "dump", side_effect=AssertionError("reference path taken")):
-        trace.to_json(base / "trace.json")
+    trace.to_json(base / "trace.json")
     rows = [dict(zip(TRACE_COLUMNS, (k, *values, reason))) for k, values in enumerate(cells)]
-    want = json.dumps(_nulled(rows), indent=1, allow_nan=False) + "\n"
-    assert (base / "trace.json").read_text() == want
+    text = (base / "trace.json").read_text()
+    assert text == json.dumps(_nulled(rows), allow_nan=False) + "\n"
+    # the parsed rows are the CSV rows, with null where the CSV holds nan or inf
+    with open(base / "trace.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    assert len(csv_rows) == len(rows)
+    for parsed, row in zip(json.loads(text), csv_rows):
+        assert list(parsed) == list(row)
+        assert parsed["k"] == int(row["k"]) and parsed["reason"] == row["reason"]
+        for column in TRACE_COLUMNS[1:-1]:
+            cell = float(row[column])
+            assert parsed[column] == (cell if math.isfinite(cell) else None)

@@ -655,7 +655,9 @@ def test_jobs_beyond_the_sweep_start_one_worker_per_entry(tmp_path, monkeypatch)
     assert (tmp_path / "sweep" / "seed2" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("verb, seed", [("run", "-1"), ("run", "1, -1"), ("synth", "-1")])
+@pytest.mark.parametrize("verb, seed", [("run", "-1"), ("run", "1, -1"), ("synth", "-1"),
+                                        ("synth", "18446744073709551616"),
+                                        ("run", "0, 18446744073709551616")])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, verb, seed):
     out = tmp_path / "out"
     if verb == "run":

@@ -11,8 +11,7 @@ from scipy import linalg
 from regap.core import (COMPLEX, REAL, DimensionMismatchError, IterationTrace,
                         Point, RayCone, SetOracle, SignedProductCone,
                         SubspaceCone, TraceRecord, ZeroCone, canonical_point,
-                        first_crossing, lerp, null_space, orth, write_csv, write_json,
-                        write_json_rows)
+                        first_crossing, lerp, null_space, orth, write_csv, write_json)
 from regap.projectors import HalfspaceSet
 
 
@@ -451,19 +450,14 @@ _NUMPY_AND_NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("write, value, text", [
-    (write_json, _NUMPY_AND_NON_FINITE,
-     '{\n "count": 3,\n "flag": true,\n "gap": null,\n "label": "a",\n "rate": 0.1,\n'
-     ' "rows": [\n  {\n   "k": 0,\n   "step": null\n  },\n  {\n   "k": 1,\n'
-     '   "step": 0.5\n  }\n ],\n "top": null\n}\n'),
-    (write_json_rows, [{"step": None, "k": 0}, {"step": 0.5, "k": 1}],
-     '[\n {\n  "step": null,\n  "k": 0\n },\n {\n  "step": 0.5,\n  "k": 1\n }\n]\n'),
-], ids=["sorted", "rows-in-order"])
-def test_write_json_text(tmp_path, write, value, text):
-    # write_json sorts the keys of summaries and sidecars; trace rows keep their column order
+def test_write_json_text(tmp_path):
+    # keys sorted, indent 1, numpy scalars as numbers and non-finite values as null
     path = tmp_path / "v.json"
-    write(path, value)
-    assert path.read_text() == text
+    write_json(path, _NUMPY_AND_NON_FINITE)
+    assert path.read_text() == (
+        '{\n "count": 3,\n "flag": true,\n "gap": null,\n "label": "a",\n "rate": 0.1,\n'
+        ' "rows": [\n  {\n   "k": 0,\n   "step": null\n  },\n  {\n   "k": 1,\n'
+        '   "step": 0.5\n  }\n ],\n "top": null\n}\n')
 
 
 def test_write_csv_cells(tmp_path):

@@ -856,15 +856,15 @@ class _CountingLinearMap(_CountsValues, LinearMap):
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 0.95))
 def test_linear_kl_boundary_uses_the_affine_polynomial(rows, cols, seed, frac):
-    # A linear map inherits (g(x), g(a) - g(x), 0): a solve evaluates g for
-    # the polynomial's two ends and the contains re-check, and never per
+    # A linear map's polynomial is (g(x), g(a) - g(x), 0): a solve evaluates g
+    # for the polynomial's two ends and the contains re-check, and never per
     # probe (residual(x) is remembered from the membership test above).
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.1, 1.0, (rows, cols))
     x0 = Point(rng.uniform(0.5, 1.5, cols))
     x = Point(x0.data + rng.uniform(0.5, 5.0, cols))
     forward = _CountingLinearMap(A)
-    assert type(forward).segment_polynomial is ForwardMap.segment_polynomial
+    assert type(forward).segment_polynomial is LinearMap.segment_polynomial
     ball = _outside_ball(forward, A @ x0.data, KullbackLeiblerKernel(), x, x0, frac)
     assume(not ball.contains(x))
     forward.values = 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import NonlinearConstraint, minimize
@@ -187,6 +187,29 @@ def test_every_set_refuses_a_point_of_another_space(name, method):
     oracle = _SMALL_SETS[name]()
     with pytest.raises(DimensionMismatchError):
         getattr(oracle, method)(Point(np.zeros(3)))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_halfspace_generic_segment_entry_is_the_closed_form(n, seed, k):
+    # SetOracle.segment_entry scans a halfspace as it scans any set.  Along the
+    # segment, v = <a, .> - beta is affine, so the entry is the closed form
+    # v(x) / (v(x) - v(y)), moved in by the membership tolerance of the
+    # residual v / ||a||; segments span at least a tenth of their scale 10^k.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n)
+    half = HalfspaceSet(a, 10.0 ** k * rng.standard_normal())
+    x, y = (Point(10.0 ** k * rng.standard_normal(n)) for _ in range(2))
+    vx, vy = (float(a @ p.data) - half.offset for p in (x, y))
+    if vx < vy:
+        x, y, vx, vy = y, x, vy, vx
+    scale = np.linalg.norm(a) * max(x.norm(), y.norm()) + abs(half.offset)
+    assume(vy <= 0.0 < vx and vx - vy >= 0.1 * scale and vx >= 1e-6 * scale)
+    s, point = SetOracle.segment_entry(half, x, y)
+    assert half.contains(point)
+    closed = vx / (vx - vy)
+    tol = MEMBERSHIP_TOL * np.linalg.norm(a) / (vx - vy)
+    assert closed - tol - 1e-11 <= s <= closed - tol + 1e-11
 
 
 def test_halfspace_projection():
