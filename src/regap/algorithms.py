@@ -99,8 +99,8 @@ class InexactAPConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.fixed_point_tolerance <= 0:
-            raise ValueError("fixed_point_tolerance must be positive")
+        if not 0.0 < self.fixed_point_tolerance < math.inf:
+            raise ValueError("fixed_point_tolerance must be positive and finite")
         if self.gap_stall_window < 1:
             raise ValueError("gap_stall_window must be positive")
         if self.lambda_schedule not in LAMBDA_SCHEDULES:
@@ -112,8 +112,9 @@ class InexactAPConfig:
             if not seq or any(not 0.0 < v <= 1.0 for v in seq):
                 raise ValueError("lambda values of the custom schedule must lie in (0, 1]")
             self.lambda_sequence = seq
-        if self.membership_tolerance is not None and self.membership_tolerance <= 0:
-            raise ValueError("membership_tolerance must be positive")
+        if self.membership_tolerance is not None \
+                and not 0.0 < self.membership_tolerance < math.inf:
+            raise ValueError("membership_tolerance must be positive and finite")
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import math
 import os
@@ -133,37 +132,35 @@ def canonical_point(candidates: Sequence[Point]) -> Point:
     return min(candidates, key=lambda p: tuple(p.data.tolist()))
 
 
-@functools.lru_cache(maxsize=None)
-def _scan_grid(scan: int) -> tuple[float, ...]:
-    """The scan's cell ends below 1, ``1/scan, ..., (scan - 1)/scan``, built once per ``scan``."""
-    return tuple(np.linspace(0.0, 1.0, scan + 1)[1:-1].tolist())
+SCAN_GRID = tuple(k / 64 for k in range(65))  # 0, 1/64, ..., 1: the ends of the scan's cells
 
 
-def first_crossing(excess: Callable[[float], float], scan: int = 64, *,
+def first_crossing(excess: Callable[[float], float], *,
                    bracket: tuple[float, float] | None = None,
                    slope: Callable[[float], float] | None = None) -> float:
     """Smallest member ``t`` in ``(0, 1]``, where ``t`` is a member iff ``excess(t) <= 0``.
 
     Callers pass a residual minus its bound, so membership is exactly the
-    test ``residual <= bound``.  A forward scan of ``scan`` cells from 0
-    brackets the first member, so on non-monotone excesses the first
-    crossing is returned.  The bracket is then narrowed to ``tol = 1e-12``
-    by at most 200 Illinois (modified regula falsi) steps, with
-    ``excess(0)`` taken to seed them when the first cell holds the
-    crossing.  Each probe aims ``tol/4`` past the secant root, so the member
-    end lands strictly inside the set, and stays ``tol/2`` inside the
-    bracket, so the last steps close it from both sides.  A step bisects
-    instead when an end value is unknown or not finite, or when the bracket
-    is wider than ``2**(1 - k/2)`` scan cells after ``k`` steps; the
-    refinement thus takes at most about twice bisection's evaluations.
+    test ``residual <= bound``.  A forward scan of the 64 cells of
+    ``SCAN_GRID`` brackets the first member, so on non-monotone excesses
+    the first crossing is returned.  The bracket is then narrowed to
+    ``tol = 1e-12`` by at most 200 Illinois (modified regula falsi) steps,
+    with ``excess(0)`` taken to seed them when the bracket starts at 0.
+    Each probe aims ``tol/4`` past the secant root, so the member end
+    lands strictly inside the set, and stays ``tol/2`` inside the bracket,
+    so the last steps close it from both sides.  A step bisects instead
+    when an end value is unknown or not finite, or when the bracket is
+    wider than ``2**(1 - k/2)`` times its first width after ``k`` steps;
+    the refinement thus takes at most about twice bisection's evaluations.
     ``excess(1) <= 0`` must hold.  The returned value is always a member
     with a non-member, or 0, within ``tol`` below it.
 
     A caller that knows more of the excess passes it by keyword:
 
-    - ``bracket``: ``(a, b)`` such that no member lies in ``(0, a]`` and
-      the excess changes sign once in ``(a, b]``.  The scan is skipped and
-      ``excess(b) <= 0`` must hold instead of ``excess(1) <= 0``.
+    - ``bracket``: ``(a, b)``, the cell in which the scan would bracket the
+      crossing: no member lies in ``(0, a]`` and the excess changes sign
+      once in ``(a, b]``.  The scan is skipped and ``excess(b) <= 0`` must
+      hold instead of ``excess(1) <= 0``.
     - ``slope``: the derivative of the excess.  Each step first tries the
       Newton step from the latest probe, taken when its root falls inside
       the bracket and aimed and kept inside as the secant step is.
@@ -175,16 +172,16 @@ def first_crossing(excess: Callable[[float], float], scan: int = 64, *,
         raise ValueError("the upper endpoint is not a member")
     fa = math.nan  # lower end: 0 or a non-member; b is always a member
     if bracket is None:  # the last cell ends at 1, where b and fb already are
-        for t in _scan_grid(scan):
+        for t in SCAN_GRID[1:-1]:
             ft = float(excess(t))
             if ft <= 0.0:
                 b, fb = t, ft
                 break
             a, fa = t, ft
-        if a == 0.0:
-            f_lo = float(excess(0.0))
-            if f_lo > 0.0:
-                fa = f_lo
+    if a == 0.0:
+        f_lo = float(excess(0.0))
+        if f_lo > 0.0:
+            fa = f_lo
     limit, shrink = 2.0 * (b - a), math.sqrt(0.5)
     moved = 0  # +1 when the last step moved b, -1 when it moved a
     last, f_last = b, fb  # the latest probe, where a Newton step starts

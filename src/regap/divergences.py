@@ -11,14 +11,13 @@ approximate projections.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, DimensionMismatchError, NormalCone,
-                   NormalConeUnavailableError, Point, RayCone, SetOracle, SolverError, ZeroCone,
-                   first_crossing, lerp)
+from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, SCAN_GRID, DimensionMismatchError,
+                   NormalCone, NormalConeUnavailableError, Point, RayCone, SetOracle, SolverError,
+                   ZeroCone, first_crossing, lerp)
 
 CLIP_FLOOR = 1e-300
 NEWTON_MAX_DIM = 50  # largest ambient dimension project_regularized_exact accepts
@@ -383,58 +382,29 @@ class RegularizedSet(SetOracle):
         return RayCone(grad.data)
 
 
-def _curvature_range(e: tuple[float, float, float], u: float, v: float) -> tuple[float, float]:
-    """Least and greatest value of ``e0 + e1 t + e2 t²`` on ``[u, v]``."""
-    e0, e1, e2 = e
-    values = [e0 + u * (e1 + u * e2), e0 + v * (e1 + v * e2)]
-    if e2 != 0.0 and u < (w := -0.5 * e1 / e2) < v:
-        values.append(e0 + w * (e1 + w * e2))
-    return min(values), max(values)
+# t⁰, ..., t⁴ at the scan's cell ends 1/64, ..., 1: a quartic's values there in one product
+_CELL_POWERS = np.power.outer(SCAN_GRID[1:], np.arange(5.0))
 
 
-def _reach(k: float, s: float, f: float) -> float:
-    """Positive root ``h`` of ``f - s h + k h²/2`` for ``f <= 0 <= k``; inf if there is none."""
-    if k > 0.0:
-        r = math.sqrt(s * s - 2.0 * k * f)
-        return (s + r) / k if s > 0.0 else (-2.0 * f / (r - s) if r > s else 0.0)
-    return f / s if s < 0.0 else math.inf
+def _quartic_search(c: tuple[float, float, float, float, float]) -> dict:
+    """Keyword arguments for :func:`~regap.core.first_crossing` on a quartic.
 
-
-def _quartic_search(excess: Callable[[float], float],
-                    c: tuple[float, float, float, float, float]) -> dict:
-    """Keyword arguments for :func:`~regap.core.first_crossing` on the quartic ``excess``.
-
-    ``c`` are its coefficients, lowest degree first.  Where ``q'' >= 0`` on
-    ``[0, 1]`` the members form one interval ending at 1.  Taylor's bounds
-    at ``t = 1``, ``q(1) - q'(1) h + k h²/2`` with ``k`` the least and the
-    greatest ``q''`` on ``[1 - h, 1]``, give a non-member ``a`` and a member
-    ``b`` around the crossing: ``k`` is taken on ``[0, 1]`` first, then on
-    the window that bounds the crossing to.  ``bracket`` is ``(a, b)`` and
-    ``slope`` the exact cubic ``q'``.
-
-    A quartic not convex on ``[0, 1]``, coefficients that are not finite or
-    whose sum overflows, or a bracket that rounding leaves ill-formed, give
-    no keywords, so the search scans.
+    ``c`` are its coefficients, lowest degree first.  The quartic is taken
+    at the scan's 64 cell ends in one product, and ``bracket`` is the first
+    cell whose right end is a member there; ``slope`` is the exact cubic
+    ``q'``.  The product can round to the other side of zero than the
+    scalar Horner value at a cell end within rounding of zero: then
+    ``first_crossing`` refuses the bracket's member end or, where no end is
+    a member, gets no keywords and scans.
     """
-    c0, c1, c2, c3, c4 = c
-    d1, d2, d3 = 2.0 * c2, 3.0 * c3, 4.0 * c4
-    slope = lambda t: c1 + t * (d1 + t * (d2 + t * d3))  # noqa: E731
-    e = (d1, 6.0 * c3, 12.0 * c4)  # q''
-    low = _curvature_range(e, 0.0, 1.0)[0]
-    if not (math.isfinite(c0 + c1 + c2 + c3 + c4) and low >= 0.0):
+    members = _CELL_POWERS.dot(c) <= 0.0
+    k = int(members.argmax())  # the first member end, or 0 where there is none
+    if not members[k]:
         return {}
-    f1 = excess(1.0)
-    if not f1 <= 0.0:
-        return {}  # first_crossing refuses the upper end
-    s1 = slope(1.0)
-    # the bounds on [0, 1] confine the crossing to [1 - reach, 1],
-    # and the q'' range on that window tightens them
-    reach = min(1.0, _reach(low, s1, f1))
-    low, high = _curvature_range(e, 1.0 - reach, 1.0)
-    # a hair outside the bounds, so that rounding keeps a < b
-    a = max(0.0, 1.0 - _reach(low, s1, f1) * (1.0 + 1e-6))
-    b = 1.0 - _reach(high, s1, f1) * (1.0 - 1e-6)
-    return {"bracket": (a, b), "slope": slope} if 0.0 <= a < b <= 1.0 else {}
+    _, c1, c2, c3, c4 = c
+    d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
+    return {"bracket": (SCAN_GRID[k], SCAN_GRID[k + 1]),
+            "slope": lambda t: c1 + t * (d2 + t * (d3 + t * d4))}
 
 
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
@@ -446,15 +416,14 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     raises ``NotImplementedError``) stands in for the residual at every
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
     MEMBERSHIP_TOL``, and only the returned point is built.  A Euclidean
-    excess is a quartic: where it is convex on ``[0, 1]`` the search starts
-    from the bracket around its sign change that :func:`_quartic_search`
-    finds from the coefficients, with Newton steps on its exact slope,
-    instead of scanning; elsewhere it scans the cells
-    :meth:`SetOracle.segment_entry` scans.  Should the excess's
-    rounding put ``x0`` outside, or disagree with ``contains`` on that
-    point, :meth:`SetOracle.segment_entry` answers instead.  A member ``x``
-    raises ``ValueError``, as does a non-member ``x0`` in the segment
-    search.
+    excess is a quartic: :func:`_quartic_search` finds from its
+    coefficients the scan cell that holds the first member, and the search
+    refines it with Newton steps on its exact slope.  Either way the entry
+    is found on the cells :meth:`SetOracle.segment_entry` scans.  Should
+    the excess's rounding put ``x0`` outside, or disagree with ``contains``
+    on that point, :meth:`SetOracle.segment_entry` answers instead.  A
+    member ``x`` raises ``ValueError``, as does a non-member ``x0`` in the
+    segment search.
     """
     if m.contains(x):
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -473,7 +442,7 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0),
                                        m.epsilon + MEMBERSHIP_TOL)
     quartic = getattr(fast, "coefficients", None)
-    search = {} if quartic is None else _quartic_search(fast, quartic)
+    search = {} if quartic is None else _quartic_search(quartic)
     try:
         tau = float(first_crossing(fast, **search))
     except ValueError:  # rounding in ``fast`` can put the anchor itself outside

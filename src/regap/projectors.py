@@ -90,8 +90,8 @@ class AffineSet(SetOracle):
         ``contains`` on the entry point, the default answers instead.
         """
         residual = self._residual_along(x, y)
-        try:  # the residual along a segment to a member is convex: no scan
-            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, scan=1)
+        try:  # the residual along a segment to a member changes sign once: no scan
+            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, bracket=(0.0, 1.0))
         except ValueError:
             return super().segment_entry(x, y)
         point = lerp(x, y, s)
@@ -111,11 +111,15 @@ class HalfspaceSet(SetOracle):
 
     def __init__(self, normal, offset: float):
         a = np.atleast_1d(np.asarray(normal, dtype=np.float64))
+        if not np.all(np.isfinite(a)):
+            raise ValueError("normal entries must be finite")
         if np.linalg.norm(a) == 0:
             raise ValueError("normal must be nonzero")
+        self.offset = float(offset)
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         super().__init__(a.size)
         self.normal = a
-        self.offset = float(offset)
         self._sq = float(a @ a)
 
     def _violation(self, x: Point) -> float:
@@ -192,8 +196,8 @@ class BoxMagnitudeSet(SetOracle):
 
     def __init__(self, magnitudes):
         r = np.atleast_1d(np.asarray(magnitudes, dtype=np.float64))
-        if np.any(r < 0):
-            raise ValueError("magnitudes must be nonnegative")
+        if not np.all((r >= 0) & (r < np.inf)):
+            raise ValueError("magnitudes must be finite and nonnegative")
         self.magnitudes = r
         self._negated, self._positive = -r, r > 0
         super().__init__(r.size)
@@ -201,8 +205,8 @@ class BoxMagnitudeSet(SetOracle):
     @classmethod
     def from_intensity(cls, intensity) -> "BoxMagnitudeSet":
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
-        if np.any(b < 0):
-            raise ValueError("intensities must be nonnegative")
+        if not np.all((b >= 0) & (b < np.inf)):
+            raise ValueError("intensities must be finite and nonnegative")
         return cls(np.sqrt(b))
 
     def project(self, x: Point) -> list[Point]:
@@ -255,8 +259,8 @@ class FourierMagnitudeSet(SetOracle):
 
     def __init__(self, intensity, forward_map: FourierIntensityMap):
         b = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
-        if np.any(b < 0):
-            raise ValueError("intensities must be nonnegative")
+        if not np.all((b >= 0) & (b < np.inf)):
+            raise ValueError("intensities must be finite and nonnegative")
         if b.size != forward_map.out_dim:
             raise DimensionMismatchError(
                 f"intensity length {b.size} does not match the map range {forward_map.out_dim}")

@@ -272,6 +272,13 @@ def test_config_validation():
         InexactAPConfig(lambda_schedule="custom", lambda_sequence=[0.5, 1.5])
     with pytest.raises(ValueError):
         InexactAPConfig(membership_tolerance=0.0)
+    # NaN fails every comparison, and an infinite tolerance reports a fixed
+    # point after one cycle
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="fixed_point_tolerance"):
+            InexactAPConfig(fixed_point_tolerance=bad)
+        with pytest.raises(ValueError, match="membership_tolerance"):
+            InexactAPConfig(membership_tolerance=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The boundary solve on a Euclidean ball's quartic, against the generic segment search.
 
 Along a segment, the excess of a Euclidean ball on a quadratic map is a
-quartic in ``t``.  Where it is convex on ``[0, 1]``, ``bregman_line_boundary``
-brackets its sign change from the coefficients, and ``first_crossing`` ends
-the solve with Newton steps on the exact slope; elsewhere ``first_crossing``
-scans it.  ``SetOracle.segment_entry``, the 64-cell scan on the residual of
-each built point, is the reference.  These tests import no scipy, so the
+quartic in ``t``.  ``bregman_line_boundary`` takes it at the scan's 64 cell
+ends at once, from the coefficients, and ``first_crossing`` refines the
+first cell that ends in a member with Newton steps on the exact slope.
+``SetOracle.segment_entry``, the 64-cell scan on the residual of each built
+point, is the reference.  These tests import no scipy, so the
 numpy-only CI job runs them too.
 """
 
@@ -17,9 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regap import cli, divergences
-from regap.core import MEMBERSHIP_TOL, Point, SetOracle, first_crossing, lerp
-from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _curvature_range,
-                               _quartic_search, bregman_line_boundary)
+from regap.core import MEMBERSHIP_TOL, SCAN_GRID, Point, SetOracle, first_crossing, lerp
+from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _quartic_search,
+                               bregman_line_boundary)
 
 
 def _ball(x: Point, x0: Point, data, frac: float) -> RegularizedSet:
@@ -46,12 +46,11 @@ def _no_member_before(ball, x, x0, tau, samples=256):
 def test_quartic_solve_matches_segment_entry(n, seed, frac, k, flip):
     # x scaled by 10^k, the anchor on |x_j| = sqrt(b_j).  Anchors with the
     # signs of x make each x_j² monotone along the segment, so the members
-    # form one interval ending at 1 and none lies before tau; their
-    # quartics are mostly convex on [0, 1] (the bracket from Taylor's
-    # bounds).  Random signs make the segment cross zero, where q need not
-    # be convex, and the quartic is then scanned on segment_entry's cells:
-    # both step over a member interval that holds no cell end (the last
-    # example has one inside (1/64, 2/64]).
+    # form one interval ending at 1 and none lies before tau.  Random signs
+    # make the segment cross zero, where the members can form several
+    # intervals; the quartic is entered on segment_entry's cells, and both
+    # step over a member interval that holds no cell end (the last example
+    # has one inside (1/64, 2/64]).
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 2.0, n)
     data[rng.random(n) < 0.2] = 0.0
@@ -66,6 +65,35 @@ def test_quartic_solve_matches_segment_entry(n, seed, frac, k, flip):
     assert ball.contains(point)
     assert abs(tau - s) <= 1e-10
     assert flip or _no_member_before(ball, x, x0, tau)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+@example([1.0, 0.0, 0.0, -1.0, 4e-160])
+def test_cell_pass_brackets_the_first_member_cell_end(coef):
+    # The cell pass takes the quartic at every cell end in one product, which
+    # can round to the other side of zero than the scalar Horner value, but
+    # only where that value is within rounding of zero.  In the example the
+    # product reads 4e-160 at t = 1, a non-member, and Horner reads 0.
+    c = tuple(coef)
+    excess = lambda t: c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))  # noqa: E731
+    assume(excess(1.0) <= 0.0)
+
+    def near_zero(t):
+        bound = 8 * np.finfo(float).eps * sum(abs(ci) * t ** i for i, ci in enumerate(c))
+        return abs(excess(t)) <= bound
+    search = _quartic_search(c)
+    a, b = search.get("bracket", (1.0, math.inf))
+    assert search == {} or a == SCAN_GRID[SCAN_GRID.index(b) - 1]
+    assert all(excess(t) > 0.0 or near_zero(t) for t in SCAN_GRID[1:] if t < b)
+    first = next(t for t in SCAN_GRID[1:] if excess(t) <= 0.0)
+    tau = first_crossing(excess)
+    if b == first:
+        assert abs(first_crossing(excess, **search) - tau) <= 1e-10
+    elif b < first:  # first_crossing refuses the member end, and the caller falls back
+        assert near_zero(b)
+        with pytest.raises(ValueError):
+            first_crossing(excess, **search)
 
 
 def _two_interval_ball(n, scale, spread, where, seed):
@@ -111,13 +139,12 @@ def test_two_interval_ball_is_entered_on_its_first_interval(n, k, spread, data):
 def test_member_interval_narrower_than_a_cell_is_stepped_over(n, k, where_in_range, data):
     # The first member interval lies strictly inside the cell (21/64, 22/64]
     # and holds no scan point, so the 64-cell scan of segment_entry steps
-    # over it and answers the second interval's entry.  The quartic is not
-    # convex on [0, 1] (its curvature is negative where x_where passes 0),
-    # so it gets no bracket and its own scan steps over the interval too:
-    # it answers the second entry, up to the rounding of the quartic's
-    # crossing, or refuses its member end where that rounding puts it
-    # outside.  bregman_line_boundary returns the quartic's point when
-    # contains accepts it, and otherwise segment_entry's.  The 1e-9
+    # over it and answers the second interval's entry.  The quartic's cell
+    # ends step over the interval too, so its solve answers the second
+    # entry, up to the rounding of the quartic's crossing, or refuses its
+    # member end where that rounding puts it outside.
+    # bregman_line_boundary returns the quartic's point when contains
+    # accepts it, and otherwise segment_entry's.  The 1e-9
     # tolerance alone makes the band of r about 4.5e-5 wide, so at scales
     # below 10^-0.5 no interval this narrow exists.
     scale = 10.0 ** k
@@ -130,9 +157,8 @@ def test_member_interval_narrower_than_a_cell_is_stepped_over(n, k, where_in_ran
     excess = ball.divergence.segment_excess(ball.forward.segment_polynomial(x, x0),
                                             ball.epsilon + MEMBERSHIP_TOL)
     c = excess.coefficients
-    assert _quartic_search(excess, c) == {}
     try:
-        quartic_tau = first_crossing(excess)
+        quartic_tau = first_crossing(excess, **_quartic_search(c))
     except ValueError:  # rounding put the member end the scan starts from outside
         quartic_tau = math.nan
 
@@ -151,17 +177,28 @@ def test_member_interval_narrower_than_a_cell_is_stepped_over(n, k, where_in_ran
 # ---------------------------------------------------------------------------
 # Evaluations per solve on the box-affine sweep
 
-# The instance seeds the benchmark's box_affine_sweep draws at workload seeds 0 and 7.
+# The instance seeds the benchmark's box_affine_sweep draws at workload seeds 0, 1
+# and 7.  Seed 1's solves include quartics that are not convex on [0, 1].
 _BOX_SWEEPS = {0: (885440, 403958, 794772, 933488, 441001, 42450, 271493, 536110),
+               1: (140891, 596853, 888598, 841235, 800875, 66172, 267459, 123646),
                7: (339563, 993908, 158176, 414002, 682554, 50631, 75954, 861168)}
 
 
+def _run_box_sweep(seeds, tmp_path) -> None:
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("problem = box_affine\nalgorithm = regularized_extrapolated\n"
+                   "lambda_schedule = surface\nn = 40\nm = 20\nepsilon_kappa = 1\njobs = 1\n"
+                   f"seed = {', '.join(map(str, seeds))}\nout = {tmp_path / 'out'}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+
+
 def _counting_quartics(monkeypatch) -> list[int]:
-    """Count the quartic evaluations of each Euclidean boundary solve.
+    """Count the scalar quartic evaluations of each Euclidean boundary solve.
 
     Every excess a prepared Euclidean divergence makes is wrapped, keeping
-    its coefficients, so the bracket search and ``first_crossing`` are both
-    counted.  The returned list gains one entry per solve.
+    its coefficients, so ``first_crossing``'s calls are counted and the
+    cell pass on the coefficients is not.  The returned list gains one
+    entry per solve.
     """
     evals = []
     against = EuclideanKernel.against
@@ -191,43 +228,26 @@ def test_box_sweep_solves_take_at_most_ten_evaluations(bench_seed, monkeypatch, 
     # about 61 of its 64 cells before it refines.
     evals = _counting_quartics(monkeypatch)
     seeds = _BOX_SWEEPS[bench_seed]
-    cfg = tmp_path / "box.cfg"
-    cfg.write_text("problem = box_affine\nalgorithm = regularized_extrapolated\n"
-                   "lambda_schedule = surface\nn = 40\nm = 20\nepsilon_kappa = 1\njobs = 1\n"
-                   f"seed = {', '.join(map(str, seeds))}\nout = {tmp_path / 'out'}\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 0
+    _run_box_sweep(seeds, tmp_path)
     cycles = sum(len((tmp_path / "out" / f"seed{s}" / "trace.csv").read_text().splitlines()) - 1
                  for s in seeds)
     assert len(evals) == cycles > 400
     assert max(evals) <= 10
 
 
-# The instance seeds of box_affine_sweep at workload seed 1, whose solves
-# include quartics that are not convex on [0, 1].
-_BOX_SWEEP_1 = (140891, 596853, 888598, 841235, 800875, 66172, 267459, 123646)
-
-
-def test_box_sweep_solves_scan_where_the_quartic_is_not_convex(monkeypatch, tmp_path):
+def test_box_sweep_solves_agree_with_the_plain_scan(monkeypatch, tmp_path):
     # Every Euclidean solve's tau agrees with first_crossing's scan of the
-    # same excess, with or without the bracket and slope.
+    # same excess, without the bracket and slope.
     solves = []
 
     def recorded(excess, **search):
         tau = first_crossing(excess, **search)
-        solves.append((excess, search, tau))
+        solves.append((excess, tau))
         return tau
     monkeypatch.setattr(divergences, "first_crossing", recorded)
-    cfg = tmp_path / "box.cfg"
-    cfg.write_text("problem = box_affine\nalgorithm = regularized_extrapolated\n"
-                   "lambda_schedule = surface\nn = 40\nm = 20\nepsilon_kappa = 1\njobs = 1\n"
-                   f"seed = {', '.join(map(str, _BOX_SWEEP_1))}\nout = {tmp_path / 'out'}\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 0
+    _run_box_sweep(_BOX_SWEEPS[1], tmp_path)
     assert len(solves) > 400
-
-    def convex(c):
-        return _curvature_range((2.0 * c[2], 6.0 * c[3], 12.0 * c[4]), 0.0, 1.0)[0] >= 0.0
-    assert any(not convex(excess.coefficients) and not search for excess, search, _ in solves)
-    for excess, _, tau in solves:
+    for excess, tau in solves:
         assert abs(tau - first_crossing(excess)) <= 1e-12
 
 
@@ -262,13 +282,12 @@ def test_newton_steps_return_a_member_with_a_non_member_within_tol(coef, level):
 def test_newton_steps_bound_the_evaluations_on_a_quartic_not_convex_on_the_segment():
     # One boundary solve of the box sweep at workload seed 1: q'' < 0 near 0.
     # Its monotone piece is all of [0, 1], a bracket in which Newton steps
-    # took 11 evaluations (a convex quartic takes at most 6).  Such a quartic
-    # gets no keywords, and first_crossing scans it as segment_entry does.
+    # took 11 evaluations; the cell that holds the crossing takes fewer.
     c0, c1, c2, c3, c4 = c = (11.47991803504638, -14.160791210329814, -3.26303669256849,
                               2.9267474753963607, 2.976655542319429)
-    excess = lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))  # noqa: E731
-    assert _quartic_search(excess, c) == {}
-    assert abs(first_crossing(excess) - 0.9578099157269) <= 1e-12
+    counted, probes = _probed(lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))))
+    assert abs(first_crossing(counted, **_quartic_search(c)) - 0.9578099157269) <= 1e-12
+    assert len(probes) <= 10
 
 
 def test_bracket_end_must_be_a_member():

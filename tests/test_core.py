@@ -163,7 +163,8 @@ def _run_both(excess, scan):
     def ref_pred(t):
         ref_evals[0] += 1
         return excess(t) <= 0.0
-    got = first_crossing(counted, scan=scan)
+    # scan 1 is the one cell [0, 1], which the bracket names; 64 is the default scan
+    got = first_crossing(counted, bracket=(0.0, 1.0)) if scan == 1 else first_crossing(counted)
     ref = _scan_bisect_reference(ref_pred, scan=scan)
     return got, ref, len(probes), ref_evals[0], probes
 
@@ -209,7 +210,7 @@ def _single_sign_change(slope, bend, lo, hi, floor=1e-3, samples=2001):
 
 
 @settings(max_examples=300)
-@given(st.data(), st.sampled_from([1, 8, 64]))
+@given(st.data(), st.sampled_from([1, 64]))
 def test_first_crossing_matches_scan_bisection_on_smooth_excess(data, scan):
     excess, slope, bend = _smooth_excess(data.draw)
     got, ref, _, _, probes = _run_both(excess, scan)
@@ -221,7 +222,7 @@ def test_first_crossing_matches_scan_bisection_on_smooth_excess(data, scan):
 
 @settings(max_examples=300)
 @given(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6, unique=True),
-       st.sampled_from([1, 8, 64]))
+       st.sampled_from([1, 64]))
 def test_first_crossing_matches_scan_bisection_on_step_predicates(breaks, scan):
     # Membership switches at every break point, and the last piece is a member.
     breaks = sorted(breaks)

@@ -510,6 +510,24 @@ def test_fourier_set_validation():
         FourierMagnitudeSet(np.ones(6), FourierIntensityMap((2, 2)))
 
 
+@pytest.mark.parametrize("build, argument", [
+    (lambda: HalfspaceSet([1.0, 0.0], math.inf), "offset"),
+    (lambda: HalfspaceSet([1.0, 0.0], math.nan), "offset"),
+    (lambda: HalfspaceSet([math.nan, 1.0], 0.0), "normal"),
+    (lambda: HalfspaceSet([math.inf, 1.0], 0.0), "normal"),
+    (lambda: BoxMagnitudeSet([1.0, math.nan]), "magnitudes"),
+    (lambda: BoxMagnitudeSet([1.0, math.inf]), "magnitudes"),
+    (lambda: BoxMagnitudeSet.from_intensity([math.nan, 1.0]), "intensities"),
+    (lambda: BoxMagnitudeSet.from_intensity([math.inf, 1.0]), "intensities"),
+    (lambda: FourierMagnitudeSet([math.nan, 0.0], FourierIntensityMap((2,))), "intensities"),
+    (lambda: FourierMagnitudeSet([math.inf, 0.0], FourierIntensityMap((2,))), "intensities"),
+])
+def test_constructors_refuse_numbers_that_are_not_finite(build, argument):
+    # A NaN passes a ``< 0`` check, and an infinite offset makes every point a member.
+    with pytest.raises(ValueError, match=argument):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Exact projection onto divergence balls (KKT Newton)
 
