@@ -51,12 +51,26 @@ def _norm(v: np.ndarray) -> float:
 
 
 class Point:
-    """Immutable finite vector, real or complex-as-interleaved-real storage."""
+    """Immutable finite vector, real or complex-as-interleaved-real storage.
+
+    The constructor copies ``data``.  Code that has just computed a fresh
+    float64 array builds its point with :meth:`_fresh`, which freezes that
+    array in place instead; both check every entry is finite.
+    """
 
     __slots__ = ("_data", "_kind")
 
     def __init__(self, data, kind: str = REAL):
-        arr = np.array(data, dtype=np.float64)
+        self._adopt(np.array(data, dtype=np.float64), kind)
+
+    @classmethod
+    def _fresh(cls, arr: np.ndarray, kind: str = REAL) -> "Point":
+        """Point on the float64 array ``arr``, which no one else may hold or write: no copy."""
+        point = cls.__new__(cls)
+        point._adopt(arr, kind)
+        return point
+
+    def _adopt(self, arr: np.ndarray, kind: str) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("point storage must be a nonempty 1-d array")
         if not np.logical_and.reduce(np.isfinite(arr)):
@@ -116,7 +130,9 @@ def lerp(x: Point, y: Point, t: float) -> Point:
     """Point ``(1 - t) x + t y`` on the segment from x to y."""
     x._check_compatible(y)
     t = float(t)
-    return Point((1.0 - t) * x.data + t * y.data, x.kind)
+    out = np.multiply(x.data, 1.0 - t)
+    out += t * y.data
+    return Point._fresh(out, x.kind)
 
 
 def canonical_point(candidates: Sequence[Point]) -> Point:
@@ -163,7 +179,9 @@ def first_crossing(excess: Callable[[float], float], *,
       hold instead of ``excess(1) <= 0``.
     - ``slope``: the derivative of the excess.  Each step first tries the
       Newton step from the latest probe, taken when its root falls inside
-      the bracket and aimed and kept inside as the secant step is.
+      the bracket and aimed and kept inside as the secant step is.  The
+      first step starts from ``t = 0`` when ``excess(0)`` was taken, and
+      from ``b`` otherwise.
     """
     tol = 1e-12
     a, b = (0.0, 1.0) if bracket is None else bracket
@@ -178,13 +196,13 @@ def first_crossing(excess: Callable[[float], float], *,
                 b, fb = t, ft
                 break
             a, fa = t, ft
+    last, f_last = b, fb  # the latest probe, where a Newton step starts
     if a == 0.0:
-        f_lo = float(excess(0.0))
-        if f_lo > 0.0:
-            fa = f_lo
+        last, f_last = 0.0, float(excess(0.0))
+        if f_last > 0.0:
+            fa = f_last
     limit, shrink = 2.0 * (b - a), math.sqrt(0.5)
     moved = 0  # +1 when the last step moved b, -1 when it moved a
-    last, f_last = b, fb  # the latest probe, where a Newton step starts
     for _ in range(200):
         width = b - a
         if width <= tol:

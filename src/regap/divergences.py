@@ -95,6 +95,13 @@ class KullbackLeiblerKernel:
         ``z(t) = p0 + p1 t + p2 t^2``, clamped at 0 as it may round below.
         A probe takes only ``sum z log z``: ``sum z (log y + 1)`` is three
         moments taken once per segment, and ``sum y`` is taken once here.
+        The excess remembers its latest probe, so asking again at the same
+        ``t`` takes no pass (it still counts its clipped entries).  It
+        carries ``cell()``, which probes the scan's cell ends ``1/64, 2/64,
+        ...`` and returns the first cell whose right end is a member, or the
+        last cell once ``t = 1`` is probed; and ``slope(t)``, its derivative
+        ``sum (p1 + 2 t p2)(log z - log y)``, which reuses the logarithm of
+        a probe at the same ``t``.
         """
         y = _as_array(y)
         self._check_nonneg(y, "second")
@@ -125,19 +132,41 @@ class KullbackLeiblerKernel:
         def segment_excess(p, bound: float) -> Callable[[float], float]:
             p0, p1, p2 = p
             k0, k1, k2 = (float(weight @ pj) for pj in p)
+            l1, l2 = float(log_y @ p1), float(log_y @ p2)
             c0 = total - k0 - bound
             z, log_z = np.empty_like(p0), np.empty_like(p0)
+            last = [None, 0.0]  # the latest probe's t and excess; z and log_z hold its z(t)
+
+            def fill(t: float) -> float:
+                if t != last[0]:
+                    np.multiply(p2, t, out=z)
+                    np.add(z, p1, out=z)
+                    np.multiply(z, t, out=z)
+                    np.add(z, p0, out=z)
+                    np.maximum(z, 0.0, out=z)
+                    # log at max(z, CLIP_FLOOR): 0*log(0) = 0, and < 1e-297 off below
+                    np.log(np.maximum(z, CLIP_FLOOR, out=log_z), out=log_z)
+                    last[:] = t, float(z @ log_z) + c0 - t * (k1 + t * k2)
+                return last[1]
 
             def excess(t: float) -> float:
-                np.multiply(p2, t, out=z)
-                np.add(z, p1, out=z)
-                np.multiply(z, t, out=z)
-                np.add(z, p0, out=z)
-                np.maximum(z, 0.0, out=z)
-                # log at max(z, CLIP_FLOOR): 0*log(0) = 0, and < 1e-297 off below
-                np.log(np.maximum(z, CLIP_FLOOR, out=log_z), out=log_z)
                 self.clip_count += n_small
-                return float(z @ log_z) + c0 - t * (k1 + t * k2)
+                return fill(t)
+
+            # cell and slope call fill, not excess: an attribute of the excess
+            # that refers to it makes a reference cycle, freed only by the gc
+            def cell() -> tuple[float, float]:
+                for k in range(1, 65):
+                    self.clip_count += n_small
+                    if fill(SCAN_GRID[k]) <= 0.0:
+                        break
+                return SCAN_GRID[k - 1], SCAN_GRID[k]
+
+            def slope(t: float) -> float:
+                fill(t)
+                return float(log_z @ p1) - l1 + 2.0 * t * (float(log_z @ p2) - l2)
+
+            excess.cell, excess.slope = cell, slope
             return excess
 
         divergence.gradient, divergence.segment_excess = gradient, segment_excess
@@ -266,7 +295,7 @@ class FourierIntensityMap(ForwardMap):
     def from_spectrum(self, spectrum: np.ndarray) -> Point:
         """The point ``F^-1 Y`` of the spectrum ``Y``, remembered with a copy of ``Y``."""
         spectrum = np.array(spectrum, dtype=np.complex128).reshape(self.shape)
-        point = Point.from_complex(self._inverse_transform(spectrum))
+        point = Point._fresh(self._inverse_transform(spectrum).view(np.float64), COMPLEX)
         self._remember(point, spectrum)
         return point
 
@@ -417,9 +446,12 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
     MEMBERSHIP_TOL``, and only the returned point is built.  A Euclidean
     excess is a quartic: :func:`_quartic_search` finds from its
-    coefficients the scan cell that holds the first member, and the search
-    refines it with Newton steps on its exact slope.  Either way the entry
-    is found on the cells :meth:`SetOracle.segment_entry` scans.  Should
+    coefficients the scan cell that holds the first member.  A KL excess
+    finds that cell with its own ``cell()``, which probes the cell ends from
+    ``1/64`` upward and reaches the anchor end ``t = 1`` only when no
+    earlier end is a member.  Either way the search refines the cell with
+    Newton steps on the excess's exact slope, and the entry is found on
+    the cells :meth:`SetOracle.segment_entry` scans.  Should
     the excess's rounding put ``x0`` outside, or disagree with ``contains``
     on that point, :meth:`SetOracle.segment_entry` answers instead.  A
     member ``x`` raises ``ValueError``, as does a non-member ``x0`` in the
@@ -442,7 +474,8 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0),
                                        m.epsilon + MEMBERSHIP_TOL)
     quartic = getattr(fast, "coefficients", None)
-    search = {} if quartic is None else _quartic_search(quartic)
+    search = {"bracket": fast.cell(), "slope": fast.slope} if quartic is None \
+        else _quartic_search(quartic)
     try:
         tau = float(first_crossing(fast, **search))
     except ValueError:  # rounding in ``fast`` can put the anchor itself outside

@@ -90,7 +90,10 @@ def gaussian_filter(image: np.ndarray, sigma: float) -> np.ndarray:
     for ``|x| <= int(4 sigma + 0.5)``, normalized to sum 1.  Mirror-image
     samples are added in pairs and the far taps come first, which is the
     order of operations of ``scipy.ndimage.gaussian_filter(image, sigma)``.
+    ``sigma`` must be finite and positive.
     """
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     out = np.asarray(image, dtype=np.float64)
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
@@ -115,7 +118,9 @@ def smooth_object(support: np.ndarray, seed: int, sigma: float = 1.0) -> np.ndar
     Smooth objects concentrate their spectrum at low frequencies, which makes
     the resulting instances much friendlier to alternating projections than
     rough ones — useful when the point under study is the behavior of the
-    iteration rather than worst-case phase retrieval.
+    iteration rather than worst-case phase retrieval.  ``sigma`` is the blur
+    of :func:`gaussian_filter`, which refuses it unless it is finite and
+    positive.
     """
     support = np.asarray(support, dtype=bool)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
@@ -144,7 +149,8 @@ def synthesize(shape: tuple[int, int], support: np.ndarray, photon_scale: float,
     The object is taken as given or filled with seeded uniform values on the
     support.  Noiseless intensities are the squared moduli of the unitary
     DFT; the observation is ``Poisson(scale * I) / scale`` drawn per pixel,
-    so larger ``photon_scale`` means less relative noise.
+    so larger ``photon_scale`` means less relative noise.  It must be
+    finite and positive.
     """
     shape = tuple(int(s) for s in shape)
     support = np.asarray(support, dtype=bool)
@@ -152,8 +158,8 @@ def synthesize(shape: tuple[int, int], support: np.ndarray, photon_scale: float,
         raise ValueError("support shape does not match the instance shape")
     if not support.any():
         raise ValueError("support must be nonempty")
-    if photon_scale <= 0:
-        raise ValueError("photon_scale must be positive")
+    if not 0.0 < photon_scale < np.inf:
+        raise ValueError(f"photon_scale must be finite and positive, got {photon_scale!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if object_image is None:
         object_image = np.zeros(shape)

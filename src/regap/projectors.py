@@ -171,7 +171,9 @@ class SupportNonnegSet(SetOracle):
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
-        return [Point(np.where(self.zero, 0.0, np.maximum(x.data, 0.0)), self.kind)]
+        out = np.maximum(x.data, 0.0)
+        np.putmask(out, self.zero, 0.0)
+        return [Point._fresh(out, self.kind)]
 
     def membership_residual(self, x: Point) -> float:
         self._check_point(x)
@@ -246,9 +248,12 @@ class FourierMagnitudeSet(SetOracle):
     """Set {x : |F x|^2 = b} of complex grids with prescribed DFT intensities.
 
     ``project`` replaces each DFT coefficient's modulus by sqrt(b_k), taken
-    once at construction, while keeping its phase; coefficients at exactly
-    zero get phase 1.  Because F is unitary this is an exact Euclidean
-    projection.  ``forward_map`` fixes the grid shape and does the
+    once at construction, while keeping its phase: it scales the
+    coefficient by the real factor ``sqrt(b_k) / |X_k|``.  Coefficients at
+    exactly zero get phase 1; they, and any so small that the factor would
+    overflow, send the projection down the slower path that divides each
+    coefficient's real and imaginary parts by its modulus.  Because F is
+    unitary this is an exact Euclidean projection.  ``forward_map`` fixes the grid shape and does the
     transforms: the projection reads ``spectrum(x)`` and returns
     ``from_spectrum(Y)``, so the map remembers the projection's spectrum
     ``Y`` with it.  Passing a divergence ball's map shares its memo, and
@@ -267,12 +272,19 @@ class FourierMagnitudeSet(SetOracle):
         self.intensity = b
         super().__init__(forward_map.in_dim)
         self._magnitude = np.sqrt(b).reshape(forward_map.shape)
+        # a modulus above this keeps every factor sqrt(b_k) / |X_k| finite
+        self._tiny = float(self._magnitude.max()) / np.finfo(np.float64).max
         self._map = forward_map
 
     def project(self, x: Point) -> list[Point]:
         X = self._map.spectrum(x)
         mag = np.abs(X)
-        phase = np.divide(X, mag, out=np.ones_like(X), where=mag > 0)
+        if mag.min() > self._tiny:
+            return [self._map.from_spectrum(X * np.divide(self._magnitude, mag, out=mag))]
+        # in real arithmetic: complex division by a subnormal modulus overflows
+        phase = np.ones_like(X)
+        np.divide(X.real, mag, out=phase.real, where=mag > 0)
+        np.divide(X.imag, mag, out=phase.imag, where=mag > 0)
         return [self._map.from_spectrum(self._magnitude * phase)]
 
     def membership_residual(self, x: Point) -> float:

@@ -1,25 +1,33 @@
-"""The boundary solve on a Euclidean ball's quartic, against the generic segment search.
+"""The boundary solve on Euclidean and KL balls, against the generic segment search.
 
 Along a segment, the excess of a Euclidean ball on a quadratic map is a
 quartic in ``t``.  ``bregman_line_boundary`` takes it at the scan's 64 cell
 ends at once, from the coefficients, and ``first_crossing`` refines the
-first cell that ends in a member with Newton steps on the exact slope.
-``SetOracle.segment_entry``, the 64-cell scan on the residual of each built
-point, is the reference.  These tests import no scipy, so the
-numpy-only CI job runs them too.
+first cell that ends in a member with Newton steps on the exact slope.  A
+KL excess probes the cell ends itself, from ``1/64`` upward, and carries
+its slope.  ``SetOracle.segment_entry``, the 64-cell scan on the residual
+of each built point, is the reference.  These tests import no scipy, so
+the numpy-only CI job runs them too.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regap import cli, divergences
+from conftest import smooth_instance
+from regap import algorithms, cli, divergences
+from regap.algorithms import InexactAPConfig
 from regap.core import MEMBERSHIP_TOL, SCAN_GRID, Point, SetOracle, first_crossing, lerp
-from regap.divergences import (EuclideanKernel, RegularizedSet, SquareMap, _quartic_search,
+from regap.divergences import (EuclideanKernel, FourierIntensityMap, KullbackLeiblerKernel,
+                               RegularizedSet, SquareMap, _quartic_search,
                                bregman_line_boundary)
+from regap.phase import reconstruct
+from regap.projectors import FourierMagnitudeSet
 
 
 def _ball(x: Point, x0: Point, data, frac: float) -> RegularizedSet:
@@ -294,3 +302,168 @@ def test_bracket_end_must_be_a_member():
     with pytest.raises(ValueError):
         first_crossing(lambda t: 0.5 - t, bracket=(0.0, 0.25))
     assert first_crossing(lambda t: 0.5 - t, bracket=(0.25, 0.75)) == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The KL solve on Fourier balls
+
+def _fourier_kl_ball(side, seed, kappa, zeros, fresh_anchor):
+    """A KL ball on a ``side``² Fourier map, a start outside it, and an anchor on its data set.
+
+    The data are the intensities of a random object, a fraction ``zeros`` of
+    them set to 0; the start is the object plus noise, and the anchor its
+    magnitude projection.  ``epsilon`` is ``kappa`` times the start's
+    residual.  The anchor is built by ``from_spectrum`` on the ball's map,
+    which remembers its spectrum, or with ``fresh_anchor`` from its own
+    inverse FFT, so that the ball takes its spectrum with a forward FFT.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (side, side)
+    obj = rng.uniform(0.0, 1.0, shape)
+    data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
+    data[rng.random(data.size) < zeros] = 0.0
+    x = Point.from_complex((obj + rng.normal(0.0, 0.5, shape)).ravel().astype(np.complex128))
+    fmap = FourierIntensityMap(shape)
+    x0 = FourierMagnitudeSet(data, fmap).project(x)[0]
+    if fresh_anchor:
+        x0 = Point.from_complex(np.fft.ifftn(fmap.spectrum(x0), norm="ortho"))
+    epsilon = kappa * RegularizedSet(fmap, data, KullbackLeiblerKernel(), 0.0).residual(x)
+    return RegularizedSet(fmap, data, KullbackLeiblerKernel(), epsilon), x, x0
+
+
+def _cell(t: float) -> int:
+    """The scan cell ``((k - 1)/64, k/64]`` that holds ``t``, by its ``k``."""
+    return math.ceil(64 * t)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(-3.0, 0.0), st.floats(-0.01, 0.0)), st.floats(0.0, 0.5),
+       st.booleans())
+@example(2, 0, 0.0, 0.5, True)
+@example(16, 1, -3.0, 0.0, False)
+@example(16, 2, -0.001, 0.2, False)
+def test_kl_solve_enters_the_cell_segment_entry_enters(side, seed, log_kappa, zeros, fresh):
+    # kappa from 1e-3 to 1: above about 0.98 the start lies just outside and
+    # the segment is entered in its first cell, near 1e-3 close to the anchor.
+    ball, x, x0 = _fourier_kl_ball(side, seed, 10.0 ** log_kappa, zeros, fresh)
+    assume(not ball.contains(x) and ball.contains(x0))
+    tau, point = bregman_line_boundary(ball, x, x0)
+    s, _ = SetOracle.segment_entry(ball, x, x0)
+    assert ball.contains(point)
+    assert abs(tau - s) <= 1e-10
+    # the two excesses round apart, so only a crossing at a cell end may
+    # fall on the other side of it
+    assert _cell(tau) == _cell(s) or abs(64 * s - round(64 * s)) <= 64e-10
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.floats(0.01, 0.99),
+       st.floats(-2.0, 2.0))
+def test_kl_slope_is_the_derivative_of_the_excess(side, seed, t, log_scale):
+    # A central difference with step h differs from the derivative by at
+    # most h²/6 max|f'''| on [t - h, t + h], plus the rounding of its two
+    # probes over 2h.  With z = p0 + p1 t + p2 t², each entry of the excess
+    # adds 3 z' z''/z - z'³/z² to f''', bounded on the window through the
+    # smallest z there, which is kept away from the clamp at 0.
+    rng = np.random.default_rng(seed)
+    shape, n = (side, side), side * side
+    grid = lambda: Point.from_complex(  # noqa: E731
+        10.0 ** log_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    fmap, x, x0 = FourierIntensityMap(shape), grid(), grid()
+    y = fmap.value(grid())
+    y[rng.random(n) < 0.2] = 0.0
+    p0, p1, p2 = p = fmap.segment_polynomial(x, x0)
+    excess = KullbackLeiblerKernel().against(y).segment_excess(p, 1.0)
+    h = 1e-5
+
+    def z_at(s):
+        return p0 + s * (p1 + s * p2)
+    lo, hi = t - h, t + h
+    vertex = np.clip(-p1 / np.where(p2 > 0, 2.0 * p2, np.inf), lo, hi)
+    z_min = np.minimum(np.minimum(z_at(lo), z_at(hi)), z_at(vertex))
+    assume(z_min.min() > 1e-6 * z_at(t).max())
+    d1 = np.maximum(np.abs(p1 + 2.0 * lo * p2), np.abs(p1 + 2.0 * hi * p2))
+    third = float(np.sum(3.0 * d1 * 2.0 * p2 / z_min + d1 ** 3 / z_min ** 2))
+    # rounding: 8 n ulps of the magnitude of every term a probe sums
+    log_y = np.log(np.maximum(y, divergences.CLIP_FLOOR))
+    size = np.abs(p0) + hi * np.abs(p1) + hi * hi * np.abs(p2)
+    scale = float(np.sum(size * (np.abs(np.log(z_min)) + np.abs(log_y) + 2.0)) + y.sum() + 1.0)
+    rounding = 8 * n * np.finfo(float).eps * scale
+    central = (excess(t + h) - excess(t - h)) / (2.0 * h)
+    assert abs(excess.slope(t) - central) <= h * h / 6.0 * third + rounding / h
+
+
+def test_kl_excess_is_freed_without_the_garbage_collector():
+    # The excess's cell and slope share its buffers but not the excess
+    # itself, so no reference cycle keeps it alive until a collection.
+    ball, x, x0 = _fourier_kl_ball(8, 3, 0.5, 0.2, False)
+    excess = ball.divergence.segment_excess(ball.forward.segment_polynomial(x, x0),
+                                            ball.epsilon + MEMBERSHIP_TOL)
+    a, b = excess.cell()
+    excess.slope(a)
+    assert excess(b) <= 0.0
+    ref = weakref.ref(excess)
+    gc.disable()
+    try:
+        del excess
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _counting_kl_probes(monkeypatch) -> list[list]:
+    """``[tau, probes]`` of each boundary solve of the surface driver.
+
+    A KL probe takes one logarithm of a whole array.  The logarithms of
+    the prepared divergence, taken in ``residual`` for the solve's
+    ``contains`` checks, are not counted.  Asking again at the ``t`` last
+    probed takes no logarithm, so it counts nothing either.
+    """
+    solves, state = [], {"solving": False, "residuals": 0}
+
+    class CountingNumpy:  # the module's numpy, with log counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def log(*args, **kwargs):
+            if state["solving"] and not state["residuals"]:
+                solves[-1][1] += 1
+            return np.log(*args, **kwargs)
+
+    residual = RegularizedSet.residual
+
+    def counted_residual(self, x):
+        state["residuals"] += 1
+        try:
+            return residual(self, x)
+        finally:
+            state["residuals"] -= 1
+
+    def counted_solve(m, x, x0):
+        solves.append([math.nan, 0])
+        state["solving"] = True
+        try:
+            tau, point = bregman_line_boundary(m, x, x0)
+        finally:
+            state["solving"] = False
+        solves[-1][0] = tau
+        return tau, point
+    monkeypatch.setattr(divergences, "np", CountingNumpy())
+    monkeypatch.setattr(RegularizedSet, "residual", counted_residual)
+    monkeypatch.setattr(algorithms, "bregman_line_boundary", counted_solve)
+    return solves
+
+
+def test_kl_solves_in_the_first_cell_take_at_most_six_probes(monkeypatch):
+    # A solve that crosses in the first cell probes t = 1/64 (a member),
+    # t = 0, and then takes Newton steps and a closing probe.  Probing the
+    # anchor end t = 1 first and refining by secant steps took 6 to 8.
+    instance = smooth_instance(0, shape=(16, 16))
+    solves = _counting_kl_probes(monkeypatch)
+    cfg = InexactAPConfig(max_iterations=60, measure_gamma=False)
+    reconstruct(instance, instance.kl_noise_level(), cfg, seed=0)
+    first = [probes for tau, probes in solves if _cell(tau) == 1]
+    assert len(first) > 20
+    assert max(first) <= 6

@@ -97,6 +97,15 @@ def test_gaussian_filter_equals_scipy_at_any_sigma(shape, seed, sigma):
 # ---------------------------------------------------------------------------
 # Synthesis
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_blur_refuses_a_sigma_that_is_not_finite_and_positive(sigma):
+    sup = box_support((16, 16), 4)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_filter(np.ones((16, 16)), sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        smooth_object(sup, seed=0, sigma=sigma)
+
+
 def test_synthesize_determinism_and_scaling():
     sup = box_support((16, 16), 4)
     a = synthesize((16, 16), sup, 1e3, seed=5)
@@ -125,8 +134,9 @@ def test_synthesize_validation():
         synthesize((8, 8), sup, 1e3, seed=0)
     with pytest.raises(ValueError, match="nonempty"):
         synthesize((16, 16), np.zeros((16, 16), dtype=bool), 1e3, seed=0)
-    with pytest.raises(ValueError, match="photon_scale"):
-        synthesize((16, 16), sup, 0.0, seed=0)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="photon_scale"):
+            synthesize((16, 16), sup, scale, seed=0)
     bad = np.zeros((16, 16))
     bad[0, 0] = 1.0  # mass outside the support
     with pytest.raises(ValueError, match="outside the support"):

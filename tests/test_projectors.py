@@ -479,6 +479,20 @@ def test_fourier_projection_idempotent_and_member():
     assert np.allclose(p2.data, p.data, atol=1e-10)
 
 
+@pytest.mark.parametrize("small", [0.0, -5e-324, -1e-300, -1.0])
+def test_fourier_projection_keeps_each_phase_and_gives_zero_phase_1(small):
+    # Each coefficient is scaled by sqrt(b)/|X|.  At exactly 0 the phase is
+    # 1; at 5e-324 and 1e-300 against sqrt(b) = 1e150 the factor would
+    # overflow, and so would a complex division by the subnormal modulus.
+    fmap = FourierIntensityMap((2, 2))
+    b = np.array([4.0, 1e300, 2.0, 0.0])
+    spectrum = np.array([3.0 - 4.0j, small, -2.0j, 1.0 + 1.0j])
+    x = fmap.from_spectrum(spectrum)  # the map remembers the spectrum as given
+    got = fmap.spectrum(FourierMagnitudeSet(b, fmap).project(x)[0]).ravel()
+    phase = np.array([0.6 - 0.8j, 1.0 if small == 0.0 else -1.0, -1.0j, 0.0])  # b = 0 last
+    assert np.allclose(got, np.sqrt(b) * phase, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_fourier_projection_norm_is_total_intensity():
     # With a unitary transform the projected field carries exactly sum(b) energy.
     rng = np.random.default_rng(13)
