@@ -55,10 +55,11 @@ class Point:
 
     The constructor copies ``data``.  Code that has just computed a fresh
     float64 array builds its point with :meth:`_fresh`, which freezes that
-    array in place instead; both check every entry is finite.
+    array in place instead; both check every entry is finite.  A point also
+    keeps the values other objects derive from it: see :meth:`derived`.
     """
 
-    __slots__ = ("_data", "_kind")
+    __slots__ = ("_data", "_kind", "_derived")
 
     def __init__(self, data, kind: str = REAL):
         self._adopt(np.array(data, dtype=np.float64), kind)
@@ -82,6 +83,7 @@ class Point:
         arr.setflags(write=False)
         self._data = arr
         self._kind = kind
+        self._derived = {}
 
     @classmethod
     def from_complex(cls, values) -> "Point":
@@ -102,6 +104,18 @@ class Point:
     def dim(self) -> int:
         """Length of the real storage."""
         return self._data.size
+
+    def derived(self, owner, make: Callable[[], object]):
+        """``make()``, computed on the first call for ``owner`` and kept with the point.
+
+        ``owner`` is the object (a map or a set) whose value it is; each
+        owner keeps one value per point, keyed by the owner's identity.  The
+        point is immutable, so the value cannot go stale, and it dies with
+        the point: a twin built from the same data computes its own.
+        """
+        if owner not in self._derived:
+            self._derived[owner] = make()
+        return self._derived[owner]
 
     def as_complex(self) -> np.ndarray:
         if self._kind != COMPLEX:
@@ -395,6 +409,49 @@ class SetOracle:
         """
         s = first_crossing(lambda s: self.membership_residual(lerp(x, y, s)) - MEMBERSHIP_TOL)
         return s, lerp(x, y, s)
+
+    def _checked_entry(self, x: Point, y: Point,
+                       solve: Callable[[float], tuple[float, Callable[[float], float]]],
+                       build: Callable[[float], Point]) -> tuple[float, Point]:
+        """:meth:`segment_entry` by a fast search, re-checked with :meth:`contains`.
+
+        ``solve(margin)`` returns ``(s, excess)``: a fast stand-in
+        ``excess`` for the default's ``membership_residual(lerp(x, y, s)) -
+        MEMBERSHIP_TOL``, lowered by ``margin``, and its first member ``s``
+        by :func:`first_crossing`, which raises ``ValueError`` when the
+        excess puts ``y`` outside.  ``build(s)`` builds the point at ``s``,
+        as ``lerp`` does.  The fast excess rounds differently from a fresh
+        residual, so its entry can fail the re-check by a gap ``g``, the
+        fresh excess there less the fast one.  A gap ``0 < g <
+        MEMBERSHIP_TOL / 2`` is rounding, and the fast search is made once
+        more with ``margin = MEMBERSHIP_TOL / 2``, so that its entry lies
+        inside by more than ``g``.  The refused entry and the retry's, a
+        member, bracket the default's entry, and :func:`first_crossing`
+        refines that bracket on the fresh excess of built points: the answer
+        is the default's up to the search tolerance.  Where the excess puts
+        ``y`` outside, the gap is not rounding, or the retry's entry fails
+        too, the default answers.  A non-member ``y`` raises ``ValueError``.
+        """
+        try:
+            s, excess = solve(0.0)
+        except ValueError:  # rounding in the fast excess can put y itself outside
+            if not self.contains(y):
+                raise ValueError("anchor is not a member of the set") from None
+            return SetOracle.segment_entry(self, x, y)
+        point = build(s)
+        if self.contains(point):
+            return s, point
+        gap = self.membership_residual(point) - MEMBERSHIP_TOL - excess(s)
+        if 0.0 < gap < 0.5 * MEMBERSHIP_TOL:
+            built = {}
+
+            def fresh(t: float) -> float:
+                built[t] = build(t)
+                return self.membership_residual(built[t]) - MEMBERSHIP_TOL
+            with contextlib.suppress(ValueError):  # raised where the retry's entry fails too
+                s = first_crossing(fresh, bracket=(s, solve(0.5 * MEMBERSHIP_TOL)[0]))
+                return s, built[s]
+        return SetOracle.segment_entry(self, x, y)
 
     def normal_cone_at(self, x: Point) -> NormalCone:
         raise NormalConeUnavailableError(

@@ -197,7 +197,7 @@ class ForwardMap:
         raise NotImplementedError
 
     def segment_point(self, x: Point, a: Point, t: float) -> Point:
-        """The point ``(1 - t) x + t a``; a map may remember its image with it."""
+        """The point ``(1 - t) x + t a``; a map may keep its image with the point."""
         return lerp(x, a, t)
 
     def segment_polynomial(self, x: Point, a: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,19 +255,25 @@ class SquareMap(ForwardMap):
         return x.data ** 2, 2.0 * x.data * d, d * d
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class FourierIntensityMap(ForwardMap):
     """Squared modulus of the unitary DFT of a complex grid.
 
     The map owns every transform: ``spectrum(x)`` is ``F x``,
     ``from_spectrum(Y)`` builds the point ``F^-1 Y``, and
     ``segment_point(x, a, t)`` builds ``(1 - t) x + t a`` with the spectrum
-    ``(1 - t) F x + t F a`` by linearity.  Each remembers its ``(point,
-    spectrum)`` pair; the memo holds the last two, keyed on ``Point``
-    identity as ``RegularizedSet.residual`` is.  So a phase ball and the
-    anchor set on its map share each iterate's spectrum, and the anchor and
-    the boundary point take no forward FFT; a spectrum no FFT took differs
-    from ``F`` of its point by rounding only.  Spectra are read-only, so no
-    caller can change a remembered value.
+    ``(1 - t) F x + t F a`` by linearity.  The spectrum is a value derived
+    on the point (:meth:`~regap.core.Point.derived`), owned by the map: the
+    first ``spectrum(x)`` takes the FFT, and the two builders keep the
+    spectrum they already hold with the point they build.  So a phase ball
+    and the anchor set on its map share each point's spectrum, and the
+    anchor and the boundary point take no forward FFT; a spectrum no FFT
+    took differs from ``F`` of its point by rounding only.  Spectra are
+    read-only, so no caller can change a kept value.
     """
 
     in_kind = COMPLEX
@@ -277,32 +283,24 @@ class FourierIntensityMap(ForwardMap):
         n = int(np.prod(self.shape))
         self.out_dim = n
         self.in_dim = 2 * n
-        self._memo: list[tuple[Point, np.ndarray]] = []
-
-    def _remember(self, x: Point, spectrum: np.ndarray) -> np.ndarray:
-        spectrum.setflags(write=False)
-        self._memo = [*self._memo[-1:], (x, spectrum)]
-        return spectrum
 
     def spectrum(self, x: Point) -> np.ndarray:
-        """The unitary DFT ``F x`` on the grid, read-only."""
-        for point, spectrum in self._memo:
-            if point is x:
-                return spectrum
+        """The unitary DFT ``F x`` on the grid, read-only, taken once per point."""
         self._check(x)
-        return self._remember(x, np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho"))
+        return x.derived(self, lambda: _read_only(
+            np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")))
 
     def from_spectrum(self, spectrum: np.ndarray) -> Point:
-        """The point ``F^-1 Y`` of the spectrum ``Y``, remembered with a copy of ``Y``."""
-        spectrum = np.array(spectrum, dtype=np.complex128).reshape(self.shape)
+        """The point ``F^-1 Y`` of the spectrum ``Y``, which keeps a read-only copy of ``Y``."""
+        spectrum = _read_only(np.array(spectrum, dtype=np.complex128).reshape(self.shape))
         point = Point._fresh(self._inverse_transform(spectrum).view(np.float64), COMPLEX)
-        self._remember(point, spectrum)
+        point.derived(self, lambda: spectrum)
         return point
 
     def segment_point(self, x: Point, a: Point, t: float) -> Point:
         X, A, t = self.spectrum(x), self.spectrum(a), float(t)
         point = lerp(x, a, t)
-        self._remember(point, (1.0 - t) * X + t * A)
+        point.derived(self, lambda: _read_only((1.0 - t) * X + t * A))
         return point
 
     def _inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
@@ -322,7 +320,7 @@ class FourierIntensityMap(ForwardMap):
         """Coefficients ``(|X|², 2·Re(X·conj D), |D|²)`` of ``t -> g((1 - t) x + t a)``.
 
         The DFT is linear, ``F((1 - t) x + t a) = X + t D`` with ``X = F x``
-        and ``D = F a − X``, so the two memoized spectra serve the segment.
+        and ``D = F a − X``, so the spectra of the two ends serve the segment.
         """
         X = self.spectrum(x).ravel()
         D = self.spectrum(a).ravel() - X
@@ -349,9 +347,10 @@ class RegularizedSet(SetOracle):
 
     ``forward``, ``data``, ``kernel`` and ``epsilon`` are fixed after
     construction: the kernel's divergence against ``data`` is prepared once,
-    as ``divergence``, when the ball is built, and ``residual`` remembers its
-    last ``(point, value)`` pair so that asking again for the identical
-    ``Point`` (whose storage is read-only) costs nothing.  ``band`` is
+    as ``divergence``, when the ball is built.  ``residual`` is a value
+    derived on the point and owned by the ball, so asking again for the
+    same ``Point`` costs nothing, while another ball on the same map keeps
+    its own residual and shares the map's spectrum.  ``band`` is
     ``max(MEMBERSHIP_TOL, 1e-6 * epsilon)``: a point whose residual is below
     ``epsilon - band`` is interior, and the normal cone there is {0}.
     """
@@ -372,19 +371,13 @@ class RegularizedSet(SetOracle):
             raise ValueError("epsilon must be nonnegative")
         self.band = max(MEMBERSHIP_TOL, 1e-6 * epsilon)
         self.divergence = kernel.against(self.data)
-        self._last_residual: tuple[Point, float] | None = None
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
         return [x if self.contains(x) else project_regularized_exact(self, x)]
 
     def residual(self, x: Point) -> float:
-        last = self._last_residual
-        if last is not None and last[0] is x:
-            return last[1]
-        value = self.divergence(self.forward.value(x))
-        self._last_residual = (x, value)
-        return value
+        return x.derived(self, lambda: self.divergence(self.forward.value(x)))
 
     def residual_gradient(self, x: Point) -> Point:
         w = self.divergence.gradient(self.forward.value(x))
@@ -451,9 +444,11 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     ``1/64`` upward and reaches the anchor end ``t = 1`` only when no
     earlier end is a member.  Either way the search refines the cell with
     Newton steps on the excess's exact slope, and the entry is found on
-    the cells :meth:`SetOracle.segment_entry` scans.  Should
-    the excess's rounding put ``x0`` outside, or disagree with ``contains``
-    on that point, :meth:`SetOracle.segment_entry` answers instead.  A
+    the cells :meth:`SetOracle.segment_entry` scans.  The returned point is
+    re-checked with ``contains`` by :meth:`SetOracle._checked_entry`, which
+    searches once more, on the same polynomial, where the excess's rounding
+    alone made the re-check fail, and lets :meth:`SetOracle.segment_entry`
+    answer where the excess puts ``x0`` outside or the retry fails too.  A
     member ``x`` raises ``ValueError``, as does a non-member ``x0`` in the
     segment search.
     """
@@ -471,19 +466,16 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
                     return float(tau), lerp(x, x0, float(tau))
         # fall through to the segment search on degenerate geometry
 
-    fast = m.divergence.segment_excess(m.forward.segment_polynomial(x, x0),
-                                       m.epsilon + MEMBERSHIP_TOL)
-    quartic = getattr(fast, "coefficients", None)
-    search = {"bracket": fast.cell(), "slope": fast.slope} if quartic is None \
-        else _quartic_search(quartic)
-    try:
-        tau = float(first_crossing(fast, **search))
-    except ValueError:  # rounding in ``fast`` can put the anchor itself outside
-        if not m.contains(x0):
-            raise ValueError("anchor x0 is not a member of the set") from None
-        return SetOracle.segment_entry(m, x, x0)
-    point = m.forward.segment_point(x, x0, tau)
-    return (tau, point) if m.contains(point) else SetOracle.segment_entry(m, x, x0)
+    p = m.forward.segment_polynomial(x, x0)
+
+    def solve(margin: float) -> tuple[float, Callable[[float], float]]:
+        fast = m.divergence.segment_excess(p, m.epsilon + MEMBERSHIP_TOL - margin)
+        quartic = getattr(fast, "coefficients", None)
+        search = {"bracket": fast.cell(), "slope": fast.slope} if quartic is None \
+            else _quartic_search(quartic)
+        return first_crossing(fast, **search), fast
+
+    return m._checked_entry(x, x0, solve, lambda tau: m.forward.segment_point(x, x0, tau))
 
 
 def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:

@@ -213,8 +213,8 @@ def reconstruct(instance: PhaseInstance, epsilon: float, cfg: InexactAPConfig, s
     n = n1 * n2
     setC = SupportNonnegSet(instance.forced_zero, n, kind=COMPLEX)
     m = divergence_ball(instance, epsilon)
-    # on the ball's map, so that the anchor projection reuses the interior
-    # test's spectrum of each iterate
+    # on the ball's map, so that the anchor projection reads the spectrum each
+    # iterate keeps from the interior test
     unreg = FourierMagnitudeSet(instance.observed.ravel(), m.forward)
 
     streams = np.random.SeedSequence(seed).spawn(max(1, n_restarts))
@@ -280,8 +280,8 @@ def interiority_check(m: RegularizedSet, x: Point) -> bool:
     The residual is continuous, so ``{r < epsilon}`` is open and such a
     point is interior.  The ball's ``band`` is far above the residual's
     rounding, and below it the ball's normal cone is {0}.  At ``epsilon =
-    0`` the verdict is False.  A remembered residual costs no transform, and
-    nothing is drawn.
+    0`` the verdict is False.  A residual the point keeps costs no
+    transform, and nothing is drawn.
     """
     return m.residual(x) < m.epsilon - m.band
 

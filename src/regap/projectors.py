@@ -38,9 +38,10 @@ class AffineSet(SetOracle):
 
     With the thin QR factorization A^T = Q R, the set is {x : Q^T x = c},
     c = R^-T b, so the projection is ``x - Q (Q^T x - c)``; Q and c are
-    computed once.  The last entry point :meth:`segment_entry` found a
-    member is remembered by identity (points are read-only), so
-    :meth:`normal_cone_at` does not measure it again.
+    computed once.  Membership is a value derived on the point and owned by
+    the set: :meth:`segment_entry` records its entry point, which it has
+    checked, as a member, so :meth:`normal_cone_at` does not measure it
+    again.
     """
 
     def __init__(self, matrix, rhs):
@@ -64,7 +65,6 @@ class AffineSet(SetOracle):
             raise ValueError("matrix must have full row rank") from exc
         q, r = np.linalg.qr(a.T)
         self._normal_basis, self._offset = q, np.linalg.solve(r.T, b)
-        self._member: Point | None = None
 
     def project(self, x: Point) -> list[Point]:
         self._check_point(x)
@@ -86,22 +86,23 @@ class AffineSet(SetOracle):
     def segment_entry(self, x: Point, y: Point) -> tuple[float, Point]:
         """The default's search on the closed-form residual: only the entry point is built.
 
-        Should the closed form's rounding put ``y`` outside, or disagree with
-        ``contains`` on the entry point, the default answers instead.
+        :meth:`SetOracle._checked_entry` re-checks the entry point and
+        answers by the default where the closed form's rounding puts ``y``
+        outside or disagrees with ``contains`` on it.
         """
         residual = self._residual_along(x, y)
-        try:  # the residual along a segment to a member changes sign once: no scan
-            s = first_crossing(lambda s: residual(s) - MEMBERSHIP_TOL, bracket=(0.0, 1.0))
-        except ValueError:
-            return super().segment_entry(x, y)
-        point = lerp(x, y, s)
-        if not self.contains(point):
-            return super().segment_entry(x, y)
-        self._member = point
+
+        def solve(margin: float):
+            excess = lambda s: residual(s) - MEMBERSHIP_TOL + margin  # noqa: E731
+            # the residual along a segment to a member changes sign once: no scan
+            return first_crossing(excess, bracket=(0.0, 1.0)), excess
+
+        s, point = self._checked_entry(x, y, solve, lambda s: lerp(x, y, s))
+        point.derived(self, lambda: True)
         return s, point
 
     def normal_cone_at(self, x: Point) -> SubspaceCone:
-        if x is not self._member and not self.contains(x):
+        if not x.derived(self, lambda: self.contains(x)):
             raise ValueError("base point is not a member of the set")
         return SubspaceCone(self._normal_basis)
 
@@ -255,9 +256,10 @@ class FourierMagnitudeSet(SetOracle):
     coefficient's real and imaginary parts by its modulus.  Because F is
     unitary this is an exact Euclidean projection.  ``forward_map`` fixes the grid shape and does the
     transforms: the projection reads ``spectrum(x)`` and returns
-    ``from_spectrum(Y)``, so the map remembers the projection's spectrum
-    ``Y`` with it.  Passing a divergence ball's map shares its memo, and
-    the ball then reads the anchor's spectrum without a forward FFT.
+    ``from_spectrum(Y)``, so the projection keeps its spectrum ``Y``.
+    Spectra are derived on the points and owned by the map, so passing a
+    divergence ball's map shares them: the ball reads the spectrum of
+    ``x`` and of the anchor without a forward FFT.
     """
 
     kind = COMPLEX

@@ -13,6 +13,7 @@ the numpy-only CI job runs them too.
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import smooth_instance
-from regap import algorithms, cli, divergences
+from regap import algorithms, cli, divergences, projectors
 from regap.algorithms import InexactAPConfig
 from regap.core import MEMBERSHIP_TOL, SCAN_GRID, Point, SetOracle, first_crossing, lerp
 from regap.divergences import (EuclideanKernel, FourierIntensityMap, KullbackLeiblerKernel,
                                RegularizedSet, SquareMap, _quartic_search,
                                bregman_line_boundary)
 from regap.phase import reconstruct
-from regap.projectors import FourierMagnitudeSet
+from regap.projectors import AffineSet, FourierMagnitudeSet
 
 
 def _ball(x: Point, x0: Point, data, frac: float) -> RegularizedSet:
@@ -467,3 +468,97 @@ def test_kl_solves_in_the_first_cell_take_at_most_six_probes(monkeypatch):
     first = [probes for tau, probes in solves if _cell(tau) == 1]
     assert len(first) > 20
     assert max(first) <= 6
+
+
+# ---------------------------------------------------------------------------
+# One retry before the generic search
+
+class _Offset:
+    """A ball's prepared divergence whose segment excess reads ``delta`` below the residual.
+
+    Its excess aims ``delta`` past the ball's bound, as one does whose
+    rounding puts it below a fresh residual, so the entry it finds can lie
+    outside the band by up to ``delta``.
+    """
+
+    def __init__(self, divergence, delta):
+        self.divergence, self.delta, self.gradient = divergence, delta, divergence.gradient
+
+    def __call__(self, z):
+        return self.divergence(z)
+
+    def segment_excess(self, p, bound):
+        return self.divergence.segment_excess(p, bound + self.delta)
+
+
+class _OffsetAffine(AffineSet):
+    """An affine set whose closed-form residual along a segment reads ``delta`` low."""
+
+    delta = 0.0
+
+    def _residual_along(self, x, y):
+        residual = super()._residual_along(x, y)
+        return lambda s: residual(s) - self.delta
+
+
+# Each case crosses the band with a slope of order 1 in t, so the fast
+# entry lies within 1e-11 of the crossing and an offset of 2e-10 moves the
+# fresh residual there out of the band.
+
+def _quartic_case(delta):
+    rng = np.random.default_rng(3)
+    data = 0.01 * rng.uniform(0.5, 2.0, 8)
+    x = Point(0.3 * rng.standard_normal(8))
+    x0 = Point(np.sqrt(data) * np.where(x.data < 0, -1.0, 1.0))
+    ball = _ball(x, x0, data, 0.5)
+    return ball, x, x0, lambda: setattr(ball, "divergence", _Offset(ball.divergence, delta)), \
+        bregman_line_boundary
+
+
+def _kl_case(delta):
+    rng = np.random.default_rng(1)
+    obj = 0.3 * rng.uniform(0.0, 1.0, (8, 8))
+    data = np.abs(np.fft.fftn(obj, norm="ortho")).ravel() ** 2
+    x = Point.from_complex((obj + rng.normal(0.0, 0.15, obj.shape)).ravel().astype(complex))
+    fmap = FourierIntensityMap(obj.shape)
+    x0 = FourierMagnitudeSet(data, fmap).project(x)[0]
+    epsilon = 0.5 * RegularizedSet(fmap, data, KullbackLeiblerKernel(), 0.0).residual(x)
+    ball = RegularizedSet(fmap, data, KullbackLeiblerKernel(), epsilon)
+    return ball, x, x0, lambda: setattr(ball, "divergence", _Offset(ball.divergence, delta)), \
+        bregman_line_boundary
+
+
+def _affine_case(delta):
+    rng = np.random.default_rng(4)
+    s = _OffsetAffine(rng.standard_normal((2, 5)), rng.standard_normal(2))
+    x = Point(rng.standard_normal(5))
+    return s, x, s.project(x)[0], lambda: setattr(s, "delta", delta), AffineSet.segment_entry
+
+
+@pytest.mark.parametrize("case", [_quartic_case, _kl_case, _affine_case])
+@pytest.mark.parametrize("delta, solves, searches", [(2e-10, 2, 0), (6e-10, 1, 1)])
+def test_a_refused_entry_is_mended_by_one_retry(case, delta, solves, searches, monkeypatch):
+    # The offset excess reads delta below the fresh residual, so the
+    # re-check refuses its entry by a gap of about delta.  A gap below
+    # MEMBERSHIP_TOL / 2 is rounding: the fast search runs once more, aimed
+    # half the tolerance inside, and the fresh excess refined between the
+    # two entries gives segment_entry's answer without its search.  A
+    # larger gap is no rounding, and segment_entry answers.
+    m, x, x0, offset, solve = case(delta)
+    assert not m.contains(x) and m.contains(x0)
+    s, _ = SetOracle.segment_entry(m, x, x0)
+    offset()
+    calls = []
+
+    def counted_crossing(excess, **search):
+        calls.append(search)
+        return first_crossing(excess, **search)
+    for module in (divergences, projectors):
+        monkeypatch.setattr(module, "first_crossing", counted_crossing)
+    with mock.patch.object(SetOracle, "segment_entry", autospec=True,
+                           side_effect=SetOracle.segment_entry) as search:
+        tau, point = solve(m, x, x0)
+    assert (len(calls), search.call_count) == (solves, searches)
+    assert m.contains(point)
+    assert point.data.tobytes() == lerp(x, x0, tau).data.tobytes()
+    assert abs(tau - s) <= 1e-12

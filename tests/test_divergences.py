@@ -357,7 +357,7 @@ def test_boundary_tau_shrinks_with_epsilon(eps_frac, reach):
 
 
 # ---------------------------------------------------------------------------
-# Prepared divergence and residual memo
+# Prepared divergence, and the values derived on a point
 
 class _CountsValues:
     """Mixin for a forward map that counts its ``value`` calls."""
@@ -401,35 +401,50 @@ def _counting_ffts(monkeypatch) -> list[int]:
     return ffts
 
 
-def test_transform_memo_answers_only_the_identical_point(monkeypatch):
+def test_spectrum_is_taken_once_per_point(monkeypatch):
+    # The spectrum is derived on the point: no other point, and no order of
+    # asks, makes the map take it again; a twin point takes its own.
     rng = np.random.default_rng(5)
     fmap = FourierIntensityMap((4, 4))
-    a, b, c = (Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-               for _ in range(3))
+    a, b = (Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+            for _ in range(2))
     ffts = _counting_ffts(monkeypatch)
     spectrum = fmap.spectrum(a)
+    fmap.spectrum(b)
     assert fmap.spectrum(a) is spectrum
-    assert ffts[0] == 1
+    assert ffts[0] == 2
     twin = Point(a.data, a.kind)
     fresh = fmap.spectrum(twin)
     assert fresh is not spectrum and fresh.tobytes() == spectrum.tobytes()
-    assert ffts[0] == 2
-    fmap.spectrum(b)
-    again = fmap.spectrum(a)  # A, twin, B, A: the two later pairs displaced A
-    assert ffts[0] == 4
-    assert again is not spectrum and again.tobytes() == spectrum.tobytes()
-    fmap.spectrum(b)
-    assert fmap.spectrum(a) is again  # B, A, B, A: the memo holds two pairs
-    fmap.spectrum(c)
-    assert fmap.spectrum(a) is again and ffts[0] == 5  # C displaced B, not A
+    assert ffts[0] == 3
     with pytest.raises(ValueError):
-        again[0, 0] = 0.0
-    assert again.tobytes() == spectrum.tobytes()
+        spectrum[0, 0] = 0.0
+    assert fmap.spectrum(a).tobytes() == fresh.tobytes()
+
+
+def test_balls_on_one_map_share_spectra_not_residuals(monkeypatch):
+    # The spectrum is the map's and the residual the ball's: two balls on
+    # one map with different data take one FFT of a point between them,
+    # and each its own residual of it.
+    rng = np.random.default_rng(7)
+    fmap = _CountingFourierMap((4, 4))
+    first, second = (RegularizedSet(fmap, rng.uniform(0.0, 2.0, 16), KullbackLeiblerKernel(),
+                                    1.0) for _ in range(2))
+    p = Point.from_complex(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    ffts = _counting_ffts(monkeypatch)
+    r1, r2 = first.residual(p), second.residual(p)
+    assert ffts[0] == 1 and fmap.values == 2
+    assert (r1, r2) == (first.residual(p), second.residual(p))
+    assert fmap.values == 2
+    assert r1 != r2
+    for ball in (first, second):
+        assert ball.residual(p) == ball.kernel.evaluate(fmap.value(p), ball.data)
+    assert ffts[0] == 1
 
 
 def test_remembered_spectra_are_read_only_copies(monkeypatch):
     # from_spectrum takes one ifftn and segment_point none: both points then
-    # answer from the memo, with read-only spectra the caller cannot reach.
+    # keep their spectra, read-only and out of the caller's reach.
     rng = np.random.default_rng(6)
     fmap = FourierIntensityMap((4, 4))
     Y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -526,7 +541,7 @@ def _surface_8x8(forward_map):
     """An 8x8 phase instance: ``(C, ball, unregularized set, start)``.
 
     The unregularized set transforms on the ball's map, as in
-    ``phase.reconstruct``, so both read one spectrum memo.
+    ``phase.reconstruct``, so both read the spectra the points keep.
     """
     shape = (8, 8)
     instance = synthesize(shape, box_support(shape, 2), 1e3, seed=3)
@@ -562,29 +577,30 @@ def test_surface_cycle_transform_count(monkeypatch):
     # One surface cycle, by hand:
     #   the support projection onto C                    0
     #   residual(even), the interior test                1 (value: fftn of even)
-    #   the anchor projection onto |F x|^2 = b           1 (F even from the memo;
-    #                                                       one ifftn, and the map
-    #                                                       remembers the anchor's
-    #                                                       spectrum Y with it)
-    #   boundary solve: residual(even) again             0 (residual memo)
-    #   boundary solve: segment_polynomial(even, anchor) 0 (F even and Y from the
-    #                                                       memo; its t = 1 end
+    #   the anchor projection onto |F x|^2 = b           1 (even keeps F even;
+    #                                                       one ifftn, and the
+    #                                                       anchor keeps its
+    #                                                       spectrum Y)
+    #   boundary solve: residual(even) again             0 (even keeps it)
+    #   boundary solve: segment_polynomial(even, anchor) 0 (both keep their
+    #                                                       spectra; its t = 1 end
     #                                                       tests the anchor)
-    #   boundary solve: contains(boundary point)         0 (value: segment_point
-    #                                                       remembered the point's
-    #                                                       spectrum (1 - tau) F even
-    #                                                       + tau Y)
-    #   residual(odd) for the trace                      0 (residual memo)
+    #   boundary solve: contains(boundary point)         0 (value: the point
+    #                                                       keeps the spectrum
+    #                                                       (1 - tau) F even
+    #                                                       + tau Y segment_point
+    #                                                       built it with)
+    #   residual(odd) for the trace                      0 (the odd point keeps it)
     # The two value calls are the interior test's and the re-check's.
     assert _surface_cycle_cost(monkeypatch, measure_gamma=False) == (2, 2)
 
 
 def test_surface_cycle_transform_count_with_gamma(monkeypatch):
     # As above, plus the alignment residual at the boundary point, which
-    # is the odd iterate: normal_cone_at reads the residual memo, and
-    # residual_gradient's value and pullback take the point's remembered
-    # spectrum, so only the pullback's ifftn is new (9 per cycle before
-    # the memo, 5 before the remembered spectra).
+    # is the odd iterate: normal_cone_at reads the residual the point
+    # keeps, and residual_gradient's value and pullback take the spectrum it
+    # keeps, so only the pullback's ifftn is new (9 per cycle before any
+    # spectrum was kept, 5 before the boundary point kept its own).
     assert _surface_cycle_cost(monkeypatch, measure_gamma=True) == (3, 3)
 
 
