@@ -55,8 +55,13 @@ class Point:
 
     The constructor copies ``data``.  Code that has just computed a fresh
     float64 array builds its point with :meth:`_fresh`, which freezes that
-    array in place instead; both check every entry is finite.  A point also
-    keeps the values other objects derive from it: see :meth:`derived`.
+    array in place instead.  Both check that every entry is finite in one
+    BLAS pass, the sum of squares, and test entry by entry only where that
+    sum overflows.  A point also keeps the values other objects derive from
+    it: see :meth:`derived`.  On a phase ball a point can keep its spectrum
+    (16 bytes per grid entry), its modulus and the log of its intensity
+    (8 bytes each): with its own 16, at most 48 bytes per entry, 192 KB at
+    64².
     """
 
     __slots__ = ("_data", "_kind", "_derived")
@@ -74,7 +79,9 @@ class Point:
     def _adopt(self, arr: np.ndarray, kind: str) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("point storage must be a nonempty 1-d array")
-        if not np.logical_and.reduce(np.isfinite(arr)):
+        # one BLAS pass: the sum of squares is finite iff every entry is, unless
+        # it overflows, where the exact test decides (vdot flags no overflow)
+        if not math.isfinite(np.vdot(arr, arr)) and not np.logical_and.reduce(np.isfinite(arr)):
             raise ValueError("point entries must be finite")
         if kind not in (REAL, COMPLEX):
             raise ValueError(f"unknown scalar kind {kind!r}")
@@ -109,7 +116,8 @@ class Point:
         """``make()``, computed on the first call for ``owner`` and kept with the point.
 
         ``owner`` is the object (a map or a set) whose value it is; each
-        owner keeps one value per point, keyed by the owner's identity.  The
+        owner keeps one value per point, keyed by the owner's identity, and
+        an owner with a second value keys it by ``(owner, name)``.  The
         point is immutable, so the value cannot go stale, and it dies with
         the point: a twin built from the same data computes its own.
         """

@@ -20,6 +20,7 @@ from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, SCAN_GRID, DimensionMismatchEr
                    ZeroCone, first_crossing, lerp)
 
 CLIP_FLOOR = 1e-300
+_SUBNORMAL = 5e-324  # the smallest: every log of a KL first argument is floored here
 NEWTON_MAX_DIM = 50  # largest ambient dimension project_regularized_exact accepts
 
 
@@ -39,16 +40,18 @@ class EuclideanKernel:
 
     def against(self, y) -> Callable[[np.ndarray], float]:
         """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data,
-        with ``gradient`` and ``segment_excess`` as for KL.  Here the excess is
-        a quartic, and it carries its ``coefficients`` ``(c0, ..., c4)``,
-        lowest degree first, for the boundary solve."""
+        with ``gradient``, ``logged`` and ``segment_excess`` as for KL.  This
+        kernel takes no log, so ``logged(z)`` is ``(d(z, y), None)``.  Here
+        the excess is a quartic, and it carries its ``coefficients`` ``(c0,
+        ..., c4)``, lowest degree first, for the boundary solve."""
         y = _as_array(y)
 
         def distance(z) -> float:
             d = _as_array(z) - y
             return 0.5 * float(d @ d)
 
-        def segment_excess(p, bound: float) -> Callable[[float], float]:
+        def segment_excess(p, bound: float, log_p0=None) -> Callable[[float], float]:
+            # log_p0 goes unused: the coefficients give t = 0 in one product
             # ½‖P0 + P1 t + P2 t²‖² − bound for P = (p0 − y, p1, p2), a quartic in t
             # whose coefficients come from one Gram product P Pᵀ
             gram = np.array((p[0] - y, p[1], p[2]))
@@ -59,6 +62,7 @@ class EuclideanKernel:
             return excess
 
         distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
+        distance.logged = lambda z: (distance(z), None)
         return distance
 
 
@@ -90,38 +94,52 @@ class KullbackLeiblerKernel:
 
         ``y`` is checked, clipped and logged once; each call checks ``z`` and
         adds the clipped entries of ``y`` to ``clip_count``, as ``evaluate``
-        does per call.  So do the callable's ``gradient(z)`` and each probe
-        of its ``segment_excess(p, bound)``, ``t -> d(z(t), y) - bound`` on
-        ``z(t) = p0 + p1 t + p2 t^2``, clamped at 0 as it may round below.
-        A probe takes only ``sum z log z``: ``sum z (log y + 1)`` is three
-        moments taken once per segment, and ``sum y`` is taken once here.
-        The excess remembers its latest probe, so asking again at the same
-        ``t`` takes no pass (it still counts its clipped entries).  It
-        carries ``cell()``, which probes the scan's cell ends ``1/64, 2/64,
-        ...`` and returns the first cell whose right end is a member, or the
-        last cell once ``t = 1`` is probed; and ``slope(t)``, its derivative
-        ``sum (p1 + 2 t p2)(log z - log y)``, which reuses the logarithm of
-        a probe at the same ``t``.
+        does per call.  So do the callable's ``logged(z)``, which returns
+        ``(d(z, y), log z)`` with the log the divergence took, read-only in
+        an array of its own, and ``gradient(z)``.  Every log of ``z`` here is
+        taken at ``z`` floored at the smallest subnormal ``5e-324``: exact
+        for ``z > 0``, and ``0 log 0 = -0.0``.
+
+        ``segment_excess(p, bound, log_p0=None)`` is ``t -> d(z(t), y) -
+        bound`` on ``z(t) = p0 + p1 t + p2 t^2``; each probe counts the
+        clipped entries of ``y`` as a call does.  A probe takes only ``sum
+        z log z``: ``sum z (log y + 1)`` is three moments taken once per
+        segment, and ``sum y`` is taken once here.  One ``z.min()`` decides
+        whether ``z`` is positive everywhere: then the probe takes ``log z``
+        as it is; otherwise it clamps ``z`` at 0, as the expanded form can
+        round below, and floors the log.  ``log_p0``, the log
+        ``logged(p0)`` took, answers ``t = 0`` with no probe: ``excess(0)``
+        and ``slope(0)`` are one dot product each, and equal a probe at 0
+        bit for bit.  The excess remembers its latest probe, so asking
+        again at the same ``t`` takes no pass (it still counts its clipped
+        entries).  It carries ``cell()``, which probes the scan's cell ends
+        ``1/64, 2/64, ...`` and returns the first cell whose right end is a
+        member, or the last cell once ``t = 1`` is probed; and
+        ``slope(t)``, its derivative ``sum (p1 + 2 t p2)(log z - log y)``,
+        which reuses the logarithm of a probe at the same ``t``.
         """
         y = _as_array(y)
         self._check_nonneg(y, "second")
         small = y < CLIP_FLOOR
         n_small = int(np.count_nonzero(small))
         log_y = np.log(np.where(small, CLIP_FLOOR, y))
-        weight, total, buffer = log_y + 1.0, float(y.sum()), np.empty_like(y)
+        weight, total = log_y + 1.0, float(y.sum())
 
-        def divergence(z) -> float:
+        def logged(z) -> tuple[float, np.ndarray]:
             z = _as_array(z)
             self._check_nonneg(z, "first")
             self.clip_count += n_small
-            # z*log(z/y) as z*log(z) - z*log(yc).  The log is taken at z floored
-            # at the smallest subnormal 5e-324: exact for z > 0, 0*log(0) = -0.0.
-            terms = np.log(np.maximum(z, 5e-324, out=buffer), out=buffer)
-            terms *= z
+            # z*log(z/y) as z*log(z) - z*log(yc)
+            log_z = np.maximum(z, _SUBNORMAL)
+            np.log(log_z, out=log_z)
+            terms = log_z * z
             terms -= z * log_y
             terms += y
             terms -= z
-            return float(terms.sum())
+            return float(terms.sum()), _read_only(log_z)
+
+        def divergence(z) -> float:
+            return logged(z)[0]
 
         def gradient(z) -> np.ndarray:
             z = _as_array(z)
@@ -129,7 +147,7 @@ class KullbackLeiblerKernel:
             self.clip_count += n_small + int(np.count_nonzero(z < CLIP_FLOOR))
             return np.log(np.maximum(z, CLIP_FLOOR)) - log_y
 
-        def segment_excess(p, bound: float) -> Callable[[float], float]:
+        def segment_excess(p, bound: float, log_p0=None) -> Callable[[float], float]:
             p0, p1, p2 = p
             k0, k1, k2 = (float(weight @ pj) for pj in p)
             l1, l2 = float(log_y @ p1), float(log_y @ p2)
@@ -143,14 +161,18 @@ class KullbackLeiblerKernel:
                     np.add(z, p1, out=z)
                     np.multiply(z, t, out=z)
                     np.add(z, p0, out=z)
-                    np.maximum(z, 0.0, out=z)
-                    # log at max(z, CLIP_FLOOR): 0*log(0) = 0, and < 1e-297 off below
-                    np.log(np.maximum(z, CLIP_FLOOR, out=log_z), out=log_z)
+                    if z.min() > 0.0:
+                        np.log(z, out=log_z)
+                    else:
+                        np.maximum(z, 0.0, out=z)
+                        np.log(np.maximum(z, _SUBNORMAL, out=log_z), out=log_z)
                     last[:] = t, float(z @ log_z) + c0 - t * (k1 + t * k2)
                 return last[1]
 
             def excess(t: float) -> float:
                 self.clip_count += n_small
+                if t == 0.0 and log_p0 is not None:
+                    return float(p0 @ log_p0) + c0  # z(0) is p0 bit for bit
                 return fill(t)
 
             # cell and slope call fill, not excess: an attribute of the excess
@@ -163,6 +185,8 @@ class KullbackLeiblerKernel:
                 return SCAN_GRID[k - 1], SCAN_GRID[k]
 
             def slope(t: float) -> float:
+                if t == 0.0 and log_p0 is not None:
+                    return float(log_p0 @ p1) - l1
                 fill(t)
                 return float(log_z @ p1) - l1 + 2.0 * t * (float(log_z @ p2) - l2)
 
@@ -170,6 +194,7 @@ class KullbackLeiblerKernel:
             return excess
 
         divergence.gradient, divergence.segment_excess = gradient, segment_excess
+        divergence.logged = logged
         return divergence
 
 
@@ -183,7 +208,9 @@ class ForwardMap:
     ``value`` evaluates g and ``pullback`` applies the Jacobian adjoint
     Dg(x)^T w in real-storage coordinates.  ``segment_polynomial(x, a)``
     gives ``(p0, p1, p2)`` with ``g((1 - t) x + t a) = p0 + p1 t + p2 t^2``,
-    which the boundary solve hands to the kernel's prepared divergence.
+    which the boundary solve hands to the kernel's prepared divergence;
+    ``p0`` is ``value(x)`` bit for bit, so the solve reads ``t = 0`` from
+    the log the ball kept with the residual of ``x``.
     """
 
     in_dim: int
@@ -272,8 +299,11 @@ class FourierIntensityMap(ForwardMap):
     spectrum they already hold with the point they build.  So a phase ball
     and the anchor set on its map share each point's spectrum, and the
     anchor and the boundary point take no forward FFT; a spectrum no FFT
-    took differs from ``F`` of its point by rounding only.  Spectra are
-    read-only, so no caller can change a kept value.
+    took differs from ``F`` of its point by rounding only.  The modulus
+    ``|F x|`` is derived on the point too, once: ``value`` squares it,
+    ``segment_polynomial`` takes ``p0 = value(x)``, and the anchor set
+    divides by it.  Spectra and moduli are read-only, so no caller can
+    change a kept value; ``value`` returns a fresh array.
     """
 
     in_kind = COMPLEX
@@ -289,6 +319,10 @@ class FourierIntensityMap(ForwardMap):
         self._check(x)
         return x.derived(self, lambda: _read_only(
             np.fft.fftn(x.as_complex().reshape(self.shape), norm="ortho")))
+
+    def modulus(self, x: Point) -> np.ndarray:
+        """``|F x|`` on the grid, read-only, taken once per point."""
+        return x.derived((self, "modulus"), lambda: _read_only(np.abs(self.spectrum(x))))
 
     def from_spectrum(self, spectrum: np.ndarray) -> Point:
         """The point ``F^-1 Y`` of the spectrum ``Y``, which keeps a read-only copy of ``Y``."""
@@ -307,8 +341,7 @@ class FourierIntensityMap(ForwardMap):
         return np.fft.ifftn(spectrum, norm="ortho").ravel()
 
     def value(self, x: Point) -> np.ndarray:
-        X = self.spectrum(x)
-        return np.abs(X).ravel() ** 2
+        return self.modulus(x).ravel() ** 2
 
     def pullback(self, x: Point, w: np.ndarray) -> np.ndarray:
         X = self.spectrum(x)
@@ -321,11 +354,12 @@ class FourierIntensityMap(ForwardMap):
 
         The DFT is linear, ``F((1 - t) x + t a) = X + t D`` with ``X = F x``
         and ``D = F a − X``, so the spectra of the two ends serve the segment.
+        ``|X|²`` is ``value(x)``, the square of the modulus ``x`` keeps.
         """
         X = self.spectrum(x).ravel()
         D = self.spectrum(a).ravel() - X
         xr, xi, dr, di = X.real, X.imag, D.real, D.imag
-        return xr * xr + xi * xi, 2.0 * (xr * dr + xi * di), dr * dr + di * di
+        return self.value(x), 2.0 * (xr * dr + xi * di), dr * dr + di * di
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +384,10 @@ class RegularizedSet(SetOracle):
     as ``divergence``, when the ball is built.  ``residual`` is a value
     derived on the point and owned by the ball, so asking again for the
     same ``Point`` costs nothing, while another ball on the same map keeps
-    its own residual and shares the map's spectrum.  ``band`` is
+    its own residual and shares the map's spectrum.  With the residual the
+    ball keeps the log the divergence took (``divergence.logged``; a KL
+    ball's, 8 bytes per data entry), from which a boundary solve starting
+    at the point reads its excess and slope at ``t = 0``.  ``band`` is
     ``max(MEMBERSHIP_TOL, 1e-6 * epsilon)``: a point whose residual is below
     ``epsilon - band`` is interior, and the normal cone there is {0}.
     """
@@ -377,7 +414,11 @@ class RegularizedSet(SetOracle):
         return [x if self.contains(x) else project_regularized_exact(self, x)]
 
     def residual(self, x: Point) -> float:
-        return x.derived(self, lambda: self.divergence(self.forward.value(x)))
+        return self._logged(x)[0]
+
+    def _logged(self, x: Point) -> tuple[float, np.ndarray | None]:
+        """``divergence.logged(g(x))``, derived on the point and owned by the ball."""
+        return x.derived(self, lambda: self.divergence.logged(self.forward.value(x)))
 
     def residual_gradient(self, x: Point) -> Point:
         w = self.divergence.gradient(self.forward.value(x))
@@ -437,8 +478,9 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     ``segment_excess`` on the map's ``segment_polynomial`` (a map with none
     raises ``NotImplementedError``) stands in for the residual at every
     probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
-    MEMBERSHIP_TOL``, and only the returned point is built.  A Euclidean
-    excess is a quartic: :func:`_quartic_search` finds from its
+    MEMBERSHIP_TOL``, and only the returned point is built.  The log the
+    ball kept with the residual of ``x`` answers the excess at ``t = 0``.
+    A Euclidean excess is a quartic: :func:`_quartic_search` finds from its
     coefficients the scan cell that holds the first member.  A KL excess
     finds that cell with its own ``cell()``, which probes the cell ends from
     ``1/64`` upward and reaches the anchor end ``t = 1`` only when no
@@ -467,9 +509,10 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
         # fall through to the segment search on degenerate geometry
 
     p = m.forward.segment_polynomial(x, x0)
+    log_p0 = m._logged(x)[1]  # p0 is g(x): the membership test above took its log
 
     def solve(margin: float) -> tuple[float, Callable[[float], float]]:
-        fast = m.divergence.segment_excess(p, m.epsilon + MEMBERSHIP_TOL - margin)
+        fast = m.divergence.segment_excess(p, m.epsilon + MEMBERSHIP_TOL - margin, log_p0)
         quartic = getattr(fast, "coefficients", None)
         search = {"bracket": fast.cell(), "slope": fast.slope} if quartic is None \
             else _quartic_search(quartic)
@@ -478,17 +521,24 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
     return m._checked_entry(x, x0, solve, lambda tau: m.forward.segment_point(x, x0, tau))
 
 
-def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
+def project_regularized_exact(m: RegularizedSet, x: Point, start: Point | None = None) -> Point:
     """Euclidean projection onto a divergence ball via its KKT system.
 
     Solves ``(y - x) + eta * grad_r(y) = 0`` and ``r(y) = epsilon`` for the
-    boundary residual ``r`` with a damped Newton method (initial multiplier
-    1, step halving, at most 100 steps to a KKT residual of 1e-11, measured
-    with exact gradients).  The Newton matrix takes central differences of
-    ``residual_gradient``, step ``1e-6 * (1 + |y_j|)`` per coordinate, and
-    symmetrizes them: each step costs ``2 * dim`` gradients, and any map
-    with a ``pullback`` serves.  A small-scale reference oracle: ambient
-    dimension is capped at ``NEWTON_MAX_DIM``.  On a nonconvex ball
+    boundary residual ``r`` with a damped Newton method (step halving, at
+    most 100 steps to a KKT residual of 1e-11, measured with exact
+    gradients).  It starts at ``y = x`` with multiplier 1, or, given a
+    ``start`` point ``p`` such as the segment point of
+    :func:`bregman_line_boundary`, at ``y = p`` with the multiplier
+    ``max(<x - p, grad_r(p)> / ||grad_r(p)||^2, 0)`` that fits the first
+    equation there best (1 where ``grad_r(p)`` vanishes).  From ``x`` the
+    solve can stall on a nonconvex ball (a small Fourier-KL ball, say)
+    where it converges from the segment point.  The Newton matrix takes
+    central differences of ``residual_gradient``, step ``1e-6 * (1 +
+    |y_j|)`` per coordinate, and symmetrizes them: each step costs ``2 *
+    dim`` gradients, and any map with a ``pullback`` serves.  A
+    small-scale reference oracle: ambient dimension is capped at
+    ``NEWTON_MAX_DIM``.  On a nonconvex ball
     (``SquareMap``, Fourier intensity) it returns a KKT point, which need
     not be the nearest.  Refuses ``epsilon = 0``, where the multiplier
     blows up because the constraint gradient vanishes on the data set
@@ -519,8 +569,13 @@ def project_regularized_exact(m: RegularizedSet, x: Point) -> Point:
         hess = np.column_stack(diffs) / (2.0 * h)
         return 0.5 * (hess + hess.T)
 
-    z = target.copy()
-    eta = 1.0
+    z, eta = target.copy(), 1.0
+    if start is not None:
+        m._check_point(start)
+        z = start.data.copy()
+        g = m.residual_gradient(start).data
+        if (gg := float(g @ g)) > 0.0:
+            eta = max(float((target - z) @ g), 0.0) / gg
     f, grad = kkt(z, eta)
     fnorm = np.linalg.norm(f)
     for _ in range(max_iter):

@@ -255,11 +255,12 @@ class FourierMagnitudeSet(SetOracle):
     overflow, send the projection down the slower path that divides each
     coefficient's real and imaginary parts by its modulus.  Because F is
     unitary this is an exact Euclidean projection.  ``forward_map`` fixes the grid shape and does the
-    transforms: the projection reads ``spectrum(x)`` and returns
-    ``from_spectrum(Y)``, so the projection keeps its spectrum ``Y``.
-    Spectra are derived on the points and owned by the map, so passing a
-    divergence ball's map shares them: the ball reads the spectrum of
-    ``x`` and of the anchor without a forward FFT.
+    transforms: the projection reads ``spectrum(x)`` and ``modulus(x)``
+    and returns ``from_spectrum(Y)``, so the projection keeps its spectrum
+    ``Y``.  Spectra and moduli are derived on the points and owned by the
+    map, so passing a divergence ball's map shares them: the ball reads the
+    spectrum of ``x`` and of the anchor without a forward FFT, and the
+    projection divides by the modulus the ball's residual of ``x`` took.
     """
 
     kind = COMPLEX
@@ -279,10 +280,9 @@ class FourierMagnitudeSet(SetOracle):
         self._map = forward_map
 
     def project(self, x: Point) -> list[Point]:
-        X = self._map.spectrum(x)
-        mag = np.abs(X)
+        X, mag = self._map.spectrum(x), self._map.modulus(x)
         if mag.min() > self._tiny:
-            return [self._map.from_spectrum(X * np.divide(self._magnitude, mag, out=mag))]
+            return [self._map.from_spectrum(X * (self._magnitude / mag))]
         # in real arithmetic: complex division by a subnormal modulus overflows
         phase = np.ones_like(X)
         np.divide(X.real, mag, out=phase.real, where=mag > 0)

@@ -216,8 +216,8 @@ def _counting_quartics(monkeypatch) -> list[int]:
         prepared = against(self, y)
         segment_excess = prepared.segment_excess
 
-        def counted_segment_excess(p, bound):
-            excess = segment_excess(p, bound)
+        def counted_segment_excess(p, bound, log_p0=None):
+            excess = segment_excess(p, bound, log_p0)
             evals.append(0)
 
             def counted(t):
@@ -483,12 +483,13 @@ class _Offset:
 
     def __init__(self, divergence, delta):
         self.divergence, self.delta, self.gradient = divergence, delta, divergence.gradient
+        self.logged = divergence.logged
 
     def __call__(self, z):
         return self.divergence(z)
 
-    def segment_excess(self, p, bound):
-        return self.divergence.segment_excess(p, bound + self.delta)
+    def segment_excess(self, p, bound, log_p0=None):
+        return self.divergence.segment_excess(p, bound + self.delta, log_p0)
 
 
 class _OffsetAffine(AffineSet):
@@ -562,3 +563,110 @@ def test_a_refused_entry_is_mended_by_one_retry(case, delta, solves, searches, m
     assert m.contains(point)
     assert point.data.tobytes() == lerp(x, x0, tau).data.tobytes()
     assert abs(tau - s) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The kept log at t = 0, and probes without clamps
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class _CountingNumpy:
+    """The divergences module's numpy, with ``log`` and ``maximum`` calls counted."""
+
+    def __init__(self):
+        self.logs = self.maxima = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, *args, **kwargs):
+        self.logs += 1
+        return np.log(*args, **kwargs)
+
+    def maximum(self, *args, **kwargs):
+        self.maxima += 1
+        return np.maximum(*args, **kwargs)
+
+
+def _kl_segment(side, seed, k, zeros, through_zero=False):
+    """A KL ball on a side x side grid at scale 10^k, and the polynomial of a segment.
+
+    The ends are built from spectra with a fraction ``zeros`` of exact
+    zeros, which they keep, and the data has zeros too.  With
+    ``through_zero`` the anchor is ``-x``, whose segment's spectrum
+    vanishes at ``t = 1/2``.  Returns ``(ball, x, p)``.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (side, side)
+
+    def grid():
+        g = 10.0 ** k * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        g[rng.random(shape) < zeros] = 0.0
+        return g
+    fmap = FourierIntensityMap(shape)
+    X = grid()
+    x = fmap.from_spectrum(X)
+    x0 = fmap.from_spectrum(-X if through_zero else grid())
+    data = np.abs(grid()).ravel() ** 2
+    data[rng.random(data.size) < zeros] = 0.0
+    ball = RegularizedSet(fmap, data, KullbackLeiblerKernel(), 1.0)
+    return ball, x, fmap.segment_polynomial(x, x0)
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0),
+       st.floats(0.0, 0.5), st.floats(0.0, 2.0))
+def test_kept_log_answers_t_zero_as_a_probe_does(side, seed, k, zeros, frac):
+    # residual(x) keeps log g(x) and the polynomial's p0 is g(x), so the
+    # excess and its slope at t = 0 are one dot product each, with no log,
+    # and equal a probe at t = 0 bit for bit.
+    ball, x, p = _kl_segment(side, seed, k, zeros)
+    residual, log_x = ball._logged(x)
+    assert _bits(p[0] @ log_x) == _bits(p[0] @ np.log(np.maximum(p[0], 5e-324)))
+    bound = frac * residual
+    kept = ball.divergence.segment_excess(p, bound, log_x)
+    probed = ball.divergence.segment_excess(p, bound)
+    counting = _CountingNumpy()
+    with mock.patch.object(divergences, "np", counting):
+        before = ball.kernel.clip_count
+        got = kept(0.0), kept.slope(0.0)
+        clipped = ball.kernel.clip_count - before
+        assert counting.logs == 0
+        want = probed(0.0), probed.slope(0.0)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+    assert ball.kernel.clip_count - before == 2 * clipped
+
+
+def _clamped_probe(p, y, bound, t):
+    """The excess and slope at ``t`` as a probe took them with both clamps:
+    ``z`` clamped at 0 and its log floored at ``5e-324``, whatever ``z``."""
+    p0, p1, p2 = p
+    log_y = np.log(np.where(y < divergences.CLIP_FLOOR, divergences.CLIP_FLOOR, y))
+    k0, k1, k2 = (float((log_y + 1.0) @ pj) for pj in p)
+    c0 = float(y.sum()) - k0 - bound
+    z = np.maximum(p0 + t * (p1 + t * p2), 0.0)
+    log_z = np.log(np.maximum(z, 5e-324))
+    excess = float(z @ log_z) + c0 - t * (k1 + t * k2)
+    slope = float(log_z @ p1) - float(log_y @ p1) \
+        + 2.0 * t * (float(log_z @ p2) - float(log_y @ p2))
+    return excess, slope
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0),
+       st.floats(0.0, 0.5), st.booleans(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_a_positive_probe_takes_its_log_without_clamps(side, seed, k, zeros, through_zero, ts):
+    # One z.min() decides: a z positive everywhere is logged as it is, and
+    # equals the clamped probe bit for bit; any z <= 0 (a zero of both
+    # spectra, or the zero at t = 1/2 through -x) takes the two clamps.
+    ball, _, p = _kl_segment(side, seed, k, zeros, through_zero)
+    excess = ball.divergence.segment_excess(p, 0.5)
+    for t in dict.fromkeys(ts + [0.5, 1.0]):  # a repeat of the last t would take no pass
+        counting = _CountingNumpy()
+        with mock.patch.object(divergences, "np", counting):
+            got = excess(t), excess.slope(t)
+        positive = (p[0] + t * (p[1] + t * p[2]) > 0.0).all()
+        assert (counting.logs, counting.maxima) == ((1, 0) if positive else (1, 2))
+        assert [_bits(v) for v in got] == [_bits(v) for v in _clamped_probe(p, ball.data, 0.5, t)]

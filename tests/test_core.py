@@ -1,6 +1,7 @@
 """Core types: points, cones, segment search, and iteration traces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,28 @@ def test_point_basic_properties():
     assert p.dim == 2 and p.kind == REAL
     assert p.norm() == 5.0
     assert p.distance(Point(np.array([0.0, 0.0]))) == 5.0
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.data())
+def test_point_checks_finiteness_in_one_pass(entries, data):
+    # The sum of squares decides, and where it overflows (entries near
+    # 1e154 and up) the entrywise test does: every finite entry is taken,
+    # with no overflow warning, and one NaN or infinity anywhere is refused.
+    arr = np.array(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Point(arr).data.tobytes() == arr.tobytes()
+        assert Point(np.array([1e200, -1e200])).data.tolist() == [1e200, -1e200]
+        assert Point._fresh(arr.copy()).data.tobytes() == arr.tobytes()
+    j = data.draw(st.integers(0, arr.size - 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = arr.copy()
+        broken[j] = bad
+        for build in (Point, Point._fresh):
+            with pytest.raises(ValueError, match="finite"):
+                build(broken.copy())
 
 
 def test_point_rejects_bad_input():

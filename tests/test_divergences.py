@@ -584,15 +584,18 @@ def test_surface_cycle_transform_count(monkeypatch):
     #   boundary solve: residual(even) again             0 (even keeps it)
     #   boundary solve: segment_polynomial(even, anchor) 0 (both keep their
     #                                                       spectra; its t = 1 end
-    #                                                       tests the anchor)
+    #                                                       tests the anchor; value:
+    #                                                       p0 squares the modulus
+    #                                                       even keeps)
     #   boundary solve: contains(boundary point)         0 (value: the point
     #                                                       keeps the spectrum
     #                                                       (1 - tau) F even
     #                                                       + tau Y segment_point
     #                                                       built it with)
     #   residual(odd) for the trace                      0 (the odd point keeps it)
-    # The two value calls are the interior test's and the re-check's.
-    assert _surface_cycle_cost(monkeypatch, measure_gamma=False) == (2, 2)
+    # The three value calls are the interior test's, the segment polynomial's
+    # p0 and the re-check's; none takes a transform or a modulus of its own.
+    assert _surface_cycle_cost(monkeypatch, measure_gamma=False) == (2, 3)
 
 
 def test_surface_cycle_transform_count_with_gamma(monkeypatch):
@@ -600,8 +603,34 @@ def test_surface_cycle_transform_count_with_gamma(monkeypatch):
     # is the odd iterate: normal_cone_at reads the residual the point
     # keeps, and residual_gradient's value and pullback take the spectrum it
     # keeps, so only the pullback's ifftn is new (9 per cycle before any
-    # spectrum was kept, 5 before the boundary point kept its own).
-    assert _surface_cycle_cost(monkeypatch, measure_gamma=True) == (3, 3)
+    # spectrum was kept, 5 before the boundary point kept its own), and
+    # residual_gradient's value call is a fourth.
+    assert _surface_cycle_cost(monkeypatch, measure_gamma=True) == (3, 4)
+
+
+def test_surface_cycle_takes_two_moduli(monkeypatch):
+    # The even iterate keeps its modulus |F even|: the interior test's value
+    # takes it, and the anchor projection and the segment polynomial's p0
+    # read it again.  The boundary point's is the re-check's.  A cycle took
+    # 3 moduli of a spectrum before the modulus was kept.
+    setC, m, unreg, x0 = _surface_8x8(FourierIntensityMap)
+    moduli = [0]
+    absolute = np.abs
+
+    def counted(a, *args, **kwargs):
+        moduli[0] += np.iscomplexobj(a)
+        return absolute(a, *args, **kwargs)
+    monkeypatch.setattr(np, "abs", counted)
+
+    def run(cycles):
+        moduli[0] = 0
+        trace = regularized_extrapolated_ap(
+            setC, m, unreg, x0, InexactAPConfig(max_iterations=cycles, measure_gamma=False))
+        assert trace.reason == "max_iter"
+        assert all(0.0 < r.lam < 1.0 for r in trace.records)
+        return moduli[0]
+
+    assert run(3) - run(2) == 2
 
 
 def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
@@ -653,6 +682,11 @@ def _counting_divergences(monkeypatch, kernel) -> list[int]:
         def counted(z):
             calls[0] += 1
             return prepared(z)
+
+        def counted_logged(z):  # the ball's residual goes through logged
+            calls[0] += 1
+            return prepared.logged(z)
+        counted.logged = counted_logged
         return counted
     monkeypatch.setattr(kernel, "against", counted_against)
     return calls
@@ -782,7 +816,8 @@ def test_kl_segment_excess_matches_prepared_divergence(n1, n2, seed, through_zer
 def test_kl_fourier_boundary_evaluates_no_residual_per_probe(monkeypatch):
     # As for the square-Euclidean quartic: the segment polynomial and the
     # KL moments stand in for g and d at every probe, so a solve evaluates
-    # them only for residual(x) and the contains re-check.
+    # d only for residual(x) and the contains re-check, and g for those two
+    # and the polynomial's p0, the square of the modulus x keeps.
     divergences = _counting_divergences(monkeypatch, KullbackLeiblerKernel)
     evals = _counting_crossings(monkeypatch)
 
@@ -796,7 +831,7 @@ def test_kl_fourier_boundary_evaluates_no_residual_per_probe(monkeypatch):
     ball = _outside_ball(_CountingFourierMap(shape), data, KullbackLeiblerKernel(), x, x0, 0.1)
     ball.forward.values = divergences[0] = 0
     tau, point = bregman_line_boundary(ball, x, x0)
-    assert ball.forward.values == 2 and divergences[0] == 2
+    assert ball.forward.values == 3 and divergences[0] == 2
     assert len(evals) == 1 and evals[0] > 2
     assert ball.contains(point)
     assert abs(tau - _reference_boundary(ball, x, x0)) <= 1e-10

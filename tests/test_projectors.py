@@ -17,7 +17,8 @@ from regap.divergences import (EuclideanKernel, FourierIntensityMap, IdentityMap
 from regap.projectors import (AffineSet, BoxMagnitudeSet, FourierMagnitudeSet,
                               HalfspaceSet, NewtonConvergenceError, SupportNonnegSet,
                               project_affine, project_fourier_magnitude,
-                              project_regularized_approx, project_regularized_exact)
+                              bregman_line_boundary, project_regularized_approx,
+                              project_regularized_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +613,84 @@ def test_exact_projection_on_a_fourier_kl_ball_is_a_kkt_point():
     assert eta >= 0.0
     assert np.allclose(step, eta * grad, rtol=0.0, atol=1e-9)
     assert np.array_equal(ball.project(x)[0].data, p.data)
+
+
+def _fourier_kl_trials(seed, draw_epsilon, count):
+    """``count`` random 3x3 Fourier-KL balls, each with a point ``x`` outside.
+
+    The data is ``|F truth|^2`` and ``x`` is the truth plus 1.5 times complex
+    noise.  Yields ``(ball, anchor, x)``, the anchor being the projection of
+    ``x`` onto the data set; trials whose ``x`` is a member are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    fmap = FourierIntensityMap((3, 3))
+    for _ in range(count):
+        truth = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        epsilon = draw_epsilon(rng)
+        x = Point.from_complex(truth + 1.5 * (rng.standard_normal(9)
+                                              + 1j * rng.standard_normal(9)))
+        data = fmap.value(Point.from_complex(truth))
+        ball = RegularizedSet(fmap, data, KullbackLeiblerKernel(), epsilon)
+        if not ball.contains(x):
+            yield ball, FourierMagnitudeSet(data, fmap).project(x)[0], x
+
+
+def _assert_kkt_point(ball, x, p):
+    """``p`` is on the boundary and ``x - p = eta grad r(p)`` with ``eta >= 0``."""
+    assert ball.residual(p) == pytest.approx(ball.epsilon, abs=1e-9)
+    grad, step = ball.residual_gradient(p).data, x.data - p.data
+    eta = float(step @ grad) / float(grad @ grad)
+    assert eta >= 0.0
+    assert np.allclose(step, eta * grad, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed, draw_epsilon, count, cold_failures", [
+    pytest.param(11, lambda rng: rng.uniform(0.2, 1.0), 20, 2, id="rng11"),
+    pytest.param(3, lambda rng: 0.5, 20, 1, id="rng3"),
+    pytest.param(5, lambda rng: rng.uniform(0.05, 1.0), 80, None, id="rng5"),
+])
+def test_warm_started_kkt_solve_converges_on_small_fourier_kl_balls(seed, draw_epsilon, count,
+                                                                    cold_failures):
+    # Started at x with multiplier 1 the damped Newton stalls on some of
+    # these nonconvex balls (2 of the rng 11 trials and 1 of the rng 3
+    # ones).  Started at the segment point p with the multiplier that fits
+    # x - p = eta grad r(p) best, it converges on every one.
+    checked, failed = 0, 0
+    for ball, anchor, x in _fourier_kl_trials(seed, draw_epsilon, count):
+        _, p = bregman_line_boundary(ball, x, anchor)
+        _assert_kkt_point(ball, x, project_regularized_exact(ball, x, start=p))
+        checked += 1
+        if cold_failures is not None:
+            try:
+                project_regularized_exact(ball, x)
+            except NewtonConvergenceError:
+                failed += 1
+    assert checked == count
+    assert cold_failures is None or failed == cold_failures
+
+
+def test_warm_start_answers_the_cold_start_on_euclidean_balls():
+    # A Euclidean ball on a linear map is convex: its projection is unique,
+    # and the warm start from the segment point finds the cold start's.
+    # The rows are orthogonal with norms in [0.5, 2]: on a random square A
+    # of condition number 100 and more, both starts can stall.
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 250:
+        n = int(rng.integers(2, 7))
+        rows = int(rng.integers(1, n + 1))
+        A = np.linalg.qr(rng.standard_normal((n, rows)))[0].T * rng.uniform(0.5, 2.0, (rows, 1))
+        b = rng.standard_normal(rows)
+        ball = RegularizedSet(LinearMap(A), b, EuclideanKernel(), rng.uniform(0.05, 1.0))
+        x = Point(3.0 * rng.standard_normal(n))
+        if ball.contains(x):
+            continue
+        anchor = Point(x.data + A.T @ np.linalg.solve(A @ A.T, b - A @ x.data))
+        _, p = bregman_line_boundary(ball, x, anchor)
+        cold = project_regularized_exact(ball, x)
+        warm = project_regularized_exact(ball, x, start=p)
+        assert np.allclose(warm.data, cold.data, rtol=0.0, atol=1e-9)
+        checked += 1
 
 
 def test_exact_projection_refusals():
