@@ -30,7 +30,6 @@ from .core import (
     SolverError,
     TraceRecord,
     canonical_point,
-    lerp,
 )
 from .divergences import RegularizedSet, bregman_line_boundary
 
@@ -332,9 +331,10 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
     iterates reach the ball's interior.  On ``fixed_point`` termination the
     final even iterate is verified to lie in both sets.  The alignment
     residual is measured at the boundary point of the segment to the anchor;
-    ``strict_gamma`` checks it from cycle 0 on.  A boundary point's residual
-    may be taken on a spectrum its map combined (``segment_point``); an even
-    iterate's never is.
+    ``strict_gamma`` checks it from cycle 0 on.  Every odd iterate is built
+    by the map's ``segment_point``, so its residual may be taken on a
+    spectrum the map combined from the ends' spectra; an even iterate's
+    never is.
     """
     cfg = cfg or InexactAPConfig()
 
@@ -349,7 +349,7 @@ def regularized_extrapolated_ap(setC: SetOracle, m: RegularizedSet,
         else:
             seq = cfg.lambda_sequence
             lam = seq[min(k, len(seq) - 1)]
-            odd = lerp(even, anchor, lam)
+            odd = m.forward.segment_point(even, anchor, lam)
         gap = even.distance(odd)
         gamma_meas = (_alignment_residual(m, even, odd, gap, boundary) if cfg.measure_gamma
                       else math.nan)

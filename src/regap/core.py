@@ -419,18 +419,22 @@ class SetOracle:
         return s, lerp(x, y, s)
 
     def _checked_entry(self, x: Point, y: Point,
-                       solve: Callable[[float], tuple[float, Callable[[float], float]]],
+                       excess_at: Callable[[float], Callable[[float], float]],
                        build: Callable[[float], Point]) -> tuple[float, Point]:
         """:meth:`segment_entry` by a fast search, re-checked with :meth:`contains`.
 
-        ``solve(margin)`` returns ``(s, excess)``: a fast stand-in
-        ``excess`` for the default's ``membership_residual(lerp(x, y, s)) -
-        MEMBERSHIP_TOL``, lowered by ``margin``, and its first member ``s``
-        by :func:`first_crossing`, which raises ``ValueError`` when the
-        excess puts ``y`` outside.  ``build(s)`` builds the point at ``s``,
-        as ``lerp`` does.  The fast excess rounds differently from a fresh
-        residual, so its entry can fail the re-check by a gap ``g``, the
-        fresh excess there less the fast one.  A gap ``0 < g <
+        ``excess_at(margin)`` is a fast stand-in for the default's excess
+        ``membership_residual(lerp(x, y, s)) - MEMBERSHIP_TOL``, lowered by
+        ``margin``.  Every such excess carries ``cell()``, the cell of
+        ``SCAN_GRID`` that holds its first member (or a wider bracket in
+        which it changes sign once), or ``None`` to scan; and ``slope``, its
+        derivative, or ``None``.  :func:`first_crossing` takes them as
+        ``bracket`` and ``slope`` and finds the excess's first member ``s``,
+        or raises ``ValueError`` when the excess puts ``y`` outside.
+        ``build(s)`` builds the point at ``s``, as ``lerp`` does.  The fast
+        excess rounds differently from a fresh residual, so its entry can
+        fail the re-check by a gap ``g``, the fresh excess there less the
+        fast one.  A gap ``0 < g <
         MEMBERSHIP_TOL / 2`` is rounding, and the fast search is made once
         more with ``margin = MEMBERSHIP_TOL / 2``, so that its entry lies
         inside by more than ``g``.  The refused entry and the retry's, a
@@ -440,8 +444,12 @@ class SetOracle:
         ``y`` outside, the gap is not rounding, or the retry's entry fails
         too, the default answers.  A non-member ``y`` raises ``ValueError``.
         """
+        def search(margin: float) -> tuple[float, Callable[[float], float]]:
+            excess = excess_at(margin)
+            return first_crossing(excess, bracket=excess.cell(), slope=excess.slope), excess
+
         try:
-            s, excess = solve(0.0)
+            s, excess = search(0.0)
         except ValueError:  # rounding in the fast excess can put y itself outside
             if not self.contains(y):
                 raise ValueError("anchor is not a member of the set") from None
@@ -457,7 +465,7 @@ class SetOracle:
                 built[t] = build(t)
                 return self.membership_residual(built[t]) - MEMBERSHIP_TOL
             with contextlib.suppress(ValueError):  # raised where the retry's entry fails too
-                s = first_crossing(fresh, bracket=(s, solve(0.5 * MEMBERSHIP_TOL)[0]))
+                s = first_crossing(fresh, bracket=(s, search(0.5 * MEMBERSHIP_TOL)[0]))
                 return s, built[s]
         return SetOracle.segment_entry(self, x, y)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (COMPLEX, MEMBERSHIP_TOL, REAL, SCAN_GRID, DimensionMismatchError,
                    NormalCone, NormalConeUnavailableError, Point, RayCone, SetOracle, SolverError,
-                   ZeroCone, first_crossing, lerp)
+                   ZeroCone, lerp)
 
 CLIP_FLOOR = 1e-300
 _SUBNORMAL = 5e-324  # the smallest: every log of a KL first argument is floored here
@@ -32,6 +32,35 @@ def _as_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
+# t⁰, ..., t⁴ at the scan's cell ends 1/64, ..., 1: a quartic's values there in one product
+_CELL_POWERS = np.power.outer(SCAN_GRID[1:], np.arange(5.0))
+
+
+def _quartic(c: tuple[float, float, float, float, float]) -> Callable[[float], float]:
+    """The segment excess ``t -> c0 + c1 t + ... + c4 t^4``, by Horner steps.
+
+    ``c`` are its coefficients, lowest degree first.  As every segment
+    excess, it carries ``cell()`` and ``slope``.  The quartic is taken at
+    the scan's 64 cell ends in one product, and ``cell()`` is the first
+    cell whose right end is a member there; ``slope`` is the exact cubic
+    ``q'``.  The product can round to the other side of zero than the
+    Horner value at a cell end within rounding of zero: then
+    :func:`~regap.core.first_crossing` refuses the cell's member end or,
+    where no end is a member, ``cell()`` is ``None`` and ``slope`` is
+    ``None``, and the search scans.
+    """
+    c0, c1, c2, c3, c4 = c
+    excess = lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))  # noqa: E731
+    members = _CELL_POWERS.dot(c) <= 0.0
+    k = int(members.argmax())  # the first member end, or 0 where there is none
+    excess.cell, excess.slope = lambda: None, None
+    if members[k]:
+        d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
+        excess.cell = lambda: (SCAN_GRID[k], SCAN_GRID[k + 1])
+        excess.slope = lambda t: c1 + t * (d2 + t * (d3 + t * d4))
+    return excess
+
+
 class EuclideanKernel:
     """Half squared Euclidean distance, the Bregman distance of 0.5*||.||^2."""
 
@@ -42,8 +71,7 @@ class EuclideanKernel:
         """Prepared ``z -> d(z, y)`` for repeated evaluation against fixed data,
         with ``gradient``, ``logged`` and ``segment_excess`` as for KL.  This
         kernel takes no log, so ``logged(z)`` is ``(d(z, y), None)``.  Here
-        the excess is a quartic, and it carries its ``coefficients`` ``(c0,
-        ..., c4)``, lowest degree first, for the boundary solve."""
+        the excess is a quartic, :func:`_quartic`."""
         y = _as_array(y)
 
         def distance(z) -> float:
@@ -56,10 +84,7 @@ class EuclideanKernel:
             # whose coefficients come from one Gram product P Pᵀ
             gram = np.array((p[0] - y, p[1], p[2]))
             (g00, g01, g02), (_, g11, g12), (_, _, g22) = (gram @ gram.T).tolist()
-            c0, c1, c2, c3, c4 = 0.5 * g00 - bound, g01, 0.5 * g11 + g02, g12, 0.5 * g22
-            excess = lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4)))  # noqa: E731
-            excess.coefficients = (c0, c1, c2, c3, c4)
-            return excess
+            return _quartic((0.5 * g00 - bound, g01, 0.5 * g11 + g02, g12, 0.5 * g22))
 
         distance.gradient, distance.segment_excess = lambda z: _as_array(z) - y, segment_excess
         distance.logged = lambda z: (distance(z), None)
@@ -445,54 +470,21 @@ class RegularizedSet(SetOracle):
         return RayCone(grad.data)
 
 
-# t⁰, ..., t⁴ at the scan's cell ends 1/64, ..., 1: a quartic's values there in one product
-_CELL_POWERS = np.power.outer(SCAN_GRID[1:], np.arange(5.0))
-
-
-def _quartic_search(c: tuple[float, float, float, float, float]) -> dict:
-    """Keyword arguments for :func:`~regap.core.first_crossing` on a quartic.
-
-    ``c`` are its coefficients, lowest degree first.  The quartic is taken
-    at the scan's 64 cell ends in one product, and ``bracket`` is the first
-    cell whose right end is a member there; ``slope`` is the exact cubic
-    ``q'``.  The product can round to the other side of zero than the
-    scalar Horner value at a cell end within rounding of zero: then
-    ``first_crossing`` refuses the bracket's member end or, where no end is
-    a member, gets no keywords and scans.
-    """
-    members = _CELL_POWERS.dot(c) <= 0.0
-    k = int(members.argmax())  # the first member end, or 0 where there is none
-    if not members[k]:
-        return {}
-    _, c1, c2, c3, c4 = c
-    d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
-    return {"bracket": (SCAN_GRID[k], SCAN_GRID[k + 1]),
-            "slope": lambda t: c1 + t * (d2 + t * (d3 + t * d4))}
-
-
 def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float, Point]:
     """``m.segment_entry(x, x0)``, the first member of the segment from ``x`` to ``x0``, fast.
 
     Returns ``(tau, point)``.  Euclidean kernels with a :class:`LinearMap`
     solve a closed-form quadratic.  Otherwise the prepared divergence's
     ``segment_excess`` on the map's ``segment_polynomial`` (a map with none
-    raises ``NotImplementedError``) stands in for the residual at every
-    probe of :func:`~regap.core.first_crossing`, with the bound ``epsilon +
-    MEMBERSHIP_TOL``, and only the returned point is built.  The log the
-    ball kept with the residual of ``x`` answers the excess at ``t = 0``.
-    A Euclidean excess is a quartic: :func:`_quartic_search` finds from its
-    coefficients the scan cell that holds the first member.  A KL excess
-    finds that cell with its own ``cell()``, which probes the cell ends from
-    ``1/64`` upward and reaches the anchor end ``t = 1`` only when no
-    earlier end is a member.  Either way the search refines the cell with
-    Newton steps on the excess's exact slope, and the entry is found on
-    the cells :meth:`SetOracle.segment_entry` scans.  The returned point is
-    re-checked with ``contains`` by :meth:`SetOracle._checked_entry`, which
-    searches once more, on the same polynomial, where the excess's rounding
-    alone made the re-check fail, and lets :meth:`SetOracle.segment_entry`
-    answer where the excess puts ``x0`` outside or the retry fails too.  A
-    member ``x`` raises ``ValueError``, as does a non-member ``x0`` in the
-    segment search.
+    raises ``NotImplementedError``), with the bound ``epsilon +
+    MEMBERSHIP_TOL``, stands in for the residual of built points in
+    :meth:`SetOracle._checked_entry`, and only the returned point is built.
+    The log the ball kept with the residual of ``x`` answers the excess at
+    ``t = 0``.  A Euclidean excess (:func:`_quartic`) finds the scan cell
+    that holds the first member from its coefficients; a KL excess probes
+    the cell ends from ``1/64`` upward and reaches the anchor end ``t = 1``
+    only when no earlier end is a member.  A member ``x`` raises
+    ``ValueError``, as does a non-member ``x0`` in the segment search.
     """
     if m.contains(x):
         raise ValueError("x is already a member; no boundary crossing to find")
@@ -508,17 +500,10 @@ def bregman_line_boundary(m: RegularizedSet, x: Point, x0: Point) -> tuple[float
                     return float(tau), lerp(x, x0, float(tau))
         # fall through to the segment search on degenerate geometry
 
-    p = m.forward.segment_polynomial(x, x0)
+    p, bound = m.forward.segment_polynomial(x, x0), m.epsilon + MEMBERSHIP_TOL
     log_p0 = m._logged(x)[1]  # p0 is g(x): the membership test above took its log
-
-    def solve(margin: float) -> tuple[float, Callable[[float], float]]:
-        fast = m.divergence.segment_excess(p, m.epsilon + MEMBERSHIP_TOL - margin, log_p0)
-        quartic = getattr(fast, "coefficients", None)
-        search = {"bracket": fast.cell(), "slope": fast.slope} if quartic is None \
-            else _quartic_search(quartic)
-        return first_crossing(fast, **search), fast
-
-    return m._checked_entry(x, x0, solve, lambda tau: m.forward.segment_point(x, x0, tau))
+    return m._checked_entry(x, x0, lambda margin: m.divergence.segment_excess(
+        p, bound - margin, log_p0), lambda tau: m.forward.segment_point(x, x0, tau))
 
 
 def project_regularized_exact(m: RegularizedSet, x: Point, start: Point | None = None) -> Point:

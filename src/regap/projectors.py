@@ -26,7 +26,6 @@ from .core import (
     _norm,
     _svd_rank,
     canonical_point,
-    first_crossing,
     lerp,
 )
 from .divergences import (NEWTON_MAX_DIM, FourierIntensityMap, NewtonConvergenceError,
@@ -92,12 +91,13 @@ class AffineSet(SetOracle):
         """
         residual = self._residual_along(x, y)
 
-        def solve(margin: float):
+        def excess_at(margin: float):
             excess = lambda s: residual(s) - MEMBERSHIP_TOL + margin  # noqa: E731
             # the residual along a segment to a member changes sign once: no scan
-            return first_crossing(excess, bracket=(0.0, 1.0)), excess
+            excess.cell, excess.slope = lambda: (0.0, 1.0), None
+            return excess
 
-        s, point = self._checked_entry(x, y, solve, lambda s: lerp(x, y, s))
+        s, point = self._checked_entry(x, y, excess_at, lambda s: lerp(x, y, s))
         point.derived(self, lambda: True)
         return s, point
 

@@ -333,7 +333,7 @@ def test_inexact_cycle_membership_count(monkeypatch):
     def counted_lerp(x, y, t):
         lerps.append(t)
         return lerp(x, y, t)
-    for module in (regap.core, regap.algorithms, regap.projectors):
+    for module in (regap.core, regap.projectors):
         monkeypatch.setattr(module, "lerp", counted_lerp)
     exact = perturbed_line(math.pi / 4, 0.3)[2]
     counted = _CountingAffineSet(exact.matrix, exact.rhs)

@@ -1,13 +1,16 @@
 """The boundary solve on Euclidean and KL balls, against the generic segment search.
 
-Along a segment, the excess of a Euclidean ball on a quadratic map is a
-quartic in ``t``.  ``bregman_line_boundary`` takes it at the scan's 64 cell
-ends at once, from the coefficients, and ``first_crossing`` refines the
-first cell that ends in a member with Newton steps on the exact slope.  A
-KL excess probes the cell ends itself, from ``1/64`` upward, and carries
-its slope.  ``SetOracle.segment_entry``, the 64-cell scan on the residual
-of each built point, is the reference.  These tests import no scipy, so
-the numpy-only CI job runs them too.
+Every fast segment excess carries ``cell()``, the scan cell that holds its
+first member, and ``slope``, its derivative; ``SetOracle._checked_entry``
+hands both to ``first_crossing``, which refines the cell with Newton steps
+on the slope.  Along a segment, the excess of a Euclidean ball on a
+quadratic map is a quartic in ``t``, which finds its cell by taking itself
+at the scan's 64 cell ends at once, from its coefficients.  A KL excess
+probes the cell ends itself, from ``1/64`` upward.  The affine set's
+closed-form excess brackets all of ``[0, 1]`` and has no slope.
+``SetOracle.segment_entry``, the 64-cell scan on the residual of each
+built point, is the reference.  These tests import no scipy, so the
+numpy-only CI job runs them too.
 """
 
 import gc
@@ -21,12 +24,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import smooth_instance
-from regap import algorithms, cli, divergences, projectors
+from regap import algorithms, cli, core, divergences
 from regap.algorithms import InexactAPConfig
 from regap.core import MEMBERSHIP_TOL, SCAN_GRID, Point, SetOracle, first_crossing, lerp
 from regap.divergences import (EuclideanKernel, FourierIntensityMap, KullbackLeiblerKernel,
-                               RegularizedSet, SquareMap, _quartic_search,
-                               bregman_line_boundary)
+                               RegularizedSet, SquareMap, _quartic, bregman_line_boundary)
 from regap.phase import reconstruct
 from regap.projectors import AffineSet, FourierMagnitudeSet
 
@@ -91,18 +93,21 @@ def test_cell_pass_brackets_the_first_member_cell_end(coef):
     def near_zero(t):
         bound = 8 * np.finfo(float).eps * sum(abs(ci) * t ** i for i, ci in enumerate(c))
         return abs(excess(t)) <= bound
-    search = _quartic_search(c)
-    a, b = search.get("bracket", (1.0, math.inf))
-    assert search == {} or a == SCAN_GRID[SCAN_GRID.index(b) - 1]
+    quartic = _quartic(c)
+    assert all(quartic(t) == excess(t) for t in SCAN_GRID)
+    cell = quartic.cell()
+    a, b = cell or (1.0, math.inf)
+    assert (cell is None) == (quartic.slope is None)
+    assert cell is None or a == SCAN_GRID[SCAN_GRID.index(b) - 1]
     assert all(excess(t) > 0.0 or near_zero(t) for t in SCAN_GRID[1:] if t < b)
     first = next(t for t in SCAN_GRID[1:] if excess(t) <= 0.0)
     tau = first_crossing(excess)
     if b == first:
-        assert abs(first_crossing(excess, **search) - tau) <= 1e-10
+        assert abs(first_crossing(quartic, bracket=cell, slope=quartic.slope) - tau) <= 1e-10
     elif b < first:  # first_crossing refuses the member end, and the caller falls back
         assert near_zero(b)
         with pytest.raises(ValueError):
-            first_crossing(excess, **search)
+            first_crossing(quartic, bracket=cell, slope=quartic.slope)
 
 
 def _two_interval_ball(n, scale, spread, where, seed):
@@ -163,11 +168,15 @@ def test_member_interval_narrower_than_a_cell_is_stepped_over(n, k, where_in_ran
     ball, x, x0, first, second = _two_interval_ball(n, scale, spread, where, seed)
     assert 21 / 64 < first < 1 / 3 < 22 / 64 < second
     assert abs(SetOracle.segment_entry(ball, x, x0)[0] - second) <= 1e-10
-    excess = ball.divergence.segment_excess(ball.forward.segment_polynomial(x, x0),
-                                            ball.epsilon + MEMBERSHIP_TOL)
-    c = excess.coefficients
+    p, bound = ball.forward.segment_polynomial(x, x0), ball.epsilon + MEMBERSHIP_TOL
+    excess = ball.divergence.segment_excess(p, bound)
+    # its coefficients: ½‖(p0 − b) + p1 t + p2 t²‖² − bound, lowest degree first
+    gram = np.array((p[0] - ball.data, p[1], p[2]))
+    gram = gram @ gram.T
+    c = (0.5 * gram[0, 0] - bound, gram[0, 1], 0.5 * gram[1, 1] + gram[0, 2], gram[1, 2],
+         0.5 * gram[2, 2])
     try:
-        quartic_tau = first_crossing(excess, **_quartic_search(c))
+        quartic_tau = first_crossing(excess, bracket=excess.cell(), slope=excess.slope)
     except ValueError:  # rounding put the member end the scan starts from outside
         quartic_tau = math.nan
 
@@ -205,9 +214,9 @@ def _counting_quartics(monkeypatch) -> list[int]:
     """Count the scalar quartic evaluations of each Euclidean boundary solve.
 
     Every excess a prepared Euclidean divergence makes is wrapped, keeping
-    its coefficients, so ``first_crossing``'s calls are counted and the
-    cell pass on the coefficients is not.  The returned list gains one
-    entry per solve.
+    its ``cell`` and ``slope``, so ``first_crossing``'s calls are counted
+    and the cell pass on the coefficients is not.  The returned list gains
+    one entry per solve.
     """
     evals = []
     against = EuclideanKernel.against
@@ -223,7 +232,7 @@ def _counting_quartics(monkeypatch) -> list[int]:
             def counted(t):
                 evals[-1] += 1
                 return excess(t)
-            counted.coefficients = excess.coefficients
+            counted.cell, counted.slope = excess.cell, excess.slope
             return counted
         prepared.segment_excess = counted_segment_excess
         return prepared
@@ -246,14 +255,14 @@ def test_box_sweep_solves_take_at_most_ten_evaluations(bench_seed, monkeypatch, 
 
 def test_box_sweep_solves_agree_with_the_plain_scan(monkeypatch, tmp_path):
     # Every Euclidean solve's tau agrees with first_crossing's scan of the
-    # same excess, without the bracket and slope.
+    # same excess, without the cell and slope.
     solves = []
 
     def recorded(excess, **search):
         tau = first_crossing(excess, **search)
         solves.append((excess, tau))
         return tau
-    monkeypatch.setattr(divergences, "first_crossing", recorded)
+    monkeypatch.setattr(core, "first_crossing", recorded)
     _run_box_sweep(_BOX_SWEEPS[1], tmp_path)
     assert len(solves) > 400
     for excess, tau in solves:
@@ -292,10 +301,11 @@ def test_newton_steps_bound_the_evaluations_on_a_quartic_not_convex_on_the_segme
     # One boundary solve of the box sweep at workload seed 1: q'' < 0 near 0.
     # Its monotone piece is all of [0, 1], a bracket in which Newton steps
     # took 11 evaluations; the cell that holds the crossing takes fewer.
-    c0, c1, c2, c3, c4 = c = (11.47991803504638, -14.160791210329814, -3.26303669256849,
-                              2.9267474753963607, 2.976655542319429)
-    counted, probes = _probed(lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))))
-    assert abs(first_crossing(counted, **_quartic_search(c)) - 0.9578099157269) <= 1e-12
+    quartic = _quartic((11.47991803504638, -14.160791210329814, -3.26303669256849,
+                        2.9267474753963607, 2.976655542319429))
+    counted, probes = _probed(quartic)
+    tau = first_crossing(counted, bracket=quartic.cell(), slope=quartic.slope)
+    assert abs(tau - 0.9578099157269) <= 1e-12
     assert len(probes) <= 10
 
 
@@ -552,10 +562,10 @@ def test_a_refused_entry_is_mended_by_one_retry(case, delta, solves, searches, m
     calls = []
 
     def counted_crossing(excess, **search):
-        calls.append(search)
+        if hasattr(excess, "cell"):  # a fast search, not the fresh or the default's
+            calls.append(search)
         return first_crossing(excess, **search)
-    for module in (divergences, projectors):
-        monkeypatch.setattr(module, "first_crossing", counted_crossing)
+    monkeypatch.setattr(core, "first_crossing", counted_crossing)
     with mock.patch.object(SetOracle, "segment_entry", autospec=True,
                            side_effect=SetOracle.segment_entry) as search:
         tau, point = solve(m, x, x0)

@@ -112,6 +112,30 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, keys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("problem = two_subspaces\nalgorithm = exact_ap\njobs = 0\n",
+     "jobs and n_restarts must be positive"),
+    ("problem = phase_retrieval\nalgorithm = regularized_extrapolated\nepsilon_kappa = 1\n"
+     "n_restarts = 0\n", "jobs and n_restarts must be positive"),
+    ("problem = two_subspaces\nalgorithm = exact_ap\ndim = 4\ndim_u = 4\ndim_v = 2\n",
+     "need 0 < dim_u, dim_v < dim"),
+    ("problem = two_subspaces\nalgorithm = exact_ap\ntheta = 2\n",
+     "theta must lie strictly between 0 and pi/2"),
+    ("problem = two_subspaces\nalgorithm = exact_ap\ndim = 1\n", "dim must be at least 2"),
+    ("problem = parallel_lines\nalgorithm = exact_ap\ngap = -1\n", "gap must be nonnegative"),
+    ("problem = box_affine\nalgorithm = exact_ap\nn = 4\nm = 4\n", "box_affine needs 0 < m < n"),
+    ("problem = phase_retrieval\nalgorithm = exact_ap\nphoton_scale = 0\n",
+     "photon_scale must be positive"),
+])
+def test_run_refuses_values_out_of_range(tmp_path, capsys, keys, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, keys + f"out = {out}\n")
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 # Texts of every kind the parsers meet: finite and non-finite numbers, lists,
 # choices, booleans and junk.
 _VALUE_TEXT_KINDS = (

@@ -633,6 +633,27 @@ def test_surface_cycle_takes_two_moduli(monkeypatch):
     assert run(3) - run(2) == 2
 
 
+@pytest.mark.parametrize("schedule", [{"lambda_schedule": "constant_one"},
+                                      {"lambda_schedule": "custom", "lambda_sequence": (0.5,)}])
+def test_relaxed_cycle_transform_count(monkeypatch, schedule):
+    # A relaxed odd step takes no boundary solve: the interior test's fftn of
+    # even and the anchor's ifftn.  The odd iterate is built by the map's
+    # segment_point, so it keeps the spectrum (1 - lam) F even + lam Y and
+    # residual(odd) takes no fftn; built by lerp, it took a third transform.
+    setC, m, unreg, x0 = _surface_8x8(FourierIntensityMap)
+    ffts = _counting_ffts(monkeypatch)
+
+    def run(cycles):
+        ffts[0] = 0
+        trace = regularized_extrapolated_ap(
+            setC, m, unreg, x0,
+            InexactAPConfig(max_iterations=cycles, measure_gamma=False, **schedule))
+        assert trace.reason == "max_iter"
+        return ffts[0]
+
+    assert run(3) - run(2) == 2
+
+
 def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
     # phase.reconstruct builds its anchor set on the ball's map, so a surface
     # cycle there costs the 2 FFTs counted above: the interior test's fftn
@@ -652,10 +673,11 @@ def test_reconstruct_shares_one_spectrum_per_iterate(monkeypatch):
 
 
 def _counting_crossings(monkeypatch) -> list[int]:
-    """Count the excess evaluations of each boundary solve's ``first_crossing``.
+    """Count the excess evaluations of each ``first_crossing`` call.
 
-    The returned list gains one entry per ``first_crossing`` call; its
-    keyword arguments (a quartic's bracket and slope) pass through.
+    The returned list gains one entry per call, the fast search's and any
+    generic search's alike; the keyword arguments (the fast excess's cell
+    and slope) pass through.
     """
     evals = []
 
@@ -666,7 +688,7 @@ def _counting_crossings(monkeypatch) -> list[int]:
             evals[-1] += 1
             return excess(t)
         return first_crossing(counted, **search)
-    monkeypatch.setattr("regap.divergences.first_crossing", counted_crossing)
+    monkeypatch.setattr("regap.core.first_crossing", counted_crossing)
     return evals
 
 
